@@ -47,6 +47,5 @@ from .rule_miner import (  # noqa: F401
     filter_pairs,
     mine_pairs,
     phi,
-    probability_increase,
 )
 from .stix_ingest import AttackCatalog, TechniqueRecord, parse_bundle  # noqa: F401

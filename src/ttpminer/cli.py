@@ -1,11 +1,12 @@
 """Command-line front end wiring the pipeline stages together.
 
 Subcommands mirror the stages (ingest, corpus, prevalence, mine, graph,
-eval) plus ``all``. Each stage reads the upstream artifact files from the
-output directory, writes its own artifacts atomically, and a run manifest
-records the configuration, input digests, and tool version. Fixed inputs,
-configuration and seed give byte-identical artifacts, regardless of the
-``--jobs`` level.
+eval) plus ``all``. Each stage writes its artifacts atomically and a run
+manifest records the configuration, input digests, and tool version.
+Within ``all`` a stage takes its upstream values from the stages before it
+in memory; run on its own, it reads them back from the artifact files in
+the output directory. Both give the same values, so fixed inputs,
+configuration and seed give byte-identical artifacts either way.
 
 Exit codes: 0 success, 1 validation/configuration error, 2 I/O error.
 """
@@ -16,7 +17,6 @@ import argparse
 import difflib
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -28,7 +28,17 @@ from .stix_ingest import catalog_from_json, catalog_to_json, parse_bundle
 
 logger = logging.getLogger(__name__)
 
-COMMANDS = ("ingest", "corpus", "prevalence", "mine", "graph", "eval", "all")
+_COMMAND_HELP = {
+    "ingest": "parse a STIX bundle into the catalog artifact",
+    "corpus": "build the deduplicated technique-set corpus",
+    "prevalence": "frequency-trend matrix and prevalent techniques",
+    "mine": "mine recurring technique pairs",
+    "graph": "relation graphs and centrality scores",
+    "eval": "evaluate findings against unseen reports",
+    "all": "run every stage in order",
+}
+
+COMMANDS = tuple(_COMMAND_HELP)
 
 
 @dataclass
@@ -128,9 +138,9 @@ class StageOptions:
     conventional_normalization: bool = False
     parent_match: bool = False
     dot_path: Path | None = None
-    jobs: int = 1
     inputs: dict[str, Path] = field(default_factory=dict)
     artifacts_written: list[Path] = field(default_factory=list)
+    produced: dict[str, object] = field(default_factory=dict)  # keys of _UPSTREAM
 
 
 def _require_file(path: Path | None, role: str) -> Path:
@@ -146,14 +156,29 @@ def _artifact(config: PipelineConfig, stem: str, suffix: str | None = None) -> P
     return config.output_dir / f"{stem}{suffix}"
 
 
-def _load_catalog(config: PipelineConfig):
-    path = _require_file(_artifact(config, "catalog", ".json"), "catalog artifact")
-    return catalog_from_json(path.read_text(encoding="utf-8"))
+# What a stage hands to later ones: artifact stem, suffix (None for the
+# tabular format) and loader. The loaders look their reader up when called.
+_UPSTREAM = {
+    "catalog": ("catalog", ".json", lambda p: catalog_from_json(p.read_text("utf-8"))),
+    "corpus": ("corpus", ".json", lambda p: corpus_builder.corpus_from_json(p.read_text("utf-8"))),
+    "prevalent": ("prevalent_techniques", None, lambda p: artifacts.read_prevalent(p)),
+    "pairs": ("recurring_pairs", None, lambda p: artifacts.read_pairs(p)),
+}
 
 
-def _load_corpus(config: PipelineConfig):
-    path = _require_file(_artifact(config, "corpus", ".json"), "corpus artifact")
-    return corpus_builder.corpus_from_json(path.read_text(encoding="utf-8"))
+def _upstream(config: PipelineConfig, options: StageOptions, name: str, required: bool = True):
+    """The value an earlier stage of this run produced, else its artifact read back.
+
+    Every artifact round-trips exactly, so both give the same value. A value
+    that is not ``required`` and has no artifact is None.
+    """
+    if name in options.produced:
+        return options.produced[name]
+    stem, suffix, load = _UPSTREAM[name]
+    path = _artifact(config, stem, suffix)
+    if not required and not path.exists():
+        return None
+    return load(_require_file(path, f"{stem.replace('_', ' ')} artifact"))
 
 
 def _write(path: Path, writer, options: StageOptions) -> None:
@@ -173,6 +198,7 @@ def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
         sum(t.is_subtechnique for t in catalog.techniques),
         len(catalog.citations),
     )
+    options.produced["catalog"] = catalog
     path = _artifact(config, "catalog", ".json")
     _write(path, lambda p: atomic_write_text(p, catalog_to_json(catalog)), options)
 
@@ -180,7 +206,7 @@ def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
 def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
     manifest_path = _require_file(config.manifest_path, "report manifest")
     options.inputs["manifest"] = manifest_path
-    catalog = _load_catalog(config)
+    catalog = _upstream(config, options, "catalog")
     records = corpus_builder.load_manifest(manifest_path, catalog)
     included = corpus_builder.included_records(records)
     pairs = corpus_builder.find_candidate_pairs(included)
@@ -222,24 +248,17 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
         stats.total_mentions,
         stats.distinct_techniques,
     )
+    options.produced["corpus"] = sets
     path = _artifact(config, "corpus", ".json")
     _write(path, lambda p: atomic_write_text(p, corpus_builder.corpus_to_json(sets)), options)
 
 
 def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
-    corpus = _load_corpus(config)
-    if options.universe == "catalog":
-        catalog = _load_catalog(config)
-        universe = catalog.technique_ids()
-    else:
-        # catalog still supplies names/tactics for the prevalent listing when present
-        catalog_path = _artifact(config, "catalog", ".json")
-        catalog = (
-            catalog_from_json(catalog_path.read_text(encoding="utf-8"))
-            if catalog_path.exists()
-            else None
-        )
-        universe = None
+    corpus = _upstream(config, options, "corpus")
+    # Without the catalog universe, the catalog only supplies names and
+    # tactics for the prevalent listing, when there is one.
+    catalog = _upstream(config, options, "catalog", required=options.universe == "catalog")
+    universe = catalog.technique_ids() if options.universe == "catalog" else None
     frequencies = prevalence.technique_frequency(corpus, universe=universe)
     bins = prevalence.percentile_bins(frequencies)
     series = prevalence.yearly_series(corpus, bins.keys(), trend_years=config.trend_years)
@@ -249,6 +268,7 @@ def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
     matrix = prevalence.build_matrix(bins, trends, corpus)
     prevalent = prevalence.prevalent_techniques(matrix)
     logger.info("prevalent techniques: %d of %d analyzed", len(prevalent), len(bins))
+    options.produced["prevalent"] = prevalent
     _write(_artifact(config, "prevalence_matrix"), lambda p: artifacts.write_matrix(p, matrix), options)
     _write(
         _artifact(config, "prevalent_techniques"),
@@ -257,29 +277,13 @@ def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
     )
 
 
-def _filter_parallel(candidates, config: PipelineConfig, options: StageOptions):
-    if options.jobs <= 1 or len(candidates) < 2:
-        return rule_miner.filter_pairs(
-            candidates, phi_min=config.phi_min, alpha=config.alpha_rules, yates=options.yates
-        )
-    # Chunked scoring merged in chunk order: byte-identical to the sequential run.
-    chunk_size = -(-len(candidates) // options.jobs)
-    chunks = [candidates[i : i + chunk_size] for i in range(0, len(candidates), chunk_size)]
-    with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-        results = pool.map(
-            lambda chunk: rule_miner.filter_pairs(
-                chunk, phi_min=config.phi_min, alpha=config.alpha_rules, yates=options.yates
-            ),
-            chunks,
-        )
-    return [pair for chunk in results for pair in chunk]
-
-
 def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
-    corpus = _load_corpus(config)
+    corpus = _upstream(config, options, "corpus")
     itemsets = [ts.techniques for ts in corpus]
     candidates = rule_miner.mine_pairs(itemsets, config.min_support)
-    pairs = _filter_parallel(candidates, config, options)
+    pairs = rule_miner.filter_pairs(
+        candidates, phi_min=config.phi_min, alpha=config.alpha_rules, yates=options.yates
+    )
     if config.annotation_path is not None:
         annotation_path = _require_file(config.annotation_path, "relation annotations")
         options.inputs["annotations"] = annotation_path
@@ -288,12 +292,12 @@ def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
             pairs, graph_analysis.relation_label_map(annotations)
         )
     logger.info("mined %d candidate pairs, %d recurring pairs kept", len(candidates), len(pairs))
+    options.produced["pairs"] = pairs
     _write(_artifact(config, "recurring_pairs"), lambda p: artifacts.write_pairs(p, pairs), options)
 
 
 def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
-    pairs_path = _require_file(_artifact(config, "recurring_pairs"), "recurring pairs artifact")
-    pairs = artifacts.read_pairs(pairs_path)
+    pairs = _upstream(config, options, "pairs")
     annotations = []
     if config.annotation_path is not None:
         annotation_path = _require_file(config.annotation_path, "relation annotations")
@@ -355,13 +359,9 @@ def _print_top_k(label: str, scores: dict, k: int) -> None:
 def stage_eval(config: PipelineConfig, options: StageOptions) -> None:
     unseen_path = _require_file(config.unseen_manifest_path, "unseen manifest")
     options.inputs["unseen_manifest"] = unseen_path
-    corpus = _load_corpus(config)
-    prevalent_path = _require_file(
-        _artifact(config, "prevalent_techniques"), "prevalent techniques artifact"
-    )
-    prevalent = artifacts.read_prevalent(prevalent_path)
-    pairs_path = _require_file(_artifact(config, "recurring_pairs"), "recurring pairs artifact")
-    pairs = artifacts.read_pairs(pairs_path)
+    corpus = _upstream(config, options, "corpus")
+    prevalent = _upstream(config, options, "prevalent")
+    pairs = _upstream(config, options, "pairs")
 
     cutoff = eval_harness.cutoff_date(corpus)
     unseen = eval_harness.load_unseen_manifest(unseen_path, cutoff=cutoff)
@@ -370,10 +370,10 @@ def stage_eval(config: PipelineConfig, options: StageOptions) -> None:
     )
     logger.info(
         "EV-A %d/%d prevalent found; EV-B %d valid / %d matched pairs",
-        summary.prevalent_found_count,
+        summary.ev_a.found_count,
         len(prevalent),
-        summary.valid_pair_count,
-        summary.matched_pair_count,
+        summary.ev_b.valid_count,
+        summary.ev_b.matched_count,
     )
     doc = eval_harness.summary_to_dict(summary)
     _write(
@@ -442,6 +442,57 @@ def run(command: str, config: PipelineConfig, options: StageOptions | None = Non
     return options.artifacts_written
 
 
+# One row per flag: option strings, argparse keywords, commands that accept
+# it. Each dest names a PipelineConfig or StageOptions field (apart from
+# --config and --verbose). A flag left out sets nothing, so the dataclasses
+# hold the only defaults.
+_OPTIONS = (
+    (("--bundle",), dict(dest="bundle_path", type=Path, help="ATT&CK STIX bundle JSON path"),
+     ("ingest", "all")),
+    (("--manifest",), dict(dest="manifest_path", type=Path, help="report manifest JSON path"),
+     ("corpus", "all")),
+    (("--unseen",), dict(dest="unseen_manifest_path", type=Path, help="unseen manifest JSON path"),
+     ("eval", "all")),
+    (("--annotations",), dict(dest="annotation_path", type=Path, help="relation annotation CSV"),
+     ("mine", "graph", "all")),
+    (("--tau",), dict(type=int, help="duplicate merge threshold in 30-day months"), ("corpus", "all")),
+    (("--elbow-labels",), dict(type=Path, help="bucket,pair_key,is_duplicate CSV; estimates tau"),
+     ("corpus", "all")),
+    (("--sample-pairs",), dict(type=Path, help="write a pair sample here for duplicate labeling"),
+     ("corpus",)),
+    (("--n-buckets",), dict(type=int, help="elbow buckets to sample (default: 5)"), ("corpus", "all")),
+    (("--sample-size",), dict(type=int, help="pairs per bucket (default: 20)"), ("corpus", "all")),
+    (("--alpha",), dict(dest="alpha_trend", type=float, help="trend significance level"),
+     ("prevalence",)),
+    (("--alpha-trend",), dict(type=float, help="trend significance level"), ("all",)),
+    (("--trend-years",), dict(type=int, help="trailing trend window in years"), ("prevalence", "all")),
+    (("--universe",), dict(choices=("catalog", "corpus"), help="bin all cataloged techniques (with "
+                           "zeros) or mentioned ones only (default: catalog)"), ("prevalence", "all")),
+    (("--min-support",), dict(type=float, help="minimum pair support"), ("mine", "all")),
+    (("--phi-min",), dict(type=float, help="minimum phi correlation"), ("mine", "all")),
+    (("--alpha",), dict(dest="alpha_rules", type=float, help="chi-square significance level"),
+     ("mine",)),
+    (("--alpha-rules",), dict(type=float, help="chi-square significance level"), ("all",)),
+    (("--yates",), dict(action="store_true", help="apply the Yates continuity correction"),
+     ("mine", "all")),
+    (("--relation",), dict(choices=sorted(graph_analysis.RELATION_TYPES),
+                           help="restrict to one relation type"), ("graph",)),
+    (("--top-k",), dict(type=int, help="print the top-k techniques per graph to stdout"), ("graph",)),
+    (("--conventional-normalization",), dict(action="store_true",
+                                             help="normalize centrality by node count - 1"),
+     ("graph", "all")),
+    (("--dot",), dict(dest="dot_path", type=Path, help="also write a DOT export here"), ("graph",)),
+    (("--parent-match",), dict(action="store_true", help="match sub-techniques to their base id"),
+     ("eval", "all")),
+    (("--config",), dict(type=Path, help="pipeline config file (key = value lines)"), COMMANDS),
+    (("--output-dir",), dict(type=Path, help="artifact directory (default: out)"), COMMANDS),
+    (("--format",), dict(dest="output_format", choices=("csv", "json"),
+                         help="tabular artifact format (default: csv)"), COMMANDS),
+    (("--seed",), dict(type=int, help="seed for all randomized steps"), COMMANDS),
+    (("-v", "--verbose"), dict(action="store_true", help="debug logging"), COMMANDS),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttpminer",
@@ -450,135 +501,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, help="pipeline config file (key = value lines)")
-        p.add_argument("--output-dir", type=Path, help="artifact directory (default: out)")
-        p.add_argument("--format", choices=("csv", "json"), dest="output_format",
-                       help="tabular artifact format (default: csv)")
-        p.add_argument("--seed", type=int, help="seed for all randomized steps")
-        p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-
-    p = sub.add_parser("ingest", help="parse a STIX bundle into the catalog artifact")
-    p.add_argument("--bundle", type=Path, help="ATT&CK STIX bundle JSON path")
-    add_common(p)
-
-    p = sub.add_parser("corpus", help="build the deduplicated technique-set corpus")
-    p.add_argument("--manifest", type=Path, help="report manifest JSON path")
-    p.add_argument("--tau", type=int, help="duplicate merge threshold in 30-day months")
-    p.add_argument("--elbow-labels", type=Path,
-                   help="bucket,pair_key,is_duplicate CSV; estimates tau from the labels")
-    p.add_argument("--sample-pairs", type=Path,
-                   help="write a bucketed pair sample here for manual duplicate labeling")
-    p.add_argument("--n-buckets", type=int, default=5, help="elbow buckets to sample")
-    p.add_argument("--sample-size", type=int, default=20, help="pairs sampled per bucket")
-    add_common(p)
-
-    p = sub.add_parser("prevalence", help="frequency-trend matrix and prevalent techniques")
-    p.add_argument("--alpha", type=float, dest="alpha_trend", help="trend significance level")
-    p.add_argument("--trend-years", type=int, help="trailing trend window in years")
-    p.add_argument("--universe", choices=("catalog", "corpus"), default="catalog",
-                   help="bin all cataloged techniques (with zeros) or mentioned ones only")
-    add_common(p)
-
-    p = sub.add_parser("mine", help="mine recurring technique pairs")
-    p.add_argument("--min-support", type=float, help="minimum pair support")
-    p.add_argument("--phi-min", type=float, help="minimum phi correlation")
-    p.add_argument("--alpha", type=float, dest="alpha_rules", help="chi-square significance level")
-    p.add_argument("--yates", action="store_true", help="apply the Yates continuity correction")
-    p.add_argument("--annotations", type=Path, help="relation annotation CSV to attach as labels")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scoring workers")
-    add_common(p)
-
-    p = sub.add_parser("graph", help="relation graphs and centrality scores")
-    p.add_argument("--annotations", type=Path, help="relation annotation CSV")
-    p.add_argument("--relation", choices=sorted(graph_analysis.RELATION_TYPES),
-                   help="restrict to one relation type")
-    p.add_argument("--top-k", type=int, help="print the top-k techniques per graph to stdout")
-    p.add_argument("--conventional-normalization", action="store_true",
-                   help="normalize centrality by node count - 1")
-    p.add_argument("--dot", type=Path, dest="dot_path", help="also write a DOT export here")
-    add_common(p)
-
-    p = sub.add_parser("eval", help="evaluate findings against unseen reports")
-    p.add_argument("--unseen", type=Path, help="unseen report manifest JSON path")
-    p.add_argument("--parent-match", action="store_true",
-                   help="match sub-techniques to their base technique id")
-    add_common(p)
-
-    p = sub.add_parser("all", help="run every stage in order")
-    p.add_argument("--bundle", type=Path)
-    p.add_argument("--manifest", type=Path)
-    p.add_argument("--unseen", type=Path)
-    p.add_argument("--annotations", type=Path)
-    p.add_argument("--elbow-labels", type=Path)
-    p.add_argument("--n-buckets", type=int, default=5)
-    p.add_argument("--sample-size", type=int, default=20)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--min-support", type=float)
-    p.add_argument("--phi-min", type=float)
-    p.add_argument("--alpha-rules", type=float)
-    p.add_argument("--alpha-trend", type=float)
-    p.add_argument("--trend-years", type=int)
-    p.add_argument("--universe", choices=("catalog", "corpus"), default="catalog")
-    p.add_argument("--yates", action="store_true")
-    p.add_argument("--parent-match", action="store_true")
-    p.add_argument("--conventional-normalization", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    add_common(p)
-
+    commands = {
+        name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for name, text in _COMMAND_HELP.items()
+    }
+    for flags, keywords, accepted_by in _OPTIONS:
+        for name in accepted_by:
+            commands[name].add_argument(*flags, **keywords)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    config = validate_config(args.config) if args.config else PipelineConfig()
-    overrides = {
-        "bundle_path": getattr(args, "bundle", None),
-        "manifest_path": getattr(args, "manifest", None),
-        "unseen_manifest_path": getattr(args, "unseen", None),
-        "annotation_path": getattr(args, "annotations", None),
-        "tau": getattr(args, "tau", None),
-        "min_support": getattr(args, "min_support", None),
-        "phi_min": getattr(args, "phi_min", None),
-        "alpha_rules": getattr(args, "alpha_rules", None),
-        "alpha_trend": getattr(args, "alpha_trend", None),
-        "trend_years": getattr(args, "trend_years", None),
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-        "output_format": args.output_format,
-    }
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    config.validate()
-    return config
-
-
-def _options_from_args(args: argparse.Namespace) -> StageOptions:
-    return StageOptions(
-        elbow_labels=getattr(args, "elbow_labels", None),
-        sample_pairs=getattr(args, "sample_pairs", None),
-        n_buckets=getattr(args, "n_buckets", 5),
-        sample_size=getattr(args, "sample_size", 20),
-        universe=getattr(args, "universe", "catalog"),
-        yates=getattr(args, "yates", False),
-        relation=getattr(args, "relation", None),
-        top_k=getattr(args, "top_k", None),
-        conventional_normalization=getattr(args, "conventional_normalization", False),
-        parent_match=getattr(args, "parent_match", False),
-        dot_path=getattr(args, "dot_path", None),
-        jobs=getattr(args, "jobs", 1),
-    )
+def _settings(values: dict) -> tuple[PipelineConfig, StageOptions]:
+    """Config file, then the flags given; the rest keeps the dataclass defaults."""
+    config = validate_config(values.pop("config")) if "config" in values else PipelineConfig()
+    config_fields = {f.name for f in fields(PipelineConfig)}
+    config = replace(config, **{k: v for k, v in values.items() if k in config_fields})
+    options = StageOptions(**{k: v for k, v in values.items() if k not in config_fields})
+    return config, options
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    values = vars(_build_parser().parse_args(argv))
+    command = values.pop("command")
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.DEBUG if values.pop("verbose", False) else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _config_from_args(args)
-        run(args.command, config, _options_from_args(args))
+        config, options = _settings(values)
+        run(command, config, options)
     except TTPMinerError as exc:
         logger.error("%s", exc)
         return 1

@@ -43,6 +43,45 @@ EXCLUSION_REASONS = frozenset(
 PAIR_KEY_SEP = "||"
 
 
+_STRING = ("a string", lambda value: isinstance(value, str))
+_STRINGS = (
+    "an array of strings",
+    lambda value: isinstance(value, list) and all(isinstance(item, str) for item in value),
+)
+# Field -> (what it must be, its test), for the report and the unseen-report
+# manifests alike. A field a record leaves out is not checked here.
+MANIFEST_FIELDS = {
+    "citation_key": _STRING, "id": _STRING, "url": _STRING,
+    "include": ("a JSON boolean", lambda value: isinstance(value, bool)),
+    "technique_ids": _STRINGS, "attribution": _STRINGS,
+    "exclusion_reason": ("a string or null", lambda value: value is None or isinstance(value, str)),
+}
+
+
+def read_manifest_records(path: Path) -> list[dict]:
+    """The records of a manifest file: a JSON array of objects.
+
+    Each known field of a record must have its JSON type (``MANIFEST_FIELDS``);
+    a ManifestError names the file, the record index and the field.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, list):
+        raise ManifestError(f"{path}: manifest must be a JSON array of records")
+    for i, raw in enumerate(doc):
+        if not isinstance(raw, dict):
+            raise ManifestError(f"{path} record {i}: must be a JSON object, got {raw!r}")
+        for name, (expected, valid) in MANIFEST_FIELDS.items():
+            if name in raw and not valid(raw[name]):
+                raise ManifestError(
+                    f"{path} record {i}: field {name!r} must be {expected}, got {raw[name]!r}"
+                )
+    return doc
+
+
 @dataclass(frozen=True)
 class ReportRecord:
     citation_key: str
@@ -101,18 +140,10 @@ def load_manifest(path: Path | str, catalog: AttackCatalog | None = None) -> lis
     excluded. With a catalog, every technique id must resolve in it.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, list):
-        raise ManifestError(f"{path}: manifest must be a JSON array of records")
-
     known = catalog.technique_ids() if catalog is not None else None
     records: list[ReportRecord] = []
     seen_keys: set[str] = set()
-    for i, raw in enumerate(doc):
+    for i, raw in enumerate(read_manifest_records(path)):
         label = f"{path} record {i} ({raw.get('citation_key', '?')})"
         record = _parse_record(raw, label, known)
         if record.citation_key in seen_keys:
@@ -126,7 +157,7 @@ def _parse_record(raw: dict, label: str, known: frozenset[str] | None) -> Report
     try:
         citation_key = raw["citation_key"]
         url = raw.get("url", citation_key)
-        include = bool(raw["include"])
+        include = raw["include"]
         technique_ids = frozenset(raw.get("technique_ids", ()))
     except KeyError as exc:
         raise ManifestError(f"{label}: missing field {exc}") from exc

@@ -8,7 +8,6 @@ techniques mentioned somewhere) and actually co-present in a single report.
 
 from __future__ import annotations
 
-import json
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from datetime import date
 from pathlib import Path
 from typing import Sequence
 
-from .corpus_builder import TechniqueSet
+from .corpus_builder import TechniqueSet, read_manifest_records
 from .errors import ManifestError, ParameterError
 from .rule_miner import RecurringPair
 from .stix_ingest import parent_technique_id
@@ -29,25 +28,6 @@ class UnseenReport:
     technique_ids: frozenset[str]
 
 
-@dataclass(frozen=True)
-class EvaluationSummary:
-    cutoff: date | None
-    unseen_report_count: int
-    prevalent_found_count: int
-    prevalent_found_ids: tuple[str, ...]
-    mean_prevalent_per_report: float
-    median_prevalent_per_report: float
-    top20_overlap_count: int
-    top20_overlap_ids: tuple[str, ...]
-    valid_pair_count: int
-    matched_pair_count: int
-    matched_pairs: tuple[tuple[str, str], ...]
-    reports_with_pair: int
-    mean_valid_pairs_per_report: float
-    mean_valid_pairs_per_matching_report: float
-    per_relation_matches: dict[str, int]
-
-
 def cutoff_date(corpus: Sequence[TechniqueSet]) -> date:
     """Latest publication date across all member citations of the corpus."""
     if not corpus:
@@ -58,16 +38,9 @@ def cutoff_date(corpus: Sequence[TechniqueSet]) -> date:
 def load_unseen_manifest(path: Path | str, cutoff: date | None = None) -> list[UnseenReport]:
     """Load unseen reports (JSON array); each must postdate the cutoff if given."""
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, list):
-        raise ManifestError(f"{path}: unseen manifest must be a JSON array")
     reports = []
     seen: set[str] = set()
-    for i, raw in enumerate(doc):
+    for i, raw in enumerate(read_manifest_records(path)):
         report_id = raw.get("id") or raw.get("citation_key")
         label = f"{path} record {i} ({report_id or '?'})"
         if not report_id:
@@ -119,8 +92,6 @@ def ev_a(
     prevalent: Sequence[str], unseen: Sequence[UnseenReport], parent_match: bool = False
 ) -> EvAResult:
     """Coverage of the prevalent techniques in the unseen reports."""
-    if not prevalent:
-        raise ParameterError("prevalent technique list is empty")
     if not unseen:
         raise ParameterError("unseen report set is empty")
     found = tuple(
@@ -163,8 +134,6 @@ def ev_b(pairs: Sequence[RecurringPair], unseen: Sequence[UnseenReport]) -> EvBR
     The per-report mean of co-present valid pairs is reported over all
     reports and over the reports containing at least one pair.
     """
-    if not pairs:
-        raise ParameterError("pair list is empty")
     if not unseen:
         raise ParameterError("unseen report set is empty")
     universe = frozenset().union(*(report.technique_ids for report in unseen))
@@ -200,6 +169,14 @@ def ev_b(pairs: Sequence[RecurringPair], unseen: Sequence[UnseenReport]) -> EvBR
     )
 
 
+@dataclass(frozen=True)
+class EvaluationSummary:
+    cutoff: date | None
+    unseen_report_count: int
+    ev_a: EvAResult
+    ev_b: EvBResult
+
+
 def evaluate(
     prevalent: Sequence[str],
     pairs: Sequence[RecurringPair],
@@ -207,71 +184,60 @@ def evaluate(
     cutoff: date | None = None,
     parent_match: bool = False,
 ) -> EvaluationSummary:
-    a = ev_a(prevalent, unseen, parent_match=parent_match)
-    b = ev_b(pairs, unseen)
     return EvaluationSummary(
         cutoff=cutoff,
         unseen_report_count=len(unseen),
-        prevalent_found_count=a.found_count,
-        prevalent_found_ids=a.found_ids,
-        mean_prevalent_per_report=a.mean_per_report,
-        median_prevalent_per_report=a.median_per_report,
-        top20_overlap_count=a.top20_overlap_count,
-        top20_overlap_ids=a.top20_overlap_ids,
-        valid_pair_count=b.valid_count,
-        matched_pair_count=b.matched_count,
-        matched_pairs=b.matched_pairs,
-        reports_with_pair=b.reports_with_pair,
-        mean_valid_pairs_per_report=b.mean_valid_pairs_per_report,
-        mean_valid_pairs_per_matching_report=b.mean_valid_pairs_per_matching_report,
-        per_relation_matches=b.per_relation_matches,
+        ev_a=ev_a(prevalent, unseen, parent_match=parent_match),
+        ev_b=ev_b(pairs, unseen),
     )
 
 
 def summary_to_dict(summary: EvaluationSummary) -> dict:
+    a, b = summary.ev_a, summary.ev_b
     return {
         "cutoff": summary.cutoff.isoformat() if summary.cutoff else None,
         "unseen_report_count": summary.unseen_report_count,
         "ev_a": {
-            "prevalent_found_count": summary.prevalent_found_count,
-            "prevalent_found_ids": list(summary.prevalent_found_ids),
-            "mean_prevalent_per_report": summary.mean_prevalent_per_report,
-            "median_prevalent_per_report": summary.median_prevalent_per_report,
-            "top20_overlap_count": summary.top20_overlap_count,
-            "top20_overlap_ids": list(summary.top20_overlap_ids),
+            "prevalent_found_count": a.found_count,
+            "prevalent_found_ids": list(a.found_ids),
+            "mean_prevalent_per_report": a.mean_per_report,
+            "median_prevalent_per_report": a.median_per_report,
+            "top20_overlap_count": a.top20_overlap_count,
+            "top20_overlap_ids": list(a.top20_overlap_ids),
         },
         "ev_b": {
-            "valid_pair_count": summary.valid_pair_count,
-            "matched_pair_count": summary.matched_pair_count,
-            "matched_pairs": [list(key) for key in summary.matched_pairs],
-            "reports_with_pair": summary.reports_with_pair,
-            "mean_valid_pairs_per_report": summary.mean_valid_pairs_per_report,
-            "mean_valid_pairs_per_matching_report": summary.mean_valid_pairs_per_matching_report,
-            "per_relation_matches": summary.per_relation_matches,
+            "valid_pair_count": b.valid_count,
+            "matched_pair_count": b.matched_count,
+            "matched_pairs": [list(key) for key in b.matched_pairs],
+            "reports_with_pair": b.reports_with_pair,
+            "mean_valid_pairs_per_report": b.mean_valid_pairs_per_report,
+            "mean_valid_pairs_per_matching_report": b.mean_valid_pairs_per_matching_report,
+            "per_relation_matches": b.per_relation_matches,
         },
     }
 
 
 def summary_to_text(summary: EvaluationSummary, prevalent_total: int, pair_total: int) -> str:
+    a, b = summary.ev_a, summary.ev_b
     lines = [
         f"Unseen reports: {summary.unseen_report_count}"
         + (f" (published after {summary.cutoff.isoformat()})" if summary.cutoff else ""),
         "",
         "EV-A: prevalent technique coverage",
-        f"  found in at least one report: {summary.prevalent_found_count} of {prevalent_total}",
+        f"  found in at least one report: {a.found_count} of {prevalent_total}",
         f"  mean / median prevalent techniques per report: "
-        f"{summary.mean_prevalent_per_report:.2f} / {summary.median_prevalent_per_report:g}",
-        f"  overlap with the top-20 most-reported techniques: {summary.top20_overlap_count}",
+        f"{a.mean_per_report:.2f} / {a.median_per_report:g}",
+        f"  overlap with the top-20 most-reported techniques: {a.top20_overlap_count}",
         "",
         "EV-B: recurring pair occurrence",
-        f"  valid pairs (both techniques mentioned): {summary.valid_pair_count} of {pair_total}",
-        f"  matched pairs (co-present in one report): {summary.matched_pair_count}",
-        f"  reports containing at least one pair: {summary.reports_with_pair}",
-        f"  mean co-present pairs per report: {summary.mean_valid_pairs_per_report:.2f}"
-        f" (over matching reports: {summary.mean_valid_pairs_per_matching_report:.2f})",
+        f"  valid pairs (both techniques mentioned): {b.valid_count} of {pair_total}",
+        f"  matched pairs (co-present in one report): {b.matched_count}",
+        f"  reports containing at least one pair: {b.reports_with_pair}",
+        f"  mean co-present pairs per report: {b.mean_valid_pairs_per_report:.2f}"
+        f" (over matching reports: {b.mean_valid_pairs_per_matching_report:.2f})",
     ]
-    if summary.per_relation_matches:
+    if b.per_relation_matches:
         lines.append("  matched pairs per relation:")
-        for name, count in summary.per_relation_matches.items():
+        for name, count in b.per_relation_matches.items():
             lines.append(f"    {name}: {count}")
     return "\n".join(lines) + "\n"

@@ -16,8 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from scipy.stats import norm
-
 from .corpus_builder import TechniqueSet
 from .errors import ParameterError
 
@@ -157,7 +155,7 @@ def mann_kendall(series: YearlySeries, alpha: float = 0.05) -> TrendResult:
         z = (s + 1) / math.sqrt(var_s)
     else:
         z = 0.0
-    p = 2.0 * float(norm.sf(abs(z)))
+    p = math.erfc(abs(z) / math.sqrt(2.0))  # two-sided normal tail
 
     if n < 4:
         logger.warning("%s: series of length %d is too short for a trend call", series.technique_id, n)

@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import AbstractSet, Mapping, Sequence
 
-from scipy.stats import chi2 as chi2_dist
-
 from .errors import ParameterError, UndefinedMeasureError
 
 logger = logging.getLogger(__name__)
@@ -195,7 +193,8 @@ def chi_square(table: ContingencyTable, yates: bool = False) -> tuple[float, flo
     statistic = sum(
         max(abs(o - e) - correction, 0.0) ** 2 / e for o, e in zip(observed, expected)
     )
-    return statistic, float(chi2_dist.sf(statistic, 1))
+    # The chi-square upper tail with one degree of freedom is erfc(sqrt(x / 2)).
+    return statistic, math.erfc(math.sqrt(statistic / 2.0))
 
 
 def strength_bucket(
@@ -252,23 +251,6 @@ def filter_pairs(
             )
         )
     return kept
-
-
-def probability_increase(pair: RecurringPair, corpus: Itemsets) -> float:
-    """How many times the consequent's probability rises given the antecedent.
-
-    Recomputed from the corpus: confidence(antecedent => consequent) divided
-    by the consequent's base rate, i.e. the pair's lift. Symmetric in the two
-    orientations.
-    """
-    table = contingency(pair.tech_a, pair.tech_b, corpus)
-    count_a = table.n11 + table.n10
-    count_b = table.n11 + table.n01
-    if count_a == 0 or count_b == 0:
-        raise UndefinedMeasureError(
-            f"consequent base rate is zero for ({pair.tech_a}, {pair.tech_b})"
-        )
-    return table.n11 * table.n / (count_a * count_b)
 
 
 def attach_relation_labels(

@@ -266,20 +266,6 @@ def _assemble_techniques(
     return records
 
 
-def build_report_technique_map(catalog: AttackCatalog) -> dict[str, frozenset[str]]:
-    """Citation key -> union of technique ids documented by that report.
-
-    Keys mapping to zero techniques are retained; downstream manifest
-    filtering decides what to keep.
-    """
-    return dict(catalog.technique_citations)
-
-
-def extract_attribution(catalog: AttackCatalog) -> dict[str, frozenset[str]]:
-    """Citation key -> ids of the groups/malware/tools citing that report."""
-    return dict(catalog.attribution)
-
-
 def catalog_to_json(catalog: AttackCatalog) -> str:
     """Canonical JSON for caching: UTF-8, sorted keys, LF line endings."""
     doc = {

@@ -131,7 +131,7 @@ class TestPipeline:
             assert run_cli(stage, *config) == 0, stage
         for name in ("catalog.json", "corpus.json", "prevalence_matrix.csv",
                      "prevalent_techniques.csv", "recurring_pairs.csv",
-                     "graph_centrality.csv", "evaluation.json"):
+                     "graph_centrality.csv", "evaluation.json", "evaluation.txt"):
             assert (out_all / name).read_bytes() == (out_stages / name).read_bytes(), name
 
     def test_json_format_artifacts(self, tmp_path):
@@ -269,3 +269,169 @@ class TestPipeline:
         # u02 mentions T1013.001 only; the prevalent T1013 needs the relaxation
         assert baseline["ev_a"]["prevalent_found_count"] == 5
         assert relaxed["ev_a"]["prevalent_found_count"] == 6
+
+
+class TestInMemoryHandoff:
+    UPSTREAM_READERS = (
+        ("ttpminer.corpus_builder", "corpus_from_json"),
+        ("ttpminer.stix_ingest", "catalog_from_json"),
+        ("ttpminer.cli", "catalog_from_json"),
+        ("ttpminer.artifacts", "read_pairs"),
+        ("ttpminer.artifacts", "read_prevalent"),
+    )
+
+    def count_reads(self, monkeypatch) -> dict:
+        import importlib
+
+        calls: dict[str, int] = {}
+        for module_name, name in self.UPSTREAM_READERS:
+            module = importlib.import_module(module_name)
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_all_decodes_no_upstream_artifact(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from ttpminer.cli import run
+
+        calls = self.count_reads(monkeypatch)
+        config = replace(validate_config(E2E / "config.cfg"), output_dir=tmp_path / "out")
+        written = run("all", config)
+        assert (tmp_path / "out" / "evaluation.json") in written
+        assert calls == {}
+        # A stage run on its own reads its upstream artifacts back.
+        run("eval", config)
+        assert calls == {"corpus_from_json": 1, "read_prevalent": 1, "read_pairs": 1}
+
+    def test_empty_pair_list_is_a_result(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(
+            "all",
+            "--bundle", E2E / "bundle.json",
+            "--manifest", E2E / "manifest.json",
+            "--unseen", E2E / "unseen.json",
+            "--min-support", "1.0",
+            "--output-dir", out,
+        )
+        assert code == 0
+        assert (out / "recurring_pairs.csv").read_text().count("\n") == 1  # header only
+        evaluation = json.loads((out / "evaluation.json").read_text())
+        assert evaluation["ev_b"]["valid_pair_count"] == 0
+        assert evaluation["ev_b"]["matched_pair_count"] == 0
+
+
+class TestManifestBoundary:
+    @pytest.mark.parametrize(
+        "command, flag, records, needle",
+        [
+            ("corpus", "--manifest", [{"include": "false"}], "record 0: field 'include'"),
+            ("corpus", "--manifest", [{"technique_ids": "T1005"}], "record 0: field 'technique_ids'"),
+            ("corpus", "--manifest", ["r1"], "record 0: must be a JSON object"),
+            ("eval", "--unseen", [{"technique_ids": "T1005"}], "record 0: field 'technique_ids'"),
+        ],
+    )
+    def test_bad_record_exits_1_naming_file_record_and_field(
+        self, tmp_path, caplog, command, flag, records, needle
+    ):
+        out = tmp_path / "out"
+        assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
+        base = {"citation_key": "r1", "id": "u1", "url": "https://x.example/r1",
+                "published": "2030-01-01", "technique_ids": ["T1001", "T1005"],
+                "attribution": [], "include": True, "exclusion_reason": None}
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps([r if isinstance(r, str) else {**base, **r} for r in records]),
+            encoding="utf-8",
+        )
+        caplog.clear()
+        assert run_cli(command, flag, bad, "--output-dir", out) == 1
+        assert f"{bad} {needle}" in caplog.text
+        assert "Traceback" not in caplog.text
+
+
+def test_importing_the_cli_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, ttpminer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+class TestCommandLineSurface:
+    COMMON = ["--config", "--format", "--output-dir", "--seed", "--verbose", "-v"]
+    FLAGS = {
+        "ingest": ["--bundle"],
+        "corpus": ["--elbow-labels", "--manifest", "--n-buckets", "--sample-pairs",
+                   "--sample-size", "--tau"],
+        "prevalence": ["--alpha", "--trend-years", "--universe"],
+        "mine": ["--alpha", "--annotations", "--min-support", "--phi-min", "--yates"],
+        "graph": ["--annotations", "--conventional-normalization", "--dot", "--relation",
+                  "--top-k"],
+        "eval": ["--parent-match", "--unseen"],
+        "all": ["--alpha-rules", "--alpha-trend", "--annotations", "--bundle",
+                "--conventional-normalization", "--elbow-labels", "--manifest",
+                "--min-support", "--n-buckets", "--parent-match", "--phi-min",
+                "--sample-size", "--tau", "--trend-years", "--universe", "--unseen", "--yates"],
+    }
+
+    @staticmethod
+    def settings(*argv: str):
+        from ttpminer.cli import _build_parser, _settings
+
+        values = vars(_build_parser().parse_args(list(argv)))
+        command = values.pop("command")
+        values.pop("verbose", None)
+        return command, *_settings(values)
+
+    def test_option_strings_per_command(self):
+        import argparse
+
+        from ttpminer.cli import _build_parser
+
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(self.FLAGS)
+        for name, parser in sub.choices.items():
+            found = sorted(
+                s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")
+            )
+            assert found == sorted(self.FLAGS[name] + self.COMMON), name
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_left_out_flags_keep_the_dataclass_defaults(self, command):
+        from ttpminer.cli import StageOptions
+
+        assert self.settings(command) == (command, PipelineConfig(), StageOptions())
+
+    def test_alpha_names_the_level_of_its_command(self):
+        _, config, _ = self.settings("prevalence", "--alpha", "0.01")
+        assert (config.alpha_trend, config.alpha_rules) == (0.01, 0.05)
+        _, config, _ = self.settings("mine", "--alpha", "0.02")
+        assert (config.alpha_trend, config.alpha_rules) == (0.05, 0.02)
+        _, config, _ = self.settings("all", "--alpha-trend", "0.03", "--alpha-rules", "0.04")
+        assert (config.alpha_trend, config.alpha_rules) == (0.03, 0.04)
+
+    def test_flags_override_the_config_file(self):
+        _, config, options = self.settings(
+            "all", "--config", str(E2E / "config.cfg"), "--tau", "3", "--yates", "--seed", "11"
+        )
+        assert (config.tau, config.seed, config.min_support) == (3, 11, 0.005)
+        assert config.bundle_path == E2E / "bundle.json"
+        assert options.yates is True
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--sample-pairs", "--relation", "--top-k", "--dot"])
+    def test_all_rejects_flags_it_never_took(self, flag):
+        with pytest.raises(SystemExit):
+            self.settings("all", flag, "1")

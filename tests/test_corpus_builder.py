@@ -5,6 +5,8 @@ import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttpminer.corpus_builder import (
     DuplicateCandidatePair,
@@ -135,6 +137,61 @@ class TestLoadManifest:
         path = write_manifest(tmp_path, [manifest_entry("r1", "2020-01-01", ["T1059", "T9999"])])
         with pytest.raises(ManifestError, match="T9999"):
             load_manifest(path, catalog)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("include", "false", r"record 0: field 'include' must be a JSON boolean"),
+            ("include", 0, r"record 0: field 'include' must be a JSON boolean"),
+            ("technique_ids", "T1005", r"record 0: field 'technique_ids' must be an array of strings"),
+            ("attribution", ["G1", 7], r"record 0: field 'attribution' must be an array of strings"),
+            ("url", None, r"record 0: field 'url' must be a string"),
+            ("exclusion_reason", 3, r"record 0: field 'exclusion_reason' must be a string or null"),
+        ],
+    )
+    def test_field_of_wrong_json_type_rejected(self, tmp_path, field, value, match):
+        entry = manifest_entry("r1", "2020-01-01", ["T1", "T2"])
+        entry[field] = value
+        path = write_manifest(tmp_path, [entry])
+        with pytest.raises(ManifestError, match=match) as caught:
+            load_manifest(path)
+        assert str(path) in str(caught.value)
+
+    def test_bare_string_record_rejected(self, tmp_path):
+        path = write_manifest(tmp_path, [manifest_entry("r1", "2020-01-01", ["T1", "T2"]), "r2"])
+        with pytest.raises(ManifestError, match=r"record 1: must be a JSON object"):
+            load_manifest(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+MANIFEST_KEYS = (
+    "citation_key", "id", "url", "published", "technique_ids", "attribution", "include",
+    "exclusion_reason",
+)
+
+
+@settings(deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(MANIFEST_KEYS), JSON_VALUES))
+def test_arbitrary_field_values_load_or_raise_manifest_error(tmp_path_factory, overrides):
+    from ttpminer.eval_harness import load_unseen_manifest
+
+    entry = {**manifest_entry("r1", "2020-01-01", ["T1", "T2"]), "id": "u1", **overrides}
+    path = tmp_path_factory.getbasetemp() / "arbitrary_manifest.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    for load in (load_manifest, load_unseen_manifest):
+        try:
+            load(path)
+        except ManifestError:
+            pass
 
 
 class TestCandidatePairs:

@@ -87,6 +87,16 @@ class TestLoadUnseen:
         with pytest.raises(ManifestError, match="non-empty"):
             load_unseen_manifest(path)
 
+    def test_string_technique_ids_rejected(self, tmp_path):
+        path = self.write(tmp_path, [{"id": "u1", "published": "2023-01-01", "technique_ids": "T1005"}])
+        with pytest.raises(ManifestError, match=r"record 0: field 'technique_ids' must be an array"):
+            load_unseen_manifest(path)
+
+    def test_bare_string_record_rejected(self, tmp_path):
+        path = self.write(tmp_path, ["u1"])
+        with pytest.raises(ManifestError, match=r"unseen.json record 0: must be a JSON object"):
+            load_unseen_manifest(path)
+
     def test_citation_key_accepted_as_id(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -134,8 +144,10 @@ class TestEvA:
         assert top_mentioned(unseen, 2) == ["A", "B"]
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ParameterError):
-            ev_a([], [report("u1", ["T1"])])
+        result = ev_a([], [report("u1", ["T1"])])
+        assert (result.found_count, result.found_ids) == (0, ())
+        assert (result.mean_per_report, result.median_per_report) == (0.0, 0)
+        assert (result.top20_overlap_count, result.top20_overlap_ids) == (0, ())
         with pytest.raises(ParameterError):
             ev_a(["T1"], [])
 

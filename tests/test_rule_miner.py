@@ -15,7 +15,6 @@ from ttpminer.rule_miner import (
     filter_pairs,
     mine_pairs,
     phi,
-    probability_increase,
     strength_bucket,
 )
 
@@ -286,7 +285,7 @@ class TestProbabilityIncrease:
     def test_worked_example(self, fig1_itemsets):
         pair = filter_pairs(mine_pairs(fig1_itemsets, 0.5), phi_min=0.0, alpha=0.99)
         cs_ob = next(p for p in pair if p.key == ("CS", "OB"))
-        assert probability_increase(cs_ob, fig1_itemsets) == pytest.approx(4 / 3)
+        assert cs_ob.lift == pytest.approx(4 / 3)
 
     def test_independent_pair_is_one(self):
         corpus = (
@@ -298,15 +297,6 @@ class TestProbabilityIncrease:
         (ab,) = [c for c in mine_pairs(corpus, 0.005) if (c.tech_a, c.tech_b) == ("A", "B")]
         independent = filter_pairs([ab], phi_min=0.0, alpha=0.5)
         assert independent == []  # p-value is 1.0: never significant
-        placeholder = attach_relation_labels(
-            filter_pairs([candidate(8, 2, 2, 8, a="A", b="B")], phi_min=0.0, alpha=0.5), {}
-        )[0]
-        assert probability_increase(placeholder, corpus) == pytest.approx(1.0)
-
-    def test_zero_base_rate_is_error(self, fig1_itemsets):
-        pair = filter_pairs(mine_pairs(fig1_itemsets, 0.5), phi_min=0.0, alpha=0.99)[0]
-        with pytest.raises(UndefinedMeasureError):
-            probability_increase(pair, [frozenset({"Z"})])
 
 
 def test_attach_relation_labels(fig1_itemsets):

@@ -7,10 +7,8 @@ import pytest
 
 from ttpminer.errors import BundleParseError, BundleSchemaError
 from ttpminer.stix_ingest import (
-    build_report_technique_map,
     catalog_from_json,
     catalog_to_json,
-    extract_attribution,
     normalize_citation_url,
     parse_bundle,
 )
@@ -77,7 +75,7 @@ def test_small_bundle_catalog(small_bundle_objects):
 
 def test_report_technique_map_unions_procedures(small_bundle_objects):
     catalog = parse_bundle(bundle_bytes(small_bundle_objects))
-    mapping = build_report_technique_map(catalog)
+    mapping = catalog.technique_citations
     key1 = normalize_citation_url("https://example.com/reports/alpha")
     key2 = normalize_citation_url("https://example.net/beta")
     assert mapping[key1] == frozenset({"T1059.001", "T1105"})
@@ -86,7 +84,7 @@ def test_report_technique_map_unions_procedures(small_bundle_objects):
 
 def test_attribution_from_objects_and_procedures(small_bundle_objects):
     catalog = parse_bundle(bundle_bytes(small_bundle_objects))
-    attribution = extract_attribution(catalog)
+    attribution = catalog.attribution
     key1 = normalize_citation_url("https://example.com/reports/alpha")
     key2 = normalize_citation_url("https://example.net/beta")
     # group and its tool both cite report1; the uses-relationships add nothing new
