@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from . import artifacts, corpus_builder, eval_harness, graph_analysis, prevalence, rule_miner
-from .errors import ConfigError, ParameterError, TTPMinerError
+from .errors import ArtifactError, ConfigError, ParameterError, TTPMinerError
 from .io_utils import atomic_write_text, canonical_json, sha256_file, write_csv
 from .stix_ingest import catalog_from_json, catalog_to_json, parse_bundle
 
@@ -140,7 +140,7 @@ class StageOptions:
     dot_path: Path | None = None
     inputs: dict[str, Path] = field(default_factory=dict)
     artifacts_written: list[Path] = field(default_factory=list)
-    produced: dict[str, object] = field(default_factory=dict)  # keys of _UPSTREAM
+    produced: dict[str, object] = field(default_factory=dict)  # keys of _UPSTREAM, annotations
 
 
 def _require_file(path: Path | None, role: str) -> Path:
@@ -170,7 +170,8 @@ def _upstream(config: PipelineConfig, options: StageOptions, name: str, required
     """The value an earlier stage of this run produced, else its artifact read back.
 
     Every artifact round-trips exactly, so both give the same value. A value
-    that is not ``required`` and has no artifact is None.
+    that is not ``required`` and has no artifact is None. An artifact that
+    cannot be decoded raises ArtifactError naming the file (and a missing field).
     """
     if name in options.produced:
         return options.produced[name]
@@ -178,7 +179,23 @@ def _upstream(config: PipelineConfig, options: StageOptions, name: str, required
     path = _artifact(config, stem, suffix)
     if not required and not path.exists():
         return None
-    return load(_require_file(path, f"{stem.replace('_', ' ')} artifact"))
+    path = _require_file(path, f"{stem.replace('_', ' ')} artifact")
+    try:
+        return load(path)
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        problem = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed ({exc})"
+        raise ArtifactError(f"{path}: {problem}; re-run the stage that writes it") from exc
+
+
+def _annotations(config: PipelineConfig, options: StageOptions) -> list:
+    """The configured relation annotations, parsed once per run; [] without any."""
+    if config.annotation_path is None:
+        return []
+    if "annotations" not in options.produced:
+        path = _require_file(config.annotation_path, "relation annotations")
+        options.inputs["annotations"] = path
+        options.produced["annotations"] = graph_analysis.load_annotations(path)
+    return options.produced["annotations"]
 
 
 def _write(path: Path, writer, options: StageOptions) -> None:
@@ -209,7 +226,21 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
     catalog = _upstream(config, options, "catalog")
     records = corpus_builder.load_manifest(manifest_path, catalog)
     included = corpus_builder.included_records(records)
-    pairs = corpus_builder.find_candidate_pairs(included)
+
+    tau = config.tau
+    if options.elbow_labels is not None:
+        labels_path = _require_file(options.elbow_labels, "elbow labels")
+        options.inputs["elbow_labels"] = labels_path
+        fractions = corpus_builder.read_elbow_labels(labels_path)
+        tau = corpus_builder.estimate_tau(fractions)
+        logger.info("estimated tau=%d month(s) from %d labeled buckets", tau, len(fractions))
+
+    # A pair merges only within tau months, and lands in a sampled month
+    # bucket <= n only within n months, so no wider gap is searched.
+    months = tau if options.sample_pairs is None else max(tau, options.n_buckets)
+    pairs = corpus_builder.find_candidate_pairs(
+        included, max_gap_days=months * corpus_builder.DAYS_PER_MONTH
+    )
 
     if options.sample_pairs is not None:
         samples = corpus_builder.sample_buckets(
@@ -227,14 +258,6 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
             options.sample_pairs,
             "/".join(str(len(s.sampled_pairs)) for s in samples),
         )
-
-    tau = config.tau
-    if options.elbow_labels is not None:
-        labels_path = _require_file(options.elbow_labels, "elbow labels")
-        options.inputs["elbow_labels"] = labels_path
-        fractions = corpus_builder.read_elbow_labels(labels_path)
-        tau = corpus_builder.estimate_tau(fractions)
-        logger.info("estimated tau=%d month(s) from %d labeled buckets", tau, len(fractions))
 
     sets = corpus_builder.merge_duplicates(included, pairs, tau)
     stats = corpus_builder.corpus_stats(sets)
@@ -285,11 +308,8 @@ def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
         candidates, phi_min=config.phi_min, alpha=config.alpha_rules, yates=options.yates
     )
     if config.annotation_path is not None:
-        annotation_path = _require_file(config.annotation_path, "relation annotations")
-        options.inputs["annotations"] = annotation_path
-        annotations = graph_analysis.load_annotations(annotation_path)
         pairs = rule_miner.attach_relation_labels(
-            pairs, graph_analysis.relation_label_map(annotations)
+            pairs, graph_analysis.relation_label_map(_annotations(config, options))
         )
     logger.info("mined %d candidate pairs, %d recurring pairs kept", len(candidates), len(pairs))
     options.produced["pairs"] = pairs
@@ -298,11 +318,7 @@ def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
 
 def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
     pairs = _upstream(config, options, "pairs")
-    annotations = []
-    if config.annotation_path is not None:
-        annotation_path = _require_file(config.annotation_path, "relation annotations")
-        options.inputs["annotations"] = annotation_path
-        annotations = graph_analysis.load_annotations(annotation_path)
+    annotations = _annotations(config, options)
 
     if options.relation is not None:
         relations = [options.relation]
@@ -317,7 +333,7 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
     )
     for node in sorted(all_pairs_graph.nodes):
         rows.append([node, "all_pairs", deltas[node], "", "", etas[node]])
-    if options.top_k:
+    if options.top_k is not None:
         _print_top_k("all_pairs (eta)", etas, options.top_k)
 
     for relation in relations:
@@ -329,7 +345,7 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
             for node in sorted(graph.nodes):
                 d_in, d_out = scores[node]
                 rows.append([node, relation, "", d_in, d_out, ""])
-            if options.top_k:
+            if options.top_k is not None:
                 _print_top_k(
                     f"{relation} (delta_out)", {n: s[1] for n, s in scores.items()}, options.top_k
                 )
@@ -339,7 +355,7 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
             )
             for node in sorted(graph.nodes):
                 rows.append([node, relation, scores[node], "", "", ""])
-            if options.top_k:
+            if options.top_k is not None:
                 _print_top_k(f"{relation} (delta)", scores, options.top_k)
 
     rows.sort(key=lambda row: (row[1], row[0]))

@@ -16,6 +16,7 @@ import logging
 import math
 import random
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -204,8 +205,17 @@ def included_records(records: list[ReportRecord]) -> list[ReportRecord]:
     return [r for r in records if r.include]
 
 
-def find_candidate_pairs(records: list[ReportRecord]) -> list[DuplicateCandidatePair]:
-    """All unordered report pairs attributing at least one common group/malware."""
+def find_candidate_pairs(
+    records: list[ReportRecord], max_gap_days: int | None = None
+) -> list[DuplicateCandidatePair]:
+    """Unordered report pairs attributing at least one common group/malware.
+
+    With ``max_gap_days``, only the pairs published at most that many days
+    apart: each attribution group is sorted by date and swept forward from
+    each record up to the first one past the gap (a sorted neighbourhood),
+    so the work grows with the pairs listed rather than with the group size
+    squared. A pair sharing several attributions is listed once.
+    """
     for record in records:
         if not record.include or record.published is None:
             raise ParameterError(f"record {record.citation_key} is not included and dated")
@@ -218,10 +228,17 @@ def find_candidate_pairs(records: list[ReportRecord]) -> list[DuplicateCandidate
     by_key = {r.citation_key: r for r in records}
     pair_keys: set[tuple[str, str]] = set()
     for group in by_attribution.values():
-        keys = sorted(r.citation_key for r in group)
-        for i, a in enumerate(keys):
-            for b in keys[i + 1 :]:
-                pair_keys.add((a, b))
+        group.sort(key=lambda r: r.published)
+        days = [r.published.toordinal() for r in group]
+        for i, first in enumerate(group):
+            if max_gap_days is None:
+                end = len(group)
+            else:
+                end = bisect_right(days, days[i] + max_gap_days, i + 1)
+            a = first.citation_key
+            for second in group[i + 1 : end]:
+                b = second.citation_key
+                pair_keys.add((a, b) if a < b else (b, a))
 
     pairs = []
     for a, b in sorted(pair_keys):

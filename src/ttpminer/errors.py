@@ -27,6 +27,10 @@ class AnnotationError(TTPMinerError):
     """A relation-annotation row is malformed or references an unknown pair."""
 
 
+class ArtifactError(TTPMinerError):
+    """An upstream artifact read back from the output directory is corrupt or stale."""
+
+
 class ParameterError(TTPMinerError):
     """An operation was called with out-of-range parameters."""
 

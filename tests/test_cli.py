@@ -246,6 +246,14 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert "top 3 all_pairs (eta):" in captured.out
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_graph_top_k_below_one_exits_1(self, tmp_path, caplog, k):
+        out = tmp_path / "out"
+        assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
+        code = run_cli("graph", "--config", E2E / "config.cfg", "--output-dir", out, "--top-k", k)
+        assert code == 1
+        assert "k must be >= 1" in caplog.text
+
     def test_graph_dot_export(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
@@ -309,6 +317,29 @@ class TestInMemoryHandoff:
         run("eval", config)
         assert calls == {"corpus_from_json": 1, "read_prevalent": 1, "read_pairs": 1}
 
+    def test_all_parses_the_annotations_once(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        from ttpminer import graph_analysis
+        from ttpminer.cli import run
+
+        calls = []
+        original = graph_analysis.load_annotations
+
+        def counted(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(graph_analysis, "load_annotations", counted)
+        config = replace(validate_config(E2E / "config.cfg"), output_dir=tmp_path / "out")
+        run("all", config)
+        assert calls == [E2E / "annotations.csv"]
+        # A stage run on its own reads the file and records it as an input.
+        run("graph", config)
+        assert len(calls) == 2
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["inputs"]["annotations"]["path"] == (E2E / "annotations.csv").as_posix()
+
     def test_empty_pair_list_is_a_result(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -352,6 +383,107 @@ class TestManifestBoundary:
         caplog.clear()
         assert run_cli(command, flag, bad, "--output-dir", out) == 1
         assert f"{bad} {needle}" in caplog.text
+        assert "Traceback" not in caplog.text
+
+
+class TestWindowedDuplicateSearch:
+    """corpus searches only the gaps that can merge or be sampled; its sample
+    template and corpus equal those of the unbounded search."""
+
+    @staticmethod
+    def spread_manifest(path):
+        from datetime import date, timedelta
+
+        records = [
+            {
+                "citation_key": f"https://x.example/r{i:02d}",
+                "url": f"https://x.example/r{i:02d}",
+                "published": (date(2020, 1, 1) + timedelta(days=i * 37 % 331)).isoformat(),
+                "technique_ids": ["T1001", "T1005"],
+                "attribution": [f"G{i % 3}"] + (["S1"] if i % 5 == 0 else []),
+                "include": True,
+                "exclusion_reason": None,
+            }
+            for i in range(24)
+        ]
+        path.write_text(json.dumps(records), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def corpus_outputs(out, manifest, flags):
+        assert run_cli("ingest", "--bundle", E2E / "bundle.json", "--output-dir", out) == 0
+        template = out / "template.csv"
+        code = run_cli(
+            "corpus", "--manifest", manifest, "--sample-pairs", template, "--sample-size", "2",
+            *flags, "--output-dir", out,
+        )
+        assert code == 0
+        return template.read_bytes(), (out / "corpus.json").read_bytes()
+
+    @pytest.mark.parametrize("manifest", ["e2e", "spread"])
+    @pytest.mark.parametrize(
+        "flags, window",
+        [
+            (("--n-buckets", "2"), 60),
+            (("--n-buckets", "5"), 150),
+            (("--elbow-labels", E2E / "elbow_labels.csv"), 150),  # tau 2, five buckets
+            (("--elbow-labels", E2E / "elbow_labels.csv", "--n-buckets", "1"), 60),
+        ],
+    )
+    def test_outputs_equal_the_unbounded_search(self, tmp_path, monkeypatch, manifest, flags, window):
+        from ttpminer import corpus_builder
+
+        if manifest == "e2e":
+            manifest = E2E / "manifest.json"
+        else:
+            manifest = self.spread_manifest(tmp_path / "spread.json")
+        windowed = self.corpus_outputs(tmp_path / "windowed", manifest, flags)
+
+        original = corpus_builder.find_candidate_pairs
+        bounds = []
+
+        def unbounded(records, max_gap_days=None):
+            bounds.append(max_gap_days)
+            return original(records)
+
+        monkeypatch.setattr(corpus_builder, "find_candidate_pairs", unbounded)
+        assert self.corpus_outputs(tmp_path / "unbounded", manifest, flags) == windowed
+        assert bounds == [window]
+
+    def test_bad_bucket_count_still_exits_1(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--bundle", E2E / "bundle.json", "--output-dir", out) == 0
+        code = run_cli(
+            "corpus", "--manifest", E2E / "manifest.json", "--sample-pairs", tmp_path / "t.csv",
+            "--n-buckets", "0", "--output-dir", out,
+        )
+        assert code == 1
+        assert "n and s must be >= 1 (got n=0" in caplog.text
+
+
+class TestUpstreamArtifactBoundary:
+    @pytest.mark.parametrize(
+        "command, artifact, content, needle",
+        [
+            ("corpus", "catalog.json", "{}", "missing field 'spec_version'"),
+            ("mine", "corpus.json", '[{"attack_id": "x"}]', "missing field 'member_citations'"),
+            ("prevalence", "corpus.json", "[{", "malformed"),
+            ("graph", "recurring_pairs.csv",
+             "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
+             "strength,relation_labels\nT1001,T1005,ab,not-a-number,0.5,0.5,0.3,9,0.01,1.2,moderate,\n",
+             "malformed (could not convert string to float: 'not-a-number')"),
+        ],
+    )
+    def test_corrupt_artifact_exits_1_naming_file(
+        self, tmp_path, caplog, command, artifact, content, needle
+    ):
+        out = tmp_path / "out"
+        assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
+        path = out / artifact
+        path.write_text(content, encoding="utf-8")
+        caplog.clear()
+        assert run_cli(command, "--config", E2E / "config.cfg", "--output-dir", out) == 1
+        assert f"{path}: {needle}" in caplog.text
         assert "Traceback" not in caplog.text
 
 

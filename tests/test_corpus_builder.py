@@ -233,6 +233,39 @@ class TestCandidatePairs:
         with pytest.raises(ParameterError):
             find_candidate_pairs([bad])
 
+    def test_window_stops_at_the_gap_bound(self):
+        records = [
+            record("a", "2020-01-01", ["T1", "T2"], attribution=["G1"]),
+            record("b", "2020-03-01", ["T2", "T3"], attribution=["G1"]),  # 60 days after a
+            record("c", "2020-03-02", ["T1", "T3"], attribution=["G1"]),
+        ]
+        assert [p.key for p in find_candidate_pairs(records, 60)] == ["a||b", "b||c"]
+        assert [p.key for p in find_candidate_pairs(records, 0)] == []
+        assert len(find_candidate_pairs(records)) == 3
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=120),  # day offsets: ties are common
+            st.sets(st.sampled_from(["G1", "G2", "S1", "S2"]), max_size=3),
+        ),
+        max_size=30,
+    ),
+    gap=st.integers(min_value=0, max_value=150),
+    order=st.randoms(use_true_random=False),
+)
+def test_windowed_search_equals_the_filtered_full_search(entries, gap, order):
+    start = date(2020, 1, 1)
+    records = [
+        record(f"r{i:02d}", (start + timedelta(days=day)).isoformat(), ["T1", "T2"], attribution=attributed)
+        for i, (day, attributed) in enumerate(entries)
+    ]
+    order.shuffle(records)
+    expected = [p for p in find_candidate_pairs(records) if p.date_gap_days <= gap]
+    assert find_candidate_pairs(records, gap) == expected
+
 
 class TestElbow:
     def test_bucket_boundaries(self):
