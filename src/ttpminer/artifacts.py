@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .errors import ManifestError
 from .io_utils import atomic_write_text, canonical_json, render_csv
@@ -35,6 +35,7 @@ PAIRS_HEADER = (
     "strength",
     "relation_labels",
 )
+_PAIR_FLOATS = frozenset(c for c, kind in get_type_hints(RecurringPair).items() if kind is float)
 CENTRALITY_HEADER = ("node", "relation", "delta", "delta_in", "delta_out", "eta")
 
 
@@ -108,50 +109,19 @@ def read_prevalent(path: Path) -> list[str]:
 
 
 def write_pairs(path: Path, pairs: Sequence[RecurringPair]) -> None:
-    rows = [
-        [
-            p.tech_a,
-            p.tech_b,
-            p.direction,
-            p.support,
-            p.confidence_ab,
-            p.confidence_ba,
-            p.phi,
-            p.chi2,
-            p.p_value,
-            p.lift,
-            p.strength,
-            ";".join(sorted(p.relation_labels)),
-        ]
-        for p in sorted(pairs, key=lambda p: p.key)
-    ]
+    rows = []
+    for p in sorted(pairs, key=lambda p: p.key):
+        row = {**vars(p), "relation_labels": ";".join(sorted(p.relation_labels))}
+        rows.append([row[column] for column in PAIRS_HEADER])
     _write_table(path, PAIRS_HEADER, rows)
 
 
 def read_pairs(path: Path) -> list[RecurringPair]:
     pairs = []
     for row in _read_table(path, PAIRS_HEADER):
-        labels = row["relation_labels"]
-        if isinstance(labels, str):
-            labels = frozenset(part for part in labels.split(";") if part)
-        else:
-            labels = frozenset(labels or ())
-        pairs.append(
-            RecurringPair(
-                tech_a=row["tech_a"],
-                tech_b=row["tech_b"],
-                support=float(row["support"]),
-                confidence_ab=float(row["confidence_ab"]),
-                confidence_ba=float(row["confidence_ba"]),
-                phi=float(row["phi"]),
-                chi2=float(row["chi2"]),
-                p_value=float(row["p_value"]),
-                lift=float(row["lift"]),
-                strength=row["strength"],
-                direction=row["direction"],
-                relation_labels=labels,
-            )
-        )
+        values = {c: float(row[c]) if c in _PAIR_FLOATS else row[c] for c in PAIRS_HEADER}
+        values["relation_labels"] = frozenset(part for part in row["relation_labels"].split(";") if part)
+        pairs.append(RecurringPair(**values))
     return pairs
 
 

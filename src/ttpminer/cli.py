@@ -19,6 +19,7 @@ import logging
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import __version__
 from . import artifacts, corpus_builder, eval_harness, graph_analysis, prevalence, rule_miner
@@ -76,9 +77,15 @@ class PipelineConfig:
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
 
 
-_PATH_KEYS = ("bundle_path", "manifest_path", "unseen_manifest_path", "annotation_path", "output_dir")
-_INT_KEYS = ("tau", "trend_years", "seed")
-_FLOAT_KEYS = ("min_support", "phi_min", "alpha_rules", "alpha_trend")
+def _value_types() -> dict[str, type]:
+    """Each PipelineConfig field's value type: int, float, str or Path."""
+    return {
+        name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+        for name, hint in get_type_hints(PipelineConfig).items()
+    }
+
+
+_TYPE_NOUNS = {int: "an integer", float: "a number"}
 
 
 def validate_config(path: Path | str) -> PipelineConfig:
@@ -89,7 +96,7 @@ def validate_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    known = {f.name for f in fields(PipelineConfig)}
+    value_types = _value_types()
     config = PipelineConfig()
     for lineno, raw_line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw_line.strip()
@@ -98,27 +105,18 @@ def validate_config(path: Path | str) -> PipelineConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in known:
-            hint = difflib.get_close_matches(key, known, n=1)
+        if key not in value_types:
+            hint = difflib.get_close_matches(key, value_types, n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}{suggestion}")
-        if key in _PATH_KEYS:
-            resolved = Path(value)
-            if not resolved.is_absolute():
-                resolved = path.parent / resolved
-            setattr(config, key, resolved)
-        elif key in _INT_KEYS:
-            try:
-                setattr(config, key, int(value))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                setattr(config, key, float(value))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} must be a number, got {value!r}") from None
-        else:  # output_format
-            setattr(config, key, value)
+        kind = value_types[key]
+        if kind is Path:
+            setattr(config, key, path.parent / value)  # an absolute value replaces the parent
+            continue
+        try:
+            setattr(config, key, kind(value))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} must be {_TYPE_NOUNS[kind]}, got {value!r}") from None
     config.validate()
     return config
 
@@ -157,7 +155,8 @@ def _artifact(config: PipelineConfig, stem: str, suffix: str | None = None) -> P
 
 
 # What a stage hands to later ones: artifact stem, suffix (None for the
-# tabular format) and loader. The loaders look their reader up when called.
+# tabular format) and loader. _hand_off writes and _upstream reads the file
+# named here. The loaders look their reader up when called.
 _UPSTREAM = {
     "catalog": ("catalog", ".json", lambda p: catalog_from_json(p.read_text("utf-8"))),
     "corpus": ("corpus", ".json", lambda p: corpus_builder.corpus_from_json(p.read_text("utf-8"))),
@@ -204,6 +203,13 @@ def _write(path: Path, writer, options: StageOptions) -> None:
     logger.info("wrote %s", path)
 
 
+def _hand_off(config: PipelineConfig, options: StageOptions, name: str, value, writer) -> None:
+    """Keep ``value`` for the later stages of this run; write it where ``_upstream`` reads it."""
+    stem, suffix, _ = _UPSTREAM[name]
+    options.produced[name] = value
+    _write(_artifact(config, stem, suffix), writer, options)
+
+
 def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
     bundle_path = _require_file(config.bundle_path, "STIX bundle")
     options.inputs["bundle"] = bundle_path
@@ -215,9 +221,7 @@ def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
         sum(t.is_subtechnique for t in catalog.techniques),
         len(catalog.citations),
     )
-    options.produced["catalog"] = catalog
-    path = _artifact(config, "catalog", ".json")
-    _write(path, lambda p: atomic_write_text(p, catalog_to_json(catalog)), options)
+    _hand_off(config, options, "catalog", catalog, lambda p: atomic_write_text(p, catalog_to_json(catalog)))
 
 
 def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
@@ -271,9 +275,9 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
         stats.total_mentions,
         stats.distinct_techniques,
     )
-    options.produced["corpus"] = sets
-    path = _artifact(config, "corpus", ".json")
-    _write(path, lambda p: atomic_write_text(p, corpus_builder.corpus_to_json(sets)), options)
+    _hand_off(
+        config, options, "corpus", sets, lambda p: atomic_write_text(p, corpus_builder.corpus_to_json(sets))
+    )
 
 
 def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
@@ -291,12 +295,10 @@ def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
     matrix = prevalence.build_matrix(bins, trends, corpus)
     prevalent = prevalence.prevalent_techniques(matrix)
     logger.info("prevalent techniques: %d of %d analyzed", len(prevalent), len(bins))
-    options.produced["prevalent"] = prevalent
     _write(_artifact(config, "prevalence_matrix"), lambda p: artifacts.write_matrix(p, matrix), options)
-    _write(
-        _artifact(config, "prevalent_techniques"),
+    _hand_off(
+        config, options, "prevalent", prevalent,
         lambda p: artifacts.write_prevalent(p, prevalent, matrix, catalog),
-        options,
     )
 
 
@@ -312,8 +314,7 @@ def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
             pairs, graph_analysis.relation_label_map(_annotations(config, options))
         )
     logger.info("mined %d candidate pairs, %d recurring pairs kept", len(candidates), len(pairs))
-    options.produced["pairs"] = pairs
-    _write(_artifact(config, "recurring_pairs"), lambda p: artifacts.write_pairs(p, pairs), options)
+    _hand_off(config, options, "pairs", pairs, lambda p: artifacts.write_pairs(p, pairs))
 
 
 def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
@@ -421,14 +422,7 @@ def _write_run_manifest(command: str, config: PipelineConfig, options: StageOpti
         "tool_version": __version__,
         "command": command,
         "config": {
-            "tau": config.tau,
-            "min_support": config.min_support,
-            "phi_min": config.phi_min,
-            "alpha_rules": config.alpha_rules,
-            "alpha_trend": config.alpha_trend,
-            "trend_years": config.trend_years,
-            "seed": config.seed,
-            "output_format": config.output_format,
+            name: getattr(config, name) for name, kind in _value_types().items() if kind is not Path
         },
         "inputs": {
             role: {"path": path.as_posix(), "sha256": sha256_file(path)}
@@ -446,14 +440,11 @@ def run(command: str, config: PipelineConfig, options: StageOptions | None = Non
     config.validate()
     options = options if options is not None else StageOptions()
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    if command == "all":
-        stages = ["ingest", "corpus", "prevalence", "mine", "graph"]
-        if config.unseen_manifest_path is not None:
-            stages.append("eval")
-        for stage in stages:
-            _STAGES[stage](config, options)
-    else:
-        _STAGES[command](config, options)
+    stages = list(_STAGES) if command == "all" else [command]
+    if command == "all" and config.unseen_manifest_path is None:
+        stages.remove("eval")
+    for stage in stages:
+        _STAGES[stage](config, options)
     _write_run_manifest(command, config, options)
     return options.artifacts_written
 
@@ -476,8 +467,8 @@ _OPTIONS = (
      ("corpus", "all")),
     (("--sample-pairs",), dict(type=Path, help="write a pair sample here for duplicate labeling"),
      ("corpus",)),
-    (("--n-buckets",), dict(type=int, help="elbow buckets to sample (default: 5)"), ("corpus", "all")),
-    (("--sample-size",), dict(type=int, help="pairs per bucket (default: 20)"), ("corpus", "all")),
+    (("--n-buckets",), dict(type=int, help="elbow buckets to sample (default: 5)"), ("corpus",)),
+    (("--sample-size",), dict(type=int, help="pairs per bucket (default: 20)"), ("corpus",)),
     (("--alpha",), dict(dest="alpha_trend", type=float, help="trend significance level"),
      ("prevalence",)),
     (("--alpha-trend",), dict(type=float, help="trend significance level"), ("all",)),

@@ -22,6 +22,7 @@ from datetime import date
 from pathlib import Path
 
 from .errors import ManifestError, ParameterError
+from .io_utils import canonical_json, is_string_array, string_set
 from .stix_ingest import AttackCatalog
 
 logger = logging.getLogger(__name__)
@@ -45,10 +46,7 @@ PAIR_KEY_SEP = "||"
 
 
 _STRING = ("a string", lambda value: isinstance(value, str))
-_STRINGS = (
-    "an array of strings",
-    lambda value: isinstance(value, list) and all(isinstance(item, str) for item in value),
-)
+_STRINGS = ("an array of strings", is_string_array)
 # Field -> (what it must be, its test), for the report and the unseen-report
 # manifests alike. A field a record leaves out is not checked here.
 MANIFEST_FIELDS = {
@@ -416,8 +414,6 @@ def corpus_stats(sets: list[TechniqueSet]) -> CorpusStats:
 
 
 def corpus_to_json(sets: list[TechniqueSet]) -> str:
-    from .io_utils import canonical_json
-
     return canonical_json(
         [
             {
@@ -437,8 +433,8 @@ def corpus_from_json(text: str) -> list[TechniqueSet]:
     return [
         TechniqueSet(
             attack_id=entry["attack_id"],
-            member_citations=frozenset(entry["member_citations"]),
-            techniques=frozenset(entry["techniques"]),
+            member_citations=string_set(entry["member_citations"], "member_citations"),
+            techniques=string_set(entry["techniques"], "techniques"),
             representative_date=date.fromisoformat(entry["representative_date"]),
             latest_date=date.fromisoformat(entry["latest_date"]),
         )

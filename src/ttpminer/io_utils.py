@@ -23,6 +23,17 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def is_string_array(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def string_set(value: Any, name: str) -> frozenset[str]:
+    """A decoded JSON array of strings as a set; anything else raises ValueError naming ``name``."""
+    if not is_string_array(value):
+        raise ValueError(f"{name} must be an array of strings")
+    return frozenset(value)
+
+
 def atomic_write_text(path: Path | str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file + rename in the same dir."""
     path = Path(path)

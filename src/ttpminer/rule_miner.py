@@ -197,10 +197,8 @@ def chi_square(table: ContingencyTable, yates: bool = False) -> tuple[float, flo
     return statistic, math.erfc(math.sqrt(statistic / 2.0))
 
 
-def strength_bucket(
-    phi_value: float, buckets: tuple[tuple[str, float], ...] = STRENGTH_BUCKETS
-) -> str:
-    for name, threshold in buckets:
+def strength_bucket(phi_value: float) -> str:
+    for name, threshold in STRENGTH_BUCKETS:
         if phi_value >= threshold:
             return name
     return WEAK
@@ -211,7 +209,6 @@ def filter_pairs(
     phi_min: float = 0.20,
     alpha: float = 0.05,
     yates: bool = False,
-    buckets: tuple[tuple[str, float], ...] = STRENGTH_BUCKETS,
 ) -> list[RecurringPair]:
     """Keep candidates with phi >= ``phi_min`` and chi-square p < ``alpha``.
 
@@ -246,7 +243,7 @@ def filter_pairs(
                 chi2=statistic,
                 p_value=p_value,
                 lift=candidate.cooccurrences * candidate.n / (candidate.count_a * candidate.count_b),
-                strength=strength_bucket(phi_value, buckets),
+                strength=strength_bucket(phi_value),
                 direction="ba" if conf_ba > conf_ab else "ab",
             )
         )

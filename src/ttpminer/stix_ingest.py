@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BundleParseError, BundleSchemaError
-from .io_utils import canonical_json
+from .io_utils import canonical_json, string_set
 
 TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(\.\d{3})?$")
 TACTIC_ID_RE = re.compile(r"^TA\d{4}$")
@@ -75,7 +75,7 @@ class AttackCatalog:
     """Immutable-after-construction view of one ATT&CK STIX bundle.
 
     All lists are sorted by id/key; the maps cover every citation key (values
-    may be empty sets). Safe to share across threads once built.
+    may be empty sets).
     """
 
     spec_version: str
@@ -143,7 +143,7 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
 
     tactic_by_shortname: dict[str, str] = {}
     tactics: dict[str, TacticRecord] = {}
-    # technique id -> (stix id, name, phases, flagged, explicit subtechnique flag)
+    # technique id -> (name, phases, flagged, explicit subtechnique flag)
     technique_raw: dict[str, dict] = {}
     stix_to_technique: dict[str, str] = {}
     stix_to_attributor: dict[str, str] = {}
@@ -175,7 +175,6 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
             if not tid or not TECHNIQUE_ID_RE.match(tid):
                 continue
             entry = {
-                "stix_id": obj.get("id", ""),
                 "name": obj.get("name", ""),
                 "phases": [
                     p.get("phase_name")
@@ -270,22 +269,9 @@ def catalog_to_json(catalog: AttackCatalog) -> str:
     """Canonical JSON for caching: UTF-8, sorted keys, LF line endings."""
     doc = {
         "spec_version": catalog.spec_version,
-        "tactics": [{"id": t.id, "name": t.name} for t in catalog.tactics],
-        "techniques": [
-            {
-                "id": t.id,
-                "name": t.name,
-                "tactic_ids": sorted(t.tactic_ids),
-                "is_subtechnique": t.is_subtechnique,
-                "parent_id": t.parent_id,
-                "revoked_or_deprecated": t.revoked_or_deprecated,
-            }
-            for t in catalog.techniques
-        ],
-        "citations": [
-            {"key": c.key, "source_name": c.source_name, "url": c.url, "date_text": c.date_text}
-            for c in catalog.citations
-        ],
+        "tactics": [vars(t) for t in catalog.tactics],
+        "techniques": [{**vars(t), "tactic_ids": sorted(t.tactic_ids)} for t in catalog.techniques],
+        "citations": [vars(c) for c in catalog.citations],
         "attribution": {k: sorted(v) for k, v in catalog.attribution.items()},
         "technique_citations": {k: sorted(v) for k, v in catalog.technique_citations.items()},
     }
@@ -293,36 +279,18 @@ def catalog_to_json(catalog: AttackCatalog) -> str:
 
 
 def catalog_from_json(text: str) -> AttackCatalog:
+    """Inverse of :func:`catalog_to_json`, whose lists and keys are already sorted."""
     doc = json.loads(text)
     return AttackCatalog(
         spec_version=doc["spec_version"],
-        tactics=sorted(
-            (TacticRecord(id=t["id"], name=t["name"]) for t in doc["tactics"]),
-            key=lambda t: t.id,
-        ),
-        techniques=sorted(
-            (
-                TechniqueRecord(
-                    id=t["id"],
-                    name=t["name"],
-                    tactic_ids=frozenset(t["tactic_ids"]),
-                    is_subtechnique=t["is_subtechnique"],
-                    parent_id=t["parent_id"],
-                    revoked_or_deprecated=t["revoked_or_deprecated"],
-                )
-                for t in doc["techniques"]
-            ),
-            key=lambda t: t.id,
-        ),
-        citations=sorted(
-            (
-                CitationEntry(
-                    key=c["key"], source_name=c["source_name"], url=c["url"], date_text=c["date_text"]
-                )
-                for c in doc["citations"]
-            ),
-            key=lambda c: c.key,
-        ),
-        attribution={k: frozenset(v) for k, v in sorted(doc["attribution"].items())},
-        technique_citations={k: frozenset(v) for k, v in sorted(doc["technique_citations"].items())},
+        tactics=[TacticRecord(**row) for row in doc["tactics"]],
+        techniques=[
+            TechniqueRecord(**{**row, "tactic_ids": string_set(row["tactic_ids"], "tactic_ids")})
+            for row in doc["techniques"]
+        ],
+        citations=[CitationEntry(**row) for row in doc["citations"]],
+        attribution={k: string_set(v, "attribution") for k, v in doc["attribution"].items()},
+        technique_citations={
+            k: string_set(v, "technique_citations") for k, v in doc["technique_citations"].items()
+        },
     )

@@ -472,6 +472,16 @@ class TestUpstreamArtifactBoundary:
              "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
              "strength,relation_labels\nT1001,T1005,ab,not-a-number,0.5,0.5,0.3,9,0.01,1.2,moderate,\n",
              "malformed (could not convert string to float: 'not-a-number')"),
+            ("mine", "corpus.json",
+             '[{"attack_id": "x", "member_citations": ["a"], "techniques": "T1059", '
+             '"representative_date": "2020-01-01", "latest_date": "2020-01-01"}]',
+             "malformed (techniques must be an array of strings)"),
+            ("corpus", "catalog.json",
+             '{"spec_version": "2.1", "tactics": [], "techniques": [{"id": "T1059", "name": "x", '
+             '"tactic_ids": "TA0001", "is_subtechnique": false, "parent_id": null, '
+             '"revoked_or_deprecated": false}], "citations": [], "attribution": {}, '
+             '"technique_citations": {}}',
+             "malformed (tactic_ids must be an array of strings)"),
         ],
     )
     def test_corrupt_artifact_exits_1_naming_file(
@@ -515,8 +525,8 @@ class TestCommandLineSurface:
         "eval": ["--parent-match", "--unseen"],
         "all": ["--alpha-rules", "--alpha-trend", "--annotations", "--bundle",
                 "--conventional-normalization", "--elbow-labels", "--manifest",
-                "--min-support", "--n-buckets", "--parent-match", "--phi-min",
-                "--sample-size", "--tau", "--trend-years", "--universe", "--unseen", "--yates"],
+                "--min-support", "--parent-match", "--phi-min", "--tau", "--trend-years",
+                "--universe", "--unseen", "--yates"],
     }
 
     @staticmethod
