@@ -43,7 +43,6 @@ from .rule_miner import (  # noqa: F401
     ContingencyTable,
     RecurringPair,
     chi_square,
-    contingency,
     filter_pairs,
     mine_pairs,
     phi,

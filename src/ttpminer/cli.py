@@ -24,7 +24,7 @@ from typing import get_args, get_type_hints
 from . import __version__
 from . import artifacts, corpus_builder, eval_harness, graph_analysis, prevalence, rule_miner
 from .errors import ArtifactError, ConfigError, ParameterError, TTPMinerError
-from .io_utils import atomic_write_text, canonical_json, sha256_file, write_csv
+from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, sha256_file, write_csv
 from .stix_ingest import catalog_from_json, catalog_to_json, parse_bundle
 
 logger = logging.getLogger(__name__)
@@ -85,9 +85,6 @@ def _value_types() -> dict[str, type]:
     }
 
 
-_TYPE_NOUNS = {int: "an integer", float: "a number"}
-
-
 def validate_config(path: Path | str) -> PipelineConfig:
     """Parse a ``key = value`` config file; unknown keys and bad types are errors.
 
@@ -116,7 +113,7 @@ def validate_config(path: Path | str) -> PipelineConfig:
         try:
             setattr(config, key, kind(value))
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: {key} must be {_TYPE_NOUNS[kind]}, got {value!r}") from None
+            raise ConfigError(f"{path}:{lineno}: {key} must be {TYPE_NOUNS[kind]}, got {value!r}") from None
     config.validate()
     return config
 
@@ -292,7 +289,7 @@ def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
     trends = {
         tid: prevalence.mann_kendall(series[tid], alpha=config.alpha_trend) for tid in series
     }
-    matrix = prevalence.build_matrix(bins, trends, corpus)
+    matrix = prevalence.build_matrix(bins, trends, frequencies, len(corpus))
     prevalent = prevalence.prevalent_techniques(matrix)
     logger.info("prevalent techniques: %d of %d analyzed", len(prevalent), len(bins))
     _write(_artifact(config, "prevalence_matrix"), lambda p: artifacts.write_matrix(p, matrix), options)

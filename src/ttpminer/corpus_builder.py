@@ -22,7 +22,7 @@ from datetime import date
 from pathlib import Path
 
 from .errors import ManifestError, ParameterError
-from .io_utils import canonical_json, is_string_array, string_set
+from .io_utils import canonical_json, check_scalars, is_string_array, string_set
 from .stix_ingest import AttackCatalog
 
 logger = logging.getLogger(__name__)
@@ -432,7 +432,7 @@ def corpus_from_json(text: str) -> list[TechniqueSet]:
     doc = json.loads(text)
     return [
         TechniqueSet(
-            attack_id=entry["attack_id"],
+            attack_id=check_scalars(entry, TechniqueSet)["attack_id"],
             member_citations=string_set(entry["member_citations"], "member_citations"),
             techniques=string_set(entry["techniques"], "techniques"),
             representative_date=date.fromisoformat(entry["representative_date"]),

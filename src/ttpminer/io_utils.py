@@ -14,8 +14,10 @@ import io
 import json
 import os
 import tempfile
+from functools import cache
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from types import UnionType
+from typing import Any, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 
 def canonical_json(obj: Any) -> str:
@@ -32,6 +34,25 @@ def string_set(value: Any, name: str) -> frozenset[str]:
     if not is_string_array(value):
         raise ValueError(f"{name} must be an array of strings")
     return frozenset(value)
+
+
+TYPE_NOUNS = {str: "a string", bool: "a boolean", int: "an integer", float: "a number", type(None): "null"}
+
+
+@cache
+def scalar_fields(record_type: type) -> dict[str, tuple[type, ...]]:
+    """The dataclass fields annotated with JSON scalar types, and those types."""
+    hints = get_type_hints(record_type).items()
+    kinds = {name: get_args(h) if isinstance(h, UnionType) else (h,) for name, h in hints}
+    return {name: types for name, types in kinds.items() if set(types) <= TYPE_NOUNS.keys()}
+
+
+def check_scalars(row: Mapping[str, Any], record_type: type) -> Mapping[str, Any]:
+    """``row``, once each scalar field of ``record_type`` holds its exact type; else ValueError."""
+    for name, types in scalar_fields(record_type).items():
+        if type(row[name]) not in types:
+            raise ValueError(f"{name} must be {' or '.join(map(TYPE_NOUNS.get, types))}, got {row[name]!r}")
+    return row
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

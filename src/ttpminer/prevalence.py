@@ -212,18 +212,16 @@ def percentile_bins(frequencies: Mapping[str, int]) -> dict[str, str]:
 def build_matrix(
     bins: Mapping[str, str],
     trends: Mapping[str, TrendResult],
-    corpus: Sequence[TechniqueSet],
+    frequencies: Mapping[str, int],
+    n_sets: int,
 ) -> PrevalenceMatrix:
     """Place every binned technique into its (trend, frequency) cell.
 
-    Per cell: technique count, the median percentage of technique-sets
-    mentioning its techniques, and the cell's share of all mentions across
-    the analyzed techniques.
+    ``frequencies`` are the :func:`technique_frequency` counts of every binned
+    technique over ``n_sets`` (at least one) technique-sets. Per cell: technique
+    count, the median percentage of technique-sets mentioning its techniques,
+    and the cell's share of all mentions across the analyzed techniques.
     """
-    if not corpus:
-        raise ParameterError("corpus is empty")
-    frequencies = technique_frequency(corpus, universe=bins.keys())
-    n_sets = len(corpus)
     report_pct = {tid: 100.0 * frequencies[tid] / n_sets for tid in bins}
 
     members: dict[tuple[str, str], list[str]] = {

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import AbstractSet, Mapping, Sequence
 
 from .errors import ParameterError, UndefinedMeasureError
@@ -110,49 +109,34 @@ def mine_pairs(corpus: Itemsets, min_support: float) -> list[CandidatePair]:
     """All unordered technique pairs whose support reaches ``min_support``.
 
     Equivalent to mining every ordered one-to-one rule and collapsing the two
-    orientations; both directional confidences are kept.
+    orientations; both directional confidences are kept. Pairs come sorted,
+    with ``tech_a < tech_b``. Each technique gets a bitset (bit i: set i
+    mentions it), and a pair's co-occurrences are the bits of their AND. A
+    pair never occurs more often than either member, so only techniques whose
+    own support reaches ``min_support`` are paired (the Apriori bound).
     """
     if not 0.0 < min_support <= 1.0:
         raise ParameterError(f"min_support must be in (0, 1], got {min_support}")
     if not corpus:
         raise ParameterError("corpus is empty")
     n = len(corpus)
-    counts: Counter[str] = Counter()
-    cooccur: Counter[tuple[str, str]] = Counter()
-    for itemset in corpus:
-        items = sorted(itemset)
-        counts.update(items)
-        cooccur.update(combinations(items, 2))
-    return [
-        CandidatePair(
-            tech_a=a,
-            tech_b=b,
-            cooccurrences=co,
-            count_a=counts[a],
-            count_b=counts[b],
-            n=n,
-        )
-        for (a, b), co in sorted(cooccur.items())
-        if co / n >= min_support
-    ]
-
-
-def contingency(tech_a: str, tech_b: str, corpus: Itemsets) -> ContingencyTable:
-    """2x2 presence/absence table of two distinct techniques over the corpus."""
-    if tech_a == tech_b:
-        raise ParameterError(f"cannot build a contingency table of {tech_a} with itself")
-    n11 = n10 = n01 = n00 = 0
-    for itemset in corpus:
-        a, b = tech_a in itemset, tech_b in itemset
-        if a and b:
-            n11 += 1
-        elif a:
-            n10 += 1
-        elif b:
-            n01 += 1
-        else:
-            n00 += 1
-    return ContingencyTable(n11=n11, n10=n10, n01=n01, n00=n00)
+    rows: defaultdict[str, bytearray] = defaultdict(lambda: bytearray((n + 7) // 8))
+    for i, itemset in enumerate(corpus):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for tech in itemset:
+            rows[tech][byte] |= bit
+    bitsets = {tech: int.from_bytes(row, "little") for tech, row in rows.items()}
+    counts = {tech: bits.bit_count() for tech, bits in bitsets.items()}
+    frequent = sorted(tech for tech, count in counts.items() if count / n >= min_support)
+    pairs = []
+    for i, tech_a in enumerate(frequent):
+        bits_a = bitsets[tech_a]
+        for tech_b in frequent[i + 1 :]:
+            # min_support > 0, so a pair that never co-occurs fails this too.
+            co = (bits_a & bitsets[tech_b]).bit_count()
+            if co / n >= min_support:
+                pairs.append(CandidatePair(tech_a, tech_b, co, counts[tech_a], counts[tech_b], n))
+    return pairs
 
 
 def _require_marginals(table: ContingencyTable) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BundleParseError, BundleSchemaError
-from .io_utils import canonical_json, string_set
+from .io_utils import canonical_json, check_scalars, string_set
 
 TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(\.\d{3})?$")
 TACTIC_ID_RE = re.compile(r"^TA\d{4}$")
@@ -282,13 +282,14 @@ def catalog_from_json(text: str) -> AttackCatalog:
     """Inverse of :func:`catalog_to_json`, whose lists and keys are already sorted."""
     doc = json.loads(text)
     return AttackCatalog(
-        spec_version=doc["spec_version"],
-        tactics=[TacticRecord(**row) for row in doc["tactics"]],
+        spec_version=check_scalars(doc, AttackCatalog)["spec_version"],
+        tactics=[TacticRecord(**check_scalars(row, TacticRecord)) for row in doc["tactics"]],
         techniques=[
-            TechniqueRecord(**{**row, "tactic_ids": string_set(row["tactic_ids"], "tactic_ids")})
+            TechniqueRecord(**{**check_scalars(row, TechniqueRecord),
+                               "tactic_ids": string_set(row["tactic_ids"], "tactic_ids")})
             for row in doc["techniques"]
         ],
-        citations=[CitationEntry(**row) for row in doc["citations"]],
+        citations=[CitationEntry(**check_scalars(row, CitationEntry)) for row in doc["citations"]],
         attribution={k: string_set(v, "attribution") for k, v in doc["attribution"].items()},
         technique_citations={
             k: string_set(v, "technique_citations") for k, v in doc["technique_citations"].items()

@@ -10,23 +10,31 @@ import math
 from itertools import combinations
 
 
-def enumerate_pair_stats(itemsets, min_support):
+def enumerate_pair_counts(itemsets, min_support):
     """Exhaustive pair mining: every 2-subset of the item universe, scanned.
 
-    Returns {(a, b): (support, confidence_ab, confidence_ba)} for pairs at or
-    above min_support, with a < b.
+    Returns [(a, b, cooccurrences, count_a, count_b, n)] for pairs at or
+    above min_support, with a < b, in (a, b) order.
     """
     n = len(itemsets)
     universe = sorted(set().union(*itemsets)) if itemsets else []
-    stats = {}
+    rows = []
     for a, b in combinations(universe, 2):
         both = sum(1 for s in itemsets if a in s and b in s)
         if both == 0 or both / n < min_support:
             continue
         count_a = sum(1 for s in itemsets if a in s)
         count_b = sum(1 for s in itemsets if b in s)
-        stats[(a, b)] = (both / n, both / count_a, both / count_b)
-    return stats
+        rows.append((a, b, both, count_a, count_b, n))
+    return rows
+
+
+def enumerate_pair_stats(itemsets, min_support):
+    """{(a, b): (support, confidence_ab, confidence_ba)} of :func:`enumerate_pair_counts`."""
+    return {
+        (a, b): (both / n, both / count_a, both / count_b)
+        for a, b, both, count_a, count_b, n in enumerate_pair_counts(itemsets, min_support)
+    }
 
 
 def mk_s(values) -> int:

@@ -482,6 +482,22 @@ class TestUpstreamArtifactBoundary:
              '"revoked_or_deprecated": false}], "citations": [], "attribution": {}, '
              '"technique_citations": {}}',
              "malformed (tactic_ids must be an array of strings)"),
+            ("mine", "corpus.json",
+             '[{"attack_id": 7, "member_citations": ["a"], "techniques": ["T1059"], '
+             '"representative_date": "2020-01-01", "latest_date": "2020-01-01"}]',
+             "malformed (attack_id must be a string, got 7)"),
+            ("prevalence", "catalog.json",
+             '{"spec_version": "2.1", "tactics": [], "techniques": [{"id": "T1059", "name": 5, '
+             '"tactic_ids": ["TA0001"], "is_subtechnique": false, "parent_id": null, '
+             '"revoked_or_deprecated": false}], "citations": [], "attribution": {}, '
+             '"technique_citations": {}}',
+             "malformed (name must be a string, got 5)"),
+            ("prevalence", "catalog.json",
+             '{"spec_version": "2.1", "tactics": [], "techniques": [{"id": "T1059", "name": "x", '
+             '"tactic_ids": ["TA0001"], "is_subtechnique": "false", "parent_id": null, '
+             '"revoked_or_deprecated": false}], "citations": [], "attribution": {}, '
+             '"technique_citations": {}}',
+             "malformed (is_subtechnique must be a boolean, got 'false')"),
         ],
     )
     def test_corrupt_artifact_exits_1_naming_file(

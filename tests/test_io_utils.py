@@ -8,10 +8,12 @@ import pytest
 from ttpminer.io_utils import (
     atomic_write_text,
     canonical_json,
+    check_scalars,
     fmt_number,
     render_csv,
     sha256_file,
 )
+from ttpminer.stix_ingest import CitationEntry
 
 
 def test_canonical_json_sorts_keys_and_ends_with_newline():
@@ -71,3 +73,26 @@ def test_sha256_file_matches_hashlib(tmp_path):
     payload = b"\x00\x01" * 1000
     path.write_bytes(payload)
     assert sha256_file(path) == hashlib.sha256(payload).hexdigest()
+
+
+class TestCheckScalars:
+    ROW = {"key": "k", "source_name": "s", "url": "https://x", "date_text": None}
+
+    def test_annotated_types_pass(self):
+        assert check_scalars(self.ROW, CitationEntry) is self.ROW
+        assert check_scalars({**self.ROW, "date_text": "2020"}, CitationEntry)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("date_text", 5, "date_text must be a string or null, got 5"),
+            ("url", None, "url must be a string, got None"),
+        ],
+    )
+    def test_other_type_names_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            check_scalars({**self.ROW, field: value}, CitationEntry)
+
+    def test_missing_field_is_a_key_error(self):
+        with pytest.raises(KeyError, match="url"):
+            check_scalars({"key": "k", "source_name": "s", "date_text": None}, CitationEntry)

@@ -195,7 +195,7 @@ class TestMatrix:
             tid: mann_kendall(s)
             for tid, s in yearly_series(corpus, bins.keys(), trend_years=5).items()
         }
-        matrix = build_matrix(bins, trends, corpus)
+        matrix = build_matrix(bins, trends, frequencies, len(corpus))
         counts = sum(cell.count for cell in matrix.cells.values())
         assert counts == len(bins)
         placed = [tid for cell in matrix.cells.values() for tid in cell.technique_ids]
@@ -211,7 +211,7 @@ class TestMatrix:
             for tid, s in yearly_series(corpus, bins.keys(), trend_years=5).items()
         }
         assert trends["T1"].classification == INCREASING
-        matrix = build_matrix(bins, trends, corpus)
+        matrix = build_matrix(bins, trends, frequencies, len(corpus))
         cell = matrix.cells[(INCREASING, bins["T1"])]
         assert "T1" in cell.technique_ids
 
@@ -219,7 +219,7 @@ class TestMatrix:
         corpus = [make_set("a", ["T1"], "2020-01-01")]
         bins = {"T1": LOW}
         trends = {"T1": mann_kendall(series([1.0, 1.0], tid="T1"))}
-        matrix = build_matrix(bins, trends, corpus)
+        matrix = build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
         cell = matrix.cells[(NO_TREND, LOW)]
         assert cell.count == 1
         assert cell.mention_share == pytest.approx(1.0)
@@ -230,7 +230,7 @@ class TestMatrix:
         bins = {"T1": LOW, "T2": LOW}
         trends = {"T1": mann_kendall(series([1.0, 1.0], tid="T1"))}
         with pytest.raises(ParameterError, match="T2"):
-            build_matrix(bins, trends, corpus)
+            build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
 
 
 class TestPrevalent:
@@ -248,14 +248,14 @@ class TestPrevalent:
             "T2": mann_kendall(series(rising, tid="T2")),
             "T3": mann_kendall(series(flat, tid="T3")),
         }
-        matrix = build_matrix(bins, trends, corpus)
+        matrix = build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
         assert prevalent_techniques(matrix) == ["T1", "T2"]
 
     def test_empty_qualifying_cells_give_empty_list(self):
         corpus = [make_set("a", ["T1"], "2020-01-01")]
         bins = {"T1": LOW}
         trends = {"T1": mann_kendall(series([0.2] * 5, tid="T1"))}
-        matrix = build_matrix(bins, trends, corpus)
+        matrix = build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
         assert prevalent_techniques(matrix) == []
 
     def test_only_medium_increasing_populated(self):
@@ -265,5 +265,5 @@ class TestPrevalent:
             "X1": mann_kendall(series([0.0, 0.25, 0.5, 0.75, 1.0], tid="X1")),
             "X2": mann_kendall(series([0.5] * 5, tid="X2")),
         }
-        matrix = build_matrix(bins, trends, corpus)
+        matrix = build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
         assert prevalent_techniques(matrix) == ["X1"]

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import astuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttpminer.errors import ParameterError, UndefinedMeasureError
 from ttpminer.rule_miner import (
@@ -11,7 +14,6 @@ from ttpminer.rule_miner import (
     ContingencyTable,
     attach_relation_labels,
     chi_square,
-    contingency,
     filter_pairs,
     mine_pairs,
     phi,
@@ -57,20 +59,53 @@ class TestMinePairs:
             }
             assert mined == oracles.enumerate_pair_stats(corpus, min_support)
 
-
-class TestContingency:
     def test_worked_example_table(self, fig1_itemsets):
-        table = contingency("CS", "OB", fig1_itemsets)
+        table = by_key(mine_pairs(fig1_itemsets, min_support=0.5))[("CS", "OB")].table()
         assert (table.n11, table.n10, table.n01, table.n00) == (2, 1, 0, 1)
         assert table.n == 4
 
-    def test_disjoint_techniques(self):
+    def test_disjoint_techniques_are_never_a_candidate(self):
         corpus = [frozenset({"A"}), frozenset({"B"})]
-        assert contingency("A", "B", corpus).n11 == 0
+        assert mine_pairs(corpus, min_support=0.5) == []
+        assert oracles.enumerate_pair_stats(corpus, 0.5) == {}
 
-    def test_same_technique_rejected(self, fig1_itemsets):
-        with pytest.raises(ParameterError):
-            contingency("CS", "CS", fig1_itemsets)
+
+@st.composite
+def corpora_with_threshold(draw):
+    """A corpus drawn from a few distinct sets, so identical sets repeat, and a
+    threshold of exactly k/n for some k, 1/n or 1.0."""
+    universe = [f"T{i}" for i in range(draw(st.integers(1, 8)))]
+    distinct = draw(st.lists(st.frozensets(st.sampled_from(universe)), min_size=1, max_size=8))
+    corpus = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    n = len(corpus)
+    k = draw(st.integers(1, n))
+    return corpus, draw(st.sampled_from([k / n, 1 / n, 1.0]))
+
+
+# Thresholds k/n with k/n * n > k in floating point, 7/25 = 0.28 the first:
+# comparing a count with min_support * n there drops a count of exactly k.
+INEXACT_THRESHOLDS = [(k, n) for n in range(1, 41) for k in range(1, n + 1) if k / n * n > k]
+
+
+def pair_seen_k_of_n_times(k_n):
+    k, n = k_n
+    return [frozenset({"A", "B"})] * k + [frozenset({"C"})] * (n - k), k / n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        corpora_with_threshold(), st.sampled_from(INEXACT_THRESHOLDS).map(pair_seen_k_of_n_times)
+    )
+)
+# Techniques that never co-occur, one set, one technique.
+@example(([frozenset({"A"}), frozenset({"B"}), frozenset({"A", "C"})], 1 / 3))
+@example(([frozenset({"A", "B", "C"})], 1.0))
+@example(([frozenset({"A"})] * 3, 1 / 3))
+def test_kernel_matches_pair_enumeration(case):
+    corpus, min_support = case
+    mined = [astuple(c) for c in mine_pairs(corpus, min_support)]
+    assert mined == oracles.enumerate_pair_counts(corpus, min_support)
 
 
 class TestPhi:
