@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from .errors import ManifestError
-from .io_utils import atomic_write_text, canonical_json, render_csv
+from .io_utils import atomic_write_text, canonical_json, decode, reader, render_csv
 from .prevalence import BINS, TRENDS, PrevalenceMatrix
 from .rule_miner import RecurringPair
 from .stix_ingest import AttackCatalog
@@ -52,6 +52,8 @@ def _read_table(path: Path, header: Sequence[str]) -> list[dict]:
         raise ManifestError(f"missing artifact file: {path}")
     if path.suffix == ".json":
         rows = json.loads(path.read_text(encoding="utf-8"))
+        if type(rows) is not list or any(type(row) is not dict for row in rows):
+            raise ValueError("must be an array of objects")
     else:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
@@ -105,7 +107,7 @@ def write_prevalent(
 
 
 def read_prevalent(path: Path) -> list[str]:
-    return [row["id"] for row in _read_table(path, ("id",))]
+    return [reader(str)(row["id"], "id") for row in _read_table(path, ("id",))]
 
 
 def write_pairs(path: Path, pairs: Sequence[RecurringPair]) -> None:
@@ -116,13 +118,15 @@ def write_pairs(path: Path, pairs: Sequence[RecurringPair]) -> None:
     _write_table(path, PAIRS_HEADER, rows)
 
 
+def _labels(cell: object) -> list[str]:
+    return [label for label in reader(str)(cell, "relation_labels").split(";") if label]
+
+
 def read_pairs(path: Path) -> list[RecurringPair]:
-    pairs = []
-    for row in _read_table(path, PAIRS_HEADER):
-        values = {c: float(row[c]) if c in _PAIR_FLOATS else row[c] for c in PAIRS_HEADER}
-        values["relation_labels"] = frozenset(part for part in row["relation_labels"].split(";") if part)
-        pairs.append(RecurringPair(**values))
-    return pairs
+    rows = _read_table(path, PAIRS_HEADER)
+    if path.suffix != ".json":  # CSV cells are text; the float columns are parsed as numbers
+        rows = [{c: float(v) if c in _PAIR_FLOATS else v for c, v in row.items()} for row in rows]
+    return [decode({**row, "relation_labels": _labels(row["relation_labels"])}, RecurringPair) for row in rows]
 
 
 def write_centrality(path: Path, rows: list[list]) -> None:

@@ -24,7 +24,7 @@ from typing import get_args, get_type_hints
 from . import __version__
 from . import artifacts, corpus_builder, eval_harness, graph_analysis, prevalence, rule_miner
 from .errors import ArtifactError, ConfigError, ParameterError, TTPMinerError
-from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, sha256_file, write_csv
+from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, read_text, sha256_file, write_csv
 from .stix_ingest import catalog_from_json, catalog_to_json, parse_bundle
 
 logger = logging.getLogger(__name__)
@@ -95,7 +95,7 @@ def validate_config(path: Path | str) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     value_types = _value_types()
     config = PipelineConfig()
-    for lineno, raw_line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw_line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -210,7 +210,10 @@ def _hand_off(config: PipelineConfig, options: StageOptions, name: str, value, w
 def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
     bundle_path = _require_file(config.bundle_path, "STIX bundle")
     options.inputs["bundle"] = bundle_path
-    catalog = parse_bundle(bundle_path.read_bytes())
+    try:
+        catalog = parse_bundle(bundle_path.read_bytes())
+    except TTPMinerError as exc:  # the bundle is not UTF-8 JSON, or has no objects
+        raise type(exc)(f"{bundle_path}: {exc}") from None
     logger.info(
         "parsed %d tactics, %d techniques (%d sub-techniques), %d citations",
         len(catalog.tactics),
@@ -384,10 +387,10 @@ def stage_eval(config: PipelineConfig, options: StageOptions) -> None:
     )
     logger.info(
         "EV-A %d/%d prevalent found; EV-B %d valid / %d matched pairs",
-        summary.ev_a.found_count,
+        summary.ev_a.prevalent_found_count,
         len(prevalent),
-        summary.ev_b.valid_count,
-        summary.ev_b.matched_count,
+        summary.ev_b.valid_pair_count,
+        summary.ev_b.matched_pair_count,
     )
     doc = eval_harness.summary_to_dict(summary)
     _write(

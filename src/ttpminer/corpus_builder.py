@@ -10,7 +10,6 @@ its member reports' techniques, standing for one unique cyberattack.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -22,7 +21,7 @@ from datetime import date
 from pathlib import Path
 
 from .errors import ManifestError, ParameterError
-from .io_utils import canonical_json, check_scalars, is_string_array, string_set
+from .io_utils import canonical_json, csv_rows, reader
 from .stix_ingest import AttackCatalog
 
 logger = logging.getLogger(__name__)
@@ -45,39 +44,36 @@ EXCLUSION_REASONS = frozenset(
 PAIR_KEY_SEP = "||"
 
 
-_STRING = ("a string", lambda value: isinstance(value, str))
-_STRINGS = ("an array of strings", is_string_array)
-# Field -> (what it must be, its test), for the report and the unseen-report
-# manifests alike. A field a record leaves out is not checked here.
+# Field -> its type, for the report and the unseen-report manifests alike.
+# A field a record leaves out is not checked here.
 MANIFEST_FIELDS = {
-    "citation_key": _STRING, "id": _STRING, "url": _STRING,
-    "include": ("a JSON boolean", lambda value: isinstance(value, bool)),
-    "technique_ids": _STRINGS, "attribution": _STRINGS,
-    "exclusion_reason": ("a string or null", lambda value: value is None or isinstance(value, str)),
+    "citation_key": str, "id": str, "url": str, "include": bool,
+    "technique_ids": frozenset[str], "attribution": frozenset[str], "exclusion_reason": str | None,
 }
 
 
 def read_manifest_records(path: Path) -> list[dict]:
-    """The records of a manifest file: a JSON array of objects.
-
-    Each known field of a record must have its JSON type (``MANIFEST_FIELDS``);
-    a ManifestError names the file, the record index and the field.
+    """The records of a manifest file, a JSON array of objects, with each known
+    field read by its type (``MANIFEST_FIELDS``: string arrays become frozensets).
+    A ManifestError names the file, the record index and the field.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ManifestError(f"{path}: manifest must be a JSON array of records")
+    fields = [(name, f"field {name!r}", reader(hint)) for name, hint in MANIFEST_FIELDS.items()]
     for i, raw in enumerate(doc):
         if not isinstance(raw, dict):
             raise ManifestError(f"{path} record {i}: must be a JSON object, got {raw!r}")
-        for name, (expected, valid) in MANIFEST_FIELDS.items():
-            if name in raw and not valid(raw[name]):
-                raise ManifestError(
-                    f"{path} record {i}: field {name!r} must be {expected}, got {raw[name]!r}"
-                )
+        try:
+            for name, label, read in fields:
+                if name in raw:
+                    raw[name] = read(raw[name], label)
+        except ValueError as exc:
+            raise ManifestError(f"{path} record {i}: {exc}") from None
     return doc
 
 
@@ -108,7 +104,6 @@ class DuplicateCandidatePair:
 class ElbowSample:
     month_bucket: int
     sampled_pairs: list[str]
-    duplicate_fraction: float | None = None
 
 
 @dataclass(frozen=True)
@@ -300,20 +295,15 @@ def read_elbow_labels(path: Path | str) -> list[float]:
     """
     path = Path(path)
     tallies: dict[int, list[bool]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"bucket", "pair_key", "is_duplicate"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ManifestError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            try:
-                bucket = int(row["bucket"])
-            except ValueError as exc:
-                raise ManifestError(f"{path}: bad bucket {row['bucket']!r}") from exc
-            flag = row["is_duplicate"].strip().lower()
-            if flag not in {"0", "1", "true", "false"}:
-                raise ManifestError(f"{path}: bad is_duplicate {row['is_duplicate']!r}")
-            tallies.setdefault(bucket, []).append(flag in {"1", "true"})
+    for row in csv_rows(path, {"bucket", "pair_key", "is_duplicate"}, ManifestError):
+        try:
+            bucket = int(row["bucket"])
+        except ValueError as exc:
+            raise ManifestError(f"{path}: bad bucket {row['bucket']!r}") from exc
+        flag = row["is_duplicate"].strip().lower()
+        if flag not in {"0", "1", "true", "false"}:
+            raise ManifestError(f"{path}: bad is_duplicate {row['is_duplicate']!r}")
+        tallies.setdefault(bucket, []).append(flag in {"1", "true"})
     if not tallies:
         raise ManifestError(f"{path}: no label rows")
     if sorted(tallies) != list(range(1, max(tallies) + 1)):
@@ -429,14 +419,4 @@ def corpus_to_json(sets: list[TechniqueSet]) -> str:
 
 
 def corpus_from_json(text: str) -> list[TechniqueSet]:
-    doc = json.loads(text)
-    return [
-        TechniqueSet(
-            attack_id=check_scalars(entry, TechniqueSet)["attack_id"],
-            member_citations=string_set(entry["member_citations"], "member_citations"),
-            techniques=string_set(entry["techniques"], "techniques"),
-            representative_date=date.fromisoformat(entry["representative_date"]),
-            latest_date=date.fromisoformat(entry["latest_date"]),
-        )
-        for entry in doc
-    ]
+    return reader(list[TechniqueSet])(json.loads(text), "corpus")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
 from typing import Sequence
@@ -72,10 +72,10 @@ def _matches(prevalent_id: str, mentioned: frozenset[str], parent_match: bool) -
 
 @dataclass(frozen=True)
 class EvAResult:
-    found_count: int
-    found_ids: tuple[str, ...]
-    mean_per_report: float
-    median_per_report: float
+    prevalent_found_count: int
+    prevalent_found_ids: tuple[str, ...]
+    mean_prevalent_per_report: float
+    median_prevalent_per_report: float
     top20_overlap_count: int
     top20_overlap_ids: tuple[str, ...]
 
@@ -106,10 +106,10 @@ def ev_a(
     top20 = frozenset(top_mentioned(unseen, 20))
     overlap = tuple(tid for tid in prevalent if _matches(tid, top20, parent_match))
     return EvAResult(
-        found_count=len(found),
-        found_ids=found,
-        mean_per_report=sum(per_report) / len(per_report),
-        median_per_report=statistics.median(per_report),
+        prevalent_found_count=len(found),
+        prevalent_found_ids=found,
+        mean_prevalent_per_report=sum(per_report) / len(per_report),
+        median_prevalent_per_report=statistics.median(per_report),
         top20_overlap_count=len(overlap),
         top20_overlap_ids=overlap,
     )
@@ -117,8 +117,8 @@ def ev_a(
 
 @dataclass(frozen=True)
 class EvBResult:
-    valid_count: int
-    matched_count: int
+    valid_pair_count: int
+    matched_pair_count: int
     matched_pairs: tuple[tuple[str, str], ...]
     reports_with_pair: int
     mean_valid_pairs_per_report: float
@@ -157,8 +157,8 @@ def ev_b(pairs: Sequence[RecurringPair], unseen: Sequence[UnseenReport]) -> EvBR
     reports_with_pair = sum(1 for hits in per_report_hits if hits > 0)
     total_hits = sum(per_report_hits)
     return EvBResult(
-        valid_count=len(valid),
-        matched_count=len(matched_keys),
+        valid_pair_count=len(valid),
+        matched_pair_count=len(matched_keys),
         matched_pairs=matched_keys,
         reports_with_pair=reports_with_pair,
         mean_valid_pairs_per_report=total_hits / len(unseen),
@@ -193,28 +193,8 @@ def evaluate(
 
 
 def summary_to_dict(summary: EvaluationSummary) -> dict:
-    a, b = summary.ev_a, summary.ev_b
-    return {
-        "cutoff": summary.cutoff.isoformat() if summary.cutoff else None,
-        "unseen_report_count": summary.unseen_report_count,
-        "ev_a": {
-            "prevalent_found_count": a.found_count,
-            "prevalent_found_ids": list(a.found_ids),
-            "mean_prevalent_per_report": a.mean_per_report,
-            "median_prevalent_per_report": a.median_per_report,
-            "top20_overlap_count": a.top20_overlap_count,
-            "top20_overlap_ids": list(a.top20_overlap_ids),
-        },
-        "ev_b": {
-            "valid_pair_count": b.valid_count,
-            "matched_pair_count": b.matched_count,
-            "matched_pairs": [list(key) for key in b.matched_pairs],
-            "reports_with_pair": b.reports_with_pair,
-            "mean_valid_pairs_per_report": b.mean_valid_pairs_per_report,
-            "mean_valid_pairs_per_matching_report": b.mean_valid_pairs_per_matching_report,
-            "per_relation_matches": b.per_relation_matches,
-        },
-    }
+    """The ``evaluation.json`` document: the result fields under their own names."""
+    return {**asdict(summary), "cutoff": summary.cutoff.isoformat() if summary.cutoff else None}
 
 
 def summary_to_text(summary: EvaluationSummary, prevalent_total: int, pair_total: int) -> str:
@@ -224,14 +204,14 @@ def summary_to_text(summary: EvaluationSummary, prevalent_total: int, pair_total
         + (f" (published after {summary.cutoff.isoformat()})" if summary.cutoff else ""),
         "",
         "EV-A: prevalent technique coverage",
-        f"  found in at least one report: {a.found_count} of {prevalent_total}",
+        f"  found in at least one report: {a.prevalent_found_count} of {prevalent_total}",
         f"  mean / median prevalent techniques per report: "
-        f"{a.mean_per_report:.2f} / {a.median_per_report:g}",
+        f"{a.mean_prevalent_per_report:.2f} / {a.median_prevalent_per_report:g}",
         f"  overlap with the top-20 most-reported techniques: {a.top20_overlap_count}",
         "",
         "EV-B: recurring pair occurrence",
-        f"  valid pairs (both techniques mentioned): {b.valid_count} of {pair_total}",
-        f"  matched pairs (co-present in one report): {b.matched_count}",
+        f"  valid pairs (both techniques mentioned): {b.valid_pair_count} of {pair_total}",
+        f"  matched pairs (co-present in one report): {b.matched_pair_count}",
         f"  reports containing at least one pair: {b.reports_with_pair}",
         f"  mean co-present pairs per report: {b.mean_valid_pairs_per_report:.2f}"
         f" (over matching reports: {b.mean_valid_pairs_per_matching_report:.2f})",

@@ -9,12 +9,12 @@ n - 1 normalization available behind a flag.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import AnnotationError, ParameterError
+from .io_utils import csv_rows
 from .rule_miner import RecurringPair
 
 # Relation taxonomy: name -> directed. Follow and require orient
@@ -56,26 +56,21 @@ def load_annotations(path: Path | str) -> list[RelationAnnotation]:
     """Read the relation annotation CSV: tech_a,tech_b,relation,direction."""
     path = Path(path)
     annotations = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"tech_a", "tech_b", "relation", "direction"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise AnnotationError(f"{path}: expected columns {sorted(required)}")
-        for i, row in enumerate(reader):
-            relation = row["relation"].strip()
-            direction = (row["direction"] or "none").strip() or "none"
-            if relation not in RELATION_TYPES:
-                raise AnnotationError(f"{path} row {i}: unknown relation {relation!r}")
-            if direction not in DIRECTIONS:
-                raise AnnotationError(f"{path} row {i}: direction must be one of {DIRECTIONS}")
-            annotations.append(
-                RelationAnnotation(
-                    tech_a=row["tech_a"].strip(),
-                    tech_b=row["tech_b"].strip(),
-                    relation=relation,
-                    direction=direction,
-                )
+    for i, row in enumerate(csv_rows(path, {"tech_a", "tech_b", "relation", "direction"}, AnnotationError)):
+        relation = row["relation"].strip()
+        direction = (row["direction"] or "none").strip() or "none"
+        if relation not in RELATION_TYPES:
+            raise AnnotationError(f"{path} row {i}: unknown relation {relation!r}")
+        if direction not in DIRECTIONS:
+            raise AnnotationError(f"{path} row {i}: direction must be one of {DIRECTIONS}")
+        annotations.append(
+            RelationAnnotation(
+                tech_a=row["tech_a"].strip(),
+                tech_b=row["tech_b"].strip(),
+                relation=relation,
+                direction=direction,
             )
+        )
     return annotations
 
 

@@ -1,4 +1,4 @@
-"""Deterministic file output helpers: canonical JSON, atomic writes, CSV.
+"""File helpers: canonical JSON, atomic writes, CSV, and the one JSON record decoder.
 
 Every artifact writer here is byte-deterministic for a given input: keys
 sorted, LF line endings, floats rendered with ``repr`` (shortest round-trip
@@ -14,10 +14,12 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import is_dataclass
+from datetime import date
 from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import Any, Iterable, Mapping, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 
 def canonical_json(obj: Any) -> str:
@@ -25,34 +27,97 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def is_string_array(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
-
-
-def string_set(value: Any, name: str) -> frozenset[str]:
-    """A decoded JSON array of strings as a set; anything else raises ValueError naming ``name``."""
-    if not is_string_array(value):
-        raise ValueError(f"{name} must be an array of strings")
-    return frozenset(value)
-
-
 TYPE_NOUNS = {str: "a string", bool: "a boolean", int: "an integer", float: "a number", type(None): "null"}
 
 
+def _string_set(value: Any, name: str) -> frozenset[str]:
+    if type(value) is list:
+        try:
+            "".join(value)  # a TypeError unless every item is a string; quicker than a loop
+            return frozenset(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an array of strings")
+
+
+def _iso_date(value: Any, name: str) -> date:
+    try:
+        parsed = date.fromisoformat(value)
+    except (TypeError, ValueError):
+        parsed = None
+    if parsed is None or parsed.isoformat() != value:  # YYYY-MM-DD, as written
+        raise ValueError(f"{name} must be an ISO date string, got {value!r}")
+    return parsed
+
+
 @cache
-def scalar_fields(record_type: type) -> dict[str, tuple[type, ...]]:
-    """The dataclass fields annotated with JSON scalar types, and those types."""
-    hints = get_type_hints(record_type).items()
-    kinds = {name: get_args(h) if isinstance(h, UnionType) else (h,) for name, h in hints}
-    return {name: types for name, types in kinds.items() if set(types) <= TYPE_NOUNS.keys()}
+def reader(hint: Any) -> Callable[[Any, str], Any]:
+    """``read(value, name)``: the Python value of a decoded JSON field annotated
+    ``hint``, else ValueError naming the field. A dataclass is an object with
+    exactly its fields (a missing one raises KeyError), ``frozenset[str]`` an
+    array of strings, ``date`` an ISO string, ``list[X]`` and ``dict[str, X]``
+    an array and an object of X, and a scalar has its exact JSON type.
+    """
+    if hint == frozenset[str]:
+        return _string_set
+    if hint is date:
+        return _iso_date
+    if is_dataclass(hint):
+        readers = {name: reader(h) for name, h in get_type_hints(hint).items()}
+        names, fields = readers.keys(), tuple(readers.items())  # in the dataclass's field order
+
+        def record(row: Any, name: str) -> Any:
+            if type(row) is not dict or row.keys() != names:
+                if type(row) is not dict:
+                    raise ValueError(f"a {hint.__name__} record must be an object, got {row!r}")
+                missing = [field for field in names if field not in row]
+                if missing:
+                    raise KeyError(missing[0])
+                raise ValueError(f"unknown field {next(key for key in row if key not in names)!r}")
+            return hint(*[read(row[field], field) for field, read in fields])
+
+        return record
+    if get_origin(hint) in (list, dict):
+        container, read = get_origin(hint), reader(get_args(hint)[-1])
+
+        def items(value: Any, name: str) -> Any:
+            if type(value) is not container:
+                raise ValueError(f"{name} must be {'an array' if container is list else 'an object'}")
+            if container is list:
+                return [read(item, name) for item in value]
+            return {key: read(item, name) for key, item in value.items()}
+
+        return items
+    types = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    expected = " or ".join(map(TYPE_NOUNS.__getitem__, types))
+
+    def exact(value: Any, name: str) -> Any:
+        if type(value) in types:
+            return value
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+    return exact
 
 
-def check_scalars(row: Mapping[str, Any], record_type: type) -> Mapping[str, Any]:
-    """``row``, once each scalar field of ``record_type`` holds its exact type; else ValueError."""
-    for name, types in scalar_fields(record_type).items():
-        if type(row[name]) not in types:
-            raise ValueError(f"{name} must be {' or '.join(map(TYPE_NOUNS.get, types))}, got {row[name]!r}")
-    return row
+def decode(row: Any, record_type: type) -> Any:
+    """The ``record_type`` dataclass held by the decoded JSON object ``row`` (see :func:`reader`)."""
+    return reader(record_type)(row, record_type.__name__)
+
+
+def read_text(path: Path, error: type[Exception]) -> str:
+    """The text of the UTF-8 file ``path``; other bytes raise ``error`` naming the file."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def csv_rows(path: Path, columns: set[str], error: type[Exception]) -> csv.DictReader:
+    """Rows of the UTF-8 CSV ``path`` (missing cells read as ""); its header must name ``columns``."""
+    rows = csv.DictReader(io.StringIO(read_text(path, error), newline=""), restval="")
+    if rows.fieldnames is None or not columns.issubset(rows.fieldnames):
+        raise error(f"{path}: expected columns {sorted(columns)}")
+    return rows
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BundleParseError, BundleSchemaError
-from .io_utils import canonical_json, check_scalars, string_set
+from .io_utils import canonical_json, decode
 
 TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(\.\d{3})?$")
 TACTIC_ID_RE = re.compile(r"^TA\d{4}$")
@@ -123,13 +123,15 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     Techniques are deduplicated by ATT&CK id (non-revoked entries win),
     sub-technique parents are linked by id prefix, and revoked/deprecated
     objects are flagged rather than dropped. Unknown object types are
-    skipped. Raises :class:`BundleParseError` on malformed JSON and
+    skipped. Raises :class:`BundleParseError` unless it is UTF-8 JSON, and
     :class:`BundleSchemaError` when the ``objects`` array is missing.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")  # drops the bytes before the parse
         bundle = json.loads(raw)
+    except UnicodeDecodeError as exc:
+        raise BundleParseError(f"not UTF-8 at byte offset {exc.start}", exc.start) from exc
     except json.JSONDecodeError as exc:
         raise BundleParseError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}", exc.pos) from exc
     if not isinstance(bundle, dict) or not isinstance(bundle.get("objects"), list):
@@ -280,18 +282,4 @@ def catalog_to_json(catalog: AttackCatalog) -> str:
 
 def catalog_from_json(text: str) -> AttackCatalog:
     """Inverse of :func:`catalog_to_json`, whose lists and keys are already sorted."""
-    doc = json.loads(text)
-    return AttackCatalog(
-        spec_version=check_scalars(doc, AttackCatalog)["spec_version"],
-        tactics=[TacticRecord(**check_scalars(row, TacticRecord)) for row in doc["tactics"]],
-        techniques=[
-            TechniqueRecord(**{**check_scalars(row, TechniqueRecord),
-                               "tactic_ids": string_set(row["tactic_ids"], "tactic_ids")})
-            for row in doc["techniques"]
-        ],
-        citations=[CitationEntry(**check_scalars(row, CitationEntry)) for row in doc["citations"]],
-        attribution={k: string_set(v, "attribution") for k, v in doc["attribution"].items()},
-        technique_citations={
-            k: string_set(v, "technique_citations") for k, v in doc["technique_citations"].items()
-        },
-    )
+    return decode(json.loads(text), AttackCatalog)

@@ -512,6 +512,62 @@ class TestUpstreamArtifactBoundary:
         assert f"{path}: {needle}" in caplog.text
         assert "Traceback" not in caplog.text
 
+    @pytest.mark.parametrize(
+        "command, artifact, field, value, needle",
+        [
+            ("graph", "recurring_pairs.json", "phi", True, "malformed (phi must be a number, got True)"),
+            ("graph", "recurring_pairs.json", "support", "0.4",
+             "malformed (support must be a number, got '0.4')"),
+            ("graph", "recurring_pairs.json", "tech_a", 1001,
+             "malformed (tech_a must be a string, got 1001)"),
+            ("mine", "corpus.json", "extra_field", 5, "malformed (unknown field 'extra_field')"),
+            ("eval", "prevalent_techniques.json", "id", 5, "malformed (id must be a string, got 5)"),
+        ],
+    )
+    def test_mistyped_json_field_exits_1_naming_file(
+        self, tmp_path, caplog, command, artifact, field, value, needle
+    ):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path, "--format", "json")
+        assert run_cli("all", *common) == 0
+        path = tmp_path / artifact
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[0][field] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        caplog.clear()
+        extra = ("--parent-match",) if command == "eval" else ()
+        assert run_cli(command, *common, *extra) == 1
+        assert f"{path}: {needle}" in caplog.text
+        assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("bundle.json", b"\xff{}"),
+        ("bundle.json", b"{]"),
+        ("manifest.json", b"\xff[]"),
+        ("unseen.json", b"\xff[]"),
+        ("config.cfg", b"\xfftau = 2\n"),
+        ("annotations.csv", b"\xfftech_a,tech_b,relation,direction\n"),
+        ("elbow_labels.csv", b"\xffbucket,pair_key,is_duplicate\n"),
+        ("annotations.csv", b"tech_a,tech_b,relation,direction\nT1001,T1005\n"),
+        ("elbow_labels.csv", b"bucket,pair_key,is_duplicate\n1,a\n"),
+    ],
+)
+def test_malformed_input_file_exits_1_naming_file(tmp_path, caplog, name, content):
+    import shutil
+
+    inputs = tmp_path / "inputs"
+    shutil.copytree(E2E, inputs)
+    path = inputs / name
+    if name == "config.cfg":
+        content += path.read_bytes()
+    path.write_bytes(content)
+    argv = ["all", "--config", path.parent / "config.cfg", "--output-dir", tmp_path / "out"]
+    assert run_cli(*argv, "--elbow-labels", inputs / "elbow_labels.csv") == 1
+    assert str(path) in caplog.text
+    assert "Traceback" not in caplog.text
+
 
 def test_importing_the_cli_loads_no_scipy():
     import os
@@ -522,6 +578,21 @@ def test_importing_the_cli_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, ttpminer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_package_loads_no_submodule():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, ttpminer; print(sorted(m for m in sys.modules if m.startswith('ttpminer.')))"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

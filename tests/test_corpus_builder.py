@@ -141,8 +141,8 @@ class TestLoadManifest:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("include", "false", r"record 0: field 'include' must be a JSON boolean"),
-            ("include", 0, r"record 0: field 'include' must be a JSON boolean"),
+            ("include", "false", r"record 0: field 'include' must be a boolean"),
+            ("include", 0, r"record 0: field 'include' must be a boolean"),
             ("technique_ids", "T1005", r"record 0: field 'technique_ids' must be an array of strings"),
             ("attribution", ["G1", 7], r"record 0: field 'attribution' must be an array of strings"),
             ("url", None, r"record 0: field 'url' must be a string"),
@@ -303,7 +303,6 @@ class TestElbow:
         pool = {p.key for p in pairs}
         for sample in samples:
             assert set(sample.sampled_pairs) <= pool
-            assert sample.duplicate_fraction is None  # filled by the manual pass
 
     def test_sampling_without_replacement(self):
         pairs = self.make_pairs(per_bucket=10, buckets=2)

@@ -114,24 +114,24 @@ class TestEvA:
             report("u3", ["Y"]),
         ]
         result = ev_a(prevalent, unseen)
-        assert result.found_count == 2
-        assert result.found_ids == ("T1", "T2")
-        assert result.mean_per_report == pytest.approx(1.0)
-        assert result.median_per_report == 1
+        assert result.prevalent_found_count == 2
+        assert result.prevalent_found_ids == ("T1", "T2")
+        assert result.mean_prevalent_per_report == pytest.approx(1.0)
+        assert result.median_prevalent_per_report == 1
 
     def test_no_prevalent_technique_found(self):
         result = ev_a(["T1"], [report("u1", ["X"]), report("u2", ["Y"])])
-        assert result.found_count == 0
-        assert result.mean_per_report == 0.0
+        assert result.prevalent_found_count == 0
+        assert result.mean_prevalent_per_report == 0.0
 
     def test_parent_match_relaxation(self):
         prevalent = ["T1204.002"]
         unseen = [report("u1", ["T1204"])]
         strict = ev_a(prevalent, unseen)
-        assert strict.found_count == 0
+        assert strict.prevalent_found_count == 0
         relaxed = ev_a(prevalent, unseen, parent_match=True)
-        assert relaxed.found_count == 1
-        assert relaxed.mean_per_report == 1.0
+        assert relaxed.prevalent_found_count == 1
+        assert relaxed.mean_prevalent_per_report == 1.0
 
     def test_top20_overlap(self):
         unseen = [report(f"u{i}", ["T1", "T2"] if i < 5 else ["T3"]) for i in range(8)]
@@ -145,8 +145,8 @@ class TestEvA:
 
     def test_empty_inputs_rejected(self):
         result = ev_a([], [report("u1", ["T1"])])
-        assert (result.found_count, result.found_ids) == (0, ())
-        assert (result.mean_per_report, result.median_per_report) == (0.0, 0)
+        assert (result.prevalent_found_count, result.prevalent_found_ids) == (0, ())
+        assert (result.mean_prevalent_per_report, result.median_prevalent_per_report) == (0.0, 0)
         assert (result.top20_overlap_count, result.top20_overlap_ids) == (0, ())
         with pytest.raises(ParameterError):
             ev_a(["T1"], [])
@@ -161,8 +161,8 @@ class TestEvB:
             report("u3", ["C"]),  # A and C never co-present
         ]
         result = ev_b(pairs, unseen)
-        assert result.valid_count == 2  # (A,B) and (A,C); Z unseen anywhere
-        assert result.matched_count == 1
+        assert result.valid_pair_count == 2  # (A,B) and (A,C); Z unseen anywhere
+        assert result.matched_pair_count == 1
         assert result.matched_pairs == (("A", "B"),)
         assert result.reports_with_pair == 1
         assert result.mean_valid_pairs_per_report == pytest.approx(1 / 3)
@@ -170,8 +170,8 @@ class TestEvB:
 
     def test_pair_with_unmentioned_technique_not_valid(self):
         result = ev_b([pair("A", "Z")], [report("u1", ["A", "B"])])
-        assert result.valid_count == 0
-        assert result.matched_count == 0
+        assert result.valid_pair_count == 0
+        assert result.matched_pair_count == 0
 
     def test_per_relation_counts_attribute_every_label(self):
         pairs = [
@@ -220,9 +220,9 @@ class TestEvB:
             unseen.append(report(f"u{i}", rng.sample(techniques, rng.randint(1, 5))))
             current_a = ev_a(prevalent, unseen)
             current_b = ev_b(pairs, unseen)
-            assert current_a.found_count >= previous_a.found_count
-            assert current_b.valid_count >= previous_b.valid_count
-            assert current_b.matched_count >= previous_b.matched_count
+            assert current_a.prevalent_found_count >= previous_a.prevalent_found_count
+            assert current_b.valid_pair_count >= previous_b.valid_pair_count
+            assert current_b.matched_pair_count >= previous_b.matched_pair_count
             previous_a, previous_b = current_a, current_b
 
 

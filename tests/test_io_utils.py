@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import os
+from datetime import date
 
 import pytest
 
+from ttpminer.corpus_builder import TechniqueSet
 from ttpminer.io_utils import (
     atomic_write_text,
     canonical_json,
-    check_scalars,
+    decode,
     fmt_number,
     render_csv,
     sha256_file,
@@ -75,12 +77,12 @@ def test_sha256_file_matches_hashlib(tmp_path):
     assert sha256_file(path) == hashlib.sha256(payload).hexdigest()
 
 
-class TestCheckScalars:
+class TestDecode:
     ROW = {"key": "k", "source_name": "s", "url": "https://x", "date_text": None}
 
     def test_annotated_types_pass(self):
-        assert check_scalars(self.ROW, CitationEntry) is self.ROW
-        assert check_scalars({**self.ROW, "date_text": "2020"}, CitationEntry)
+        assert decode(self.ROW, CitationEntry) == CitationEntry("k", "s", "https://x", None)
+        assert decode({**self.ROW, "date_text": "2020"}, CitationEntry).date_text == "2020"
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -91,8 +93,24 @@ class TestCheckScalars:
     )
     def test_other_type_names_the_field(self, field, value, message):
         with pytest.raises(ValueError, match=message):
-            check_scalars({**self.ROW, field: value}, CitationEntry)
+            decode({**self.ROW, field: value}, CitationEntry)
 
     def test_missing_field_is_a_key_error(self):
         with pytest.raises(KeyError, match="url"):
-            check_scalars({"key": "k", "source_name": "s", "date_text": None}, CitationEntry)
+            decode({"key": "k", "source_name": "s", "date_text": None}, CitationEntry)
+
+    def test_unknown_field_is_named(self):
+        with pytest.raises(ValueError, match="unknown field 'extra'"):
+            decode({**self.ROW, "extra": 5}, CitationEntry)
+
+    def test_string_set_and_date(self):
+        row = {"attack_id": "a", "member_citations": ["a", "b"], "techniques": ["T1"],
+               "representative_date": "2020-01-02", "latest_date": "2020-03-04"}
+        assert decode(row, TechniqueSet) == TechniqueSet(
+            "a", frozenset({"a", "b"}), frozenset({"T1"}), date(2020, 1, 2), date(2020, 3, 4)
+        )
+        with pytest.raises(ValueError, match="techniques must be an array of strings"):
+            decode({**row, "techniques": ["T1", 1]}, TechniqueSet)
+        for value in (5, "20200304", "2020-W10-3"):
+            with pytest.raises(ValueError, match=f"latest_date must be an ISO date string, got {value!r}"):
+                decode({**row, "latest_date": value}, TechniqueSet)
