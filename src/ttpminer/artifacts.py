@@ -122,10 +122,17 @@ def _labels(cell: object) -> list[str]:
     return [label for label in reader(str)(cell, "relation_labels").split(";") if label]
 
 
+def _number(cell: str | None, name: str) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):  # not a number, or None for a cell a short row lacks
+        raise ValueError(f"{name} must be a number, got {cell!r}") from None
+
+
 def read_pairs(path: Path) -> list[RecurringPair]:
     rows = _read_table(path, PAIRS_HEADER)
     if path.suffix != ".json":  # CSV cells are text; the float columns are parsed as numbers
-        rows = [{c: float(v) if c in _PAIR_FLOATS else v for c, v in row.items()} for row in rows]
+        rows = [{c: _number(v, c) if c in _PAIR_FLOATS else v for c, v in row.items()} for row in rows]
     return [decode({**row, "relation_labels": _labels(row["relation_labels"])}, RecurringPair) for row in rows]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import gc
 import logging
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -535,6 +536,8 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if values.pop("verbose", False) else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    collecting = gc.isenabled()
+    gc.disable()  # a run builds no reference cycles: reference counting frees it all
     try:
         config, options = _settings(values)
         run(command, config, options)
@@ -544,6 +547,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         logger.error("I/O error: %s", exc)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -18,10 +18,11 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import ManifestError, ParameterError
-from .io_utils import canonical_json, csv_rows, reader
+from .io_utils import csv_rows, reader
 from .stix_ingest import AttackCatalog
 
 logger = logging.getLogger(__name__)
@@ -362,31 +363,28 @@ def merge_duplicates(
     """
     if tau < 1:
         raise ParameterError(f"tau must be >= 1 (got {tau})")
-    included = [r for r in records if r.include]
-    by_key = {r.citation_key: r for r in included}
-    uf = _UnionFind(by_key)
+    by_key = {r.citation_key: r for r in records if r.include}
     max_gap = tau * DAYS_PER_MONTH
-    for pair in pairs:
-        if pair.date_gap_days <= max_gap and pair.a in by_key and pair.b in by_key:
-            uf.union(pair.a, pair.b)
+    edges = [(p.a, p.b) for p in pairs if p.date_gap_days <= max_gap and p.a in by_key and p.b in by_key]
+    uf = _UnionFind({key for edge in edges for key in edge})
+    for a, b in edges:
+        uf.union(a, b)
 
     components: dict[str, list[ReportRecord]] = {}
-    for key in sorted(by_key):
+    for key in sorted(uf.parent):
         components.setdefault(uf.find(key), []).append(by_key[key])
 
-    sets = []
+    # A citation no edge touches is a technique-set of its own.
+    sets = [
+        TechniqueSet(key, frozenset((key,)), frozenset(r.technique_ids), r.published, r.published)
+        for key, r in by_key.items()
+        if key not in uf.parent
+    ]
     for members in components.values():
         keys = frozenset(r.citation_key for r in members)
         dates = [r.published for r in members]
-        sets.append(
-            TechniqueSet(
-                attack_id=min(keys),
-                member_citations=keys,
-                techniques=frozenset().union(*(r.technique_ids for r in members)),
-                representative_date=min(dates),
-                latest_date=max(dates),
-            )
-        )
+        techniques = frozenset().union(*(r.technique_ids for r in members))
+        sets.append(TechniqueSet(min(keys), keys, techniques, min(dates), max(dates)))
     return sorted(sets, key=lambda ts: ts.attack_id)
 
 
@@ -404,18 +402,22 @@ def corpus_stats(sets: list[TechniqueSet]) -> CorpusStats:
 
 
 def corpus_to_json(sets: list[TechniqueSet]) -> str:
-    return canonical_json(
-        [
-            {
-                "attack_id": ts.attack_id,
-                "member_citations": sorted(ts.member_citations),
-                "techniques": sorted(ts.techniques),
-                "representative_date": ts.representative_date.isoformat(),
-                "latest_date": ts.latest_date.isoformat(),
-            }
-            for ts in sets
-        ]
-    )
+    """``canonical_json`` of the corpus records, byte for byte, through its own C
+    string encoder but without the slow pure-Python indenting encoder around it."""
+
+    def strings(values: frozenset[str]) -> str:
+        items = ",\n      ".join(map(encode_basestring, sorted(values)))
+        return f"[\n      {items}\n    ]" if items else "[]"
+
+    records = ",\n".join([
+        f'  {{\n    "attack_id": {encode_basestring(ts.attack_id)},\n'
+        f'    "latest_date": "{ts.latest_date.isoformat()}",\n'
+        f'    "member_citations": {strings(ts.member_citations)},\n'
+        f'    "representative_date": "{ts.representative_date.isoformat()}",\n'
+        f'    "techniques": {strings(ts.techniques)}\n  }}'
+        for ts in sets
+    ])
+    return f"[\n{records}\n]\n" if sets else "[]\n"
 
 
 def corpus_from_json(text: str) -> list[TechniqueSet]:

@@ -6,6 +6,7 @@ tail probabilities use ``math.erfc`` directly rather than scipy.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
@@ -99,6 +100,44 @@ def connected_by_paths(members, edges) -> bool:
         if seen != set(members):
             return False
     return True
+
+
+def components_by_search(nodes, edges):
+    """Connected components of ``nodes`` under ``edges`` (pairs outside ``nodes``
+    are ignored), found by graph search from each node: frozensets, in no order."""
+    adjacency = {node: set() for node in nodes}
+    for a, b in edges:
+        if a in adjacency and b in adjacency:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    components, placed = [], set()
+    for start in adjacency:
+        if start in placed:
+            continue
+        seen, queue = {start}, [start]
+        while queue:
+            for neighbor in adjacency[queue.pop()] - seen:
+                seen.add(neighbor)
+                queue.append(neighbor)
+        placed |= seen
+        components.append(frozenset(seen))
+    return components
+
+
+def corpus_json(sets) -> str:
+    """``corpus.json`` as the general JSON encoder writes it (canonical JSON:
+    sorted keys, 2-space indent, no ASCII escaping, LF, trailing newline)."""
+    records = [
+        {
+            "attack_id": ts.attack_id,
+            "member_citations": sorted(ts.member_citations),
+            "techniques": sorted(ts.techniques),
+            "representative_date": ts.representative_date.isoformat(),
+            "latest_date": ts.latest_date.isoformat(),
+        }
+        for ts in sets
+    ]
+    return json.dumps(records, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def nearest_rank(values, pct: float):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -471,7 +472,11 @@ class TestUpstreamArtifactBoundary:
             ("graph", "recurring_pairs.csv",
              "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
              "strength,relation_labels\nT1001,T1005,ab,not-a-number,0.5,0.5,0.3,9,0.01,1.2,moderate,\n",
-             "malformed (could not convert string to float: 'not-a-number')"),
+             "malformed (support must be a number, got 'not-a-number')"),
+            ("graph", "recurring_pairs.csv",
+             "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
+             "strength,relation_labels\nT1001,T1005,ab,0.4,0.5\n",
+             "malformed (confidence_ba must be a number, got None)"),
             ("mine", "corpus.json",
              '[{"attack_id": "x", "member_citations": ["a"], "techniques": "T1059", '
              '"representative_date": "2020-01-01", "latest_date": "2020-01-01"}]',
@@ -538,6 +543,35 @@ class TestUpstreamArtifactBoundary:
         assert run_cli(command, *common, *extra) == 1
         assert f"{path}: {needle}" in caplog.text
         assert "Traceback" not in caplog.text
+
+
+class TestCollectorState:
+    """``main`` runs with the cyclic collector off and gives it back as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case, code", [("ok", 0), ("bad_config", 1), ("io_error", 2)])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, enabled, case, code):
+        import ttpminer.cli
+
+        seen = []
+        inner = ttpminer.cli.run
+        monkeypatch.setattr(ttpminer.cli, "run", lambda *args: seen.append(gc.isenabled()) or inner(*args))
+        out = tmp_path / "out"
+        if case == "bad_config":
+            (tmp_path / "bad.cfg").write_text("minsupp = 0.1\n", encoding="utf-8")
+            argv = ("ingest", "--config", tmp_path / "bad.cfg", "--output-dir", out)
+        else:
+            if case == "io_error":
+                out.write_text("occupied", encoding="utf-8")
+            argv = ("ingest", "--bundle", E2E / "bundle.json", "--output-dir", out)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli(*argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == ([] if case == "bad_config" else [False])
 
 
 @pytest.mark.parametrize(

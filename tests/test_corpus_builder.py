@@ -5,12 +5,13 @@ import random
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttpminer.corpus_builder import (
     DuplicateCandidatePair,
     ReportRecord,
+    TechniqueSet,
     corpus_from_json,
     corpus_stats,
     corpus_to_json,
@@ -463,6 +464,56 @@ class TestMerge:
             merge_duplicates([], [], tau=0)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    reports=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=200),  # day offset
+            st.frozensets(st.sampled_from(["T1", "T2", "T3", "T4", "T5"]), max_size=3),
+            st.booleans(),  # included
+        ),
+        max_size=20,
+    ),
+    # Endpoints r00..r24 may name excluded or unknown reports, or the same one
+    # twice; gaps of whole months sit on the tau boundary.
+    edges=st.lists(
+        st.tuples(
+            st.integers(0, 24),
+            st.integers(0, 24),
+            st.integers(min_value=0, max_value=150) | st.integers(1, 5).map(lambda months: 30 * months),
+        ),
+        max_size=25,
+    ),
+    tau=st.integers(min_value=1, max_value=4),
+)
+def test_merge_equals_components_by_search(reports, edges, tau):
+    start = date(2020, 1, 1)
+    records = [
+        record(f"r{i:02d}", (start + timedelta(days=day)).isoformat(), techniques,
+               include=included, reason=None if included else "inaccessible")
+        for i, (day, techniques, included) in enumerate(reports)
+    ]
+    pairs = [
+        DuplicateCandidatePair(f"r{a:02d}", f"r{b:02d}", frozenset({"G"}), gap) for a, b, gap in edges
+    ]
+    by_key = {r.citation_key: r for r in records if r.include}
+    qualifying = [(p.a, p.b) for p in pairs if p.date_gap_days <= tau * 30]
+    expected = sorted(
+        (
+            TechniqueSet(
+                min(component),
+                component,
+                frozenset().union(*(by_key[key].technique_ids for key in component)),
+                min(by_key[key].published for key in component),
+                max(by_key[key].published for key in component),
+            )
+            for component in oracles.components_by_search(by_key, qualifying)
+        ),
+        key=lambda ts: ts.attack_id,
+    )
+    assert merge_duplicates(records, pairs, tau) == expected
+
+
 class TestStats:
     def test_two_overlapping_sets(self):
         from .conftest import make_set
@@ -496,6 +547,38 @@ def test_corpus_json_round_trip():
     ]
     sets = merge_duplicates(records, find_candidate_pairs(records), tau=1)
     assert corpus_from_json(corpus_to_json(sets)) == sets
+
+
+# Strings come from all of Unicode but lone surrogates; the second example
+# pins quotes, backslashes, control characters, U+2028 and non-BMP characters.
+TECHNIQUE_SETS = st.builds(
+    TechniqueSet,
+    attack_id=st.text(),
+    member_citations=st.frozensets(st.text(), min_size=1),
+    techniques=st.frozensets(st.text()),
+    representative_date=st.dates(),
+    latest_date=st.dates(),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(TECHNIQUE_SETS, max_size=4))
+@example([])
+@example(
+    [
+        TechniqueSet(
+            'q"uo\\te\x00\x1f\x7f\u2028\U0001f600',
+            frozenset({'a"b', "\\", "\n\t\u2029", "\U00010348"}),
+            frozenset(),
+            date(1, 1, 1),
+            date(9999, 12, 31),
+        )
+    ]
+)
+def test_corpus_writer_matches_the_general_encoder(sets):
+    text = corpus_to_json(sets)
+    assert text == oracles.corpus_json(sets)
+    assert corpus_from_json(text) == sets
 
 
 def test_included_records_filter():
