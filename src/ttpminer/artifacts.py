@@ -8,13 +8,12 @@ byte-deterministic helpers in :mod:`ttpminer.io_utils`.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
-from .errors import ManifestError
-from .io_utils import atomic_write_text, canonical_json, decode, reader, render_csv
+from .errors import ArtifactError
+from .io_utils import atomic_write_text, canonical_json, csv_rows, decode, reader, render_csv
 from .prevalence import BINS, TRENDS, PrevalenceMatrix
 from .rule_miner import RecurringPair
 from .stix_ingest import AttackCatalog
@@ -48,19 +47,11 @@ def _write_table(path: Path, header: Sequence[str], rows: list[list]) -> None:
 
 
 def _read_table(path: Path, header: Sequence[str]) -> list[dict]:
-    if not path.exists():
-        raise ManifestError(f"missing artifact file: {path}")
-    if path.suffix == ".json":
-        rows = json.loads(path.read_text(encoding="utf-8"))
-        if type(rows) is not list or any(type(row) is not dict for row in rows):
-            raise ValueError("must be an array of objects")
-    else:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.DictReader(handle))
-    for row in rows:
-        missing = set(header) - set(row)
-        if missing:
-            raise ManifestError(f"{path}: rows missing columns {sorted(missing)}")
+    if path.suffix != ".json":
+        return list(csv_rows(path, set(header), ArtifactError))
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    if type(rows) is not list or any(type(row) is not dict for row in rows):
+        raise ValueError("must be an array of objects")
     return rows
 
 
@@ -122,10 +113,10 @@ def _labels(cell: object) -> list[str]:
     return [label for label in reader(str)(cell, "relation_labels").split(";") if label]
 
 
-def _number(cell: str | None, name: str) -> float:
+def _number(cell: str, name: str) -> float:
     try:
         return float(cell)
-    except (TypeError, ValueError):  # not a number, or None for a cell a short row lacks
+    except ValueError:
         raise ValueError(f"{name} must be a number, got {cell!r}") from None
 
 

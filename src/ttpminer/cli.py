@@ -91,9 +91,7 @@ def validate_config(path: Path | str) -> PipelineConfig:
 
     Relative paths are resolved against the config file's directory.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    path = _require_file(Path(path), "config")
     value_types = _value_types()
     config = PipelineConfig()
     for lineno, raw_line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
@@ -179,7 +177,7 @@ def _upstream(config: PipelineConfig, options: StageOptions, name: str, required
     path = _require_file(path, f"{stem.replace('_', ' ')} artifact")
     try:
         return load(path)
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError too
+    except (KeyError, AttributeError, TypeError, ValueError, RecursionError) as exc:  # JSON errors too
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed ({exc})"
         raise ArtifactError(f"{path}: {problem}; re-run the stage that writes it") from exc
 
@@ -328,50 +326,35 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
         relations = sorted({a.relation for a in annotations})
 
     rows: list[list] = []
-    all_pairs_graph = graph_analysis.build_graph(pairs, annotations, relation=None)
-    etas = graph_analysis.partner_count(all_pairs_graph)
-    deltas = graph_analysis.degree_centrality(
-        all_pairs_graph, conventional=options.conventional_normalization
-    )
-    for node in sorted(all_pairs_graph.nodes):
-        rows.append([node, "all_pairs", deltas[node], "", "", etas[node]])
-    if options.top_k is not None:
-        _print_top_k("all_pairs (eta)", etas, options.top_k)
-
-    for relation in relations:
+    listings: list[tuple[str, dict]] = []  # (label, scores) per graph, for --top-k
+    conventional = options.conventional_normalization
+    for relation in [None, *relations]:  # None: the all-pairs graph
         graph = graph_analysis.build_graph(pairs, annotations, relation=relation)
-        if graph.directed:
-            scores = graph_analysis.directed_centrality(
-                graph, conventional=options.conventional_normalization
-            )
-            for node in sorted(graph.nodes):
-                d_in, d_out = scores[node]
-                rows.append([node, relation, "", d_in, d_out, ""])
-            if options.top_k is not None:
-                _print_top_k(
-                    f"{relation} (delta_out)", {n: s[1] for n, s in scores.items()}, options.top_k
-                )
+        if relation is None:
+            etas = graph_analysis.partner_count(graph)
+            deltas = graph_analysis.degree_centrality(graph, conventional=conventional)
+            rows += [[n, "all_pairs", deltas[n], "", "", etas[n]] for n in sorted(graph.nodes)]
+            listings.append(("all_pairs (eta)", etas))
+        elif graph.directed:
+            scores = graph_analysis.directed_centrality(graph, conventional=conventional)
+            rows += [[n, relation, "", *scores[n], ""] for n in sorted(graph.nodes)]
+            listings.append((f"{relation} (delta_out)", {n: s[1] for n, s in scores.items()}))
         else:
-            scores = graph_analysis.degree_centrality(
-                graph, conventional=options.conventional_normalization
-            )
-            for node in sorted(graph.nodes):
-                rows.append([node, relation, scores[node], "", "", ""])
-            if options.top_k is not None:
-                _print_top_k(f"{relation} (delta)", scores, options.top_k)
+            scores = graph_analysis.degree_centrality(graph, conventional=conventional)
+            rows += [[n, relation, scores[n], "", "", ""] for n in sorted(graph.nodes)]
+            listings.append((f"{relation} (delta)", scores))
 
+    if options.top_k is not None:
+        for label, scores in listings:
+            ranked = graph_analysis.top_k(scores, options.top_k)
+            print(f"top {len(ranked)} {label}:")
+            for node in ranked:
+                print(f"  {node}\t{scores[node]}")
     rows.sort(key=lambda row: (row[1], row[0]))
     _write(_artifact(config, "graph_centrality"), lambda p: artifacts.write_centrality(p, rows), options)
     if options.dot_path is not None:
         target = graph_analysis.build_graph(pairs, annotations, relation=options.relation)
         _write(options.dot_path, lambda p: atomic_write_text(p, graph_analysis.to_dot(target)), options)
-
-
-def _print_top_k(label: str, scores: dict, k: int) -> None:
-    ranked = graph_analysis.top_k(scores, k)
-    print(f"top {min(k, len(ranked))} {label}:")
-    for node in ranked:
-        print(f"  {node}\t{scores[node]}")
 
 
 def stage_eval(config: PipelineConfig, options: StageOptions) -> None:

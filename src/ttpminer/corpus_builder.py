@@ -22,7 +22,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import ManifestError, ParameterError
-from .io_utils import csv_rows, reader
+from .io_utils import csv_rows, read_text, reader
 from .stix_ingest import AttackCatalog
 
 logger = logging.getLogger(__name__)
@@ -50,19 +50,20 @@ PAIR_KEY_SEP = "||"
 MANIFEST_FIELDS = {
     "citation_key": str, "id": str, "url": str, "include": bool,
     "technique_ids": frozenset[str], "attribution": frozenset[str], "exclusion_reason": str | None,
+    "published": date | None,
 }
 
 
 def read_manifest_records(path: Path) -> list[dict]:
     """The records of a manifest file, a JSON array of objects, with each known
-    field read by its type (``MANIFEST_FIELDS``: string arrays become frozensets).
+    field read by its type (``MANIFEST_FIELDS``: string arrays become frozensets
+    and ISO strings dates).
     A ManifestError names the file, the record index and the field.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(read_text(path, ManifestError))
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested past the decoder's depth
+        raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ManifestError(f"{path}: manifest must be a JSON array of records")
     fields = [(name, f"field {name!r}", reader(hint)) for name, hint in MANIFEST_FIELDS.items()]
@@ -157,14 +158,7 @@ def _parse_record(raw: dict, label: str, known: frozenset[str] | None) -> Report
     except KeyError as exc:
         raise ManifestError(f"{label}: missing field {exc}") from exc
 
-    published_raw = raw.get("published")
-    published: date | None = None
-    if published_raw is not None:
-        try:
-            published = date.fromisoformat(published_raw)
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(f"{label}: published is not an ISO-8601 date: {published_raw!r}") from exc
-
+    published = raw.get("published")
     reason = raw.get("exclusion_reason")
     if reason is not None and reason not in EXCLUSION_REASONS:
         raise ManifestError(f"{label}: unknown exclusion_reason {reason!r}")

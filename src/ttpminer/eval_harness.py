@@ -48,10 +48,9 @@ def load_unseen_manifest(path: Path | str, cutoff: date | None = None) -> list[U
         if report_id in seen:
             raise ManifestError(f"{label}: duplicate id")
         seen.add(report_id)
-        try:
-            published = date.fromisoformat(raw["published"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"{label}: bad or missing published date") from exc
+        published = raw.get("published")
+        if published is None:
+            raise ManifestError(f"{label}: missing published date")
         technique_ids = frozenset(raw.get("technique_ids", ()))
         if not technique_ids:
             raise ManifestError(f"{label}: technique_ids must be non-empty")

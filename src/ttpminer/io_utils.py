@@ -19,7 +19,7 @@ from datetime import date
 from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 
 def canonical_json(obj: Any) -> str:
@@ -56,7 +56,8 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
     ``hint``, else ValueError naming the field. A dataclass is an object with
     exactly its fields (a missing one raises KeyError), ``frozenset[str]`` an
     array of strings, ``date`` an ISO string, ``list[X]`` and ``dict[str, X]``
-    an array and an object of X, and a scalar has its exact JSON type.
+    an array and an object of X, ``X | None`` null or X, and a scalar has its
+    exact JSON type.
     """
     if hint == frozenset[str]:
         return _string_set
@@ -89,6 +90,9 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
 
         return items
     types = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    if type(None) in types and len(types) == 2 and not set(types) <= TYPE_NOUNS.keys():
+        read = reader(next(t for t in types if t is not type(None)))  # null, or a non-scalar X
+        return lambda value, name: None if value is None else read(value, name)
     expected = " or ".join(map(TYPE_NOUNS.__getitem__, types))
 
     def exact(value: Any, name: str) -> Any:
@@ -112,12 +116,21 @@ def read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def csv_rows(path: Path, columns: set[str], error: type[Exception]) -> csv.DictReader:
-    """Rows of the UTF-8 CSV ``path`` (missing cells read as ""); its header must name ``columns``."""
+def csv_rows(path: Path, columns: set[str], error: type[Exception]) -> Iterator[dict[str, str]]:
+    """Rows of the UTF-8 CSV ``path`` (missing cells read as ""); its header must name
+    ``columns``, and a row with more cells than the header raises ``error``.
+    """
     rows = csv.DictReader(io.StringIO(read_text(path, error), newline=""), restval="")
     if rows.fieldnames is None or not columns.issubset(rows.fieldnames):
         raise error(f"{path}: expected columns {sorted(columns)}")
-    return rows
+
+    def checked() -> Iterator[dict[str, str]]:
+        for i, row in enumerate(rows):
+            if None in row:  # DictReader files the cells past the header under None
+                raise error(f"{path} row {i}: {len(row[None])} cell(s) more than the header")
+            yield row
+
+    return checked()
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

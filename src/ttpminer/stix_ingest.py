@@ -123,8 +123,9 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     Techniques are deduplicated by ATT&CK id (non-revoked entries win),
     sub-technique parents are linked by id prefix, and revoked/deprecated
     objects are flagged rather than dropped. Unknown object types are
-    skipped. Raises :class:`BundleParseError` unless it is UTF-8 JSON, and
-    :class:`BundleSchemaError` when the ``objects`` array is missing.
+    skipped. Raises :class:`BundleParseError` unless it is UTF-8 JSON nested
+    no deeper than the decoder allows, and :class:`BundleSchemaError` when
+    the ``objects`` array is missing.
     """
     try:
         if isinstance(raw, bytes):
@@ -134,6 +135,8 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
         raise BundleParseError(f"not UTF-8 at byte offset {exc.start}", exc.start) from exc
     except json.JSONDecodeError as exc:
         raise BundleParseError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}", exc.pos) from exc
+    except RecursionError as exc:
+        raise BundleParseError(f"JSON nested too deeply ({exc})") from exc
     if not isinstance(bundle, dict) or not isinstance(bundle.get("objects"), list):
         raise BundleSchemaError("bundle has no 'objects' array")
 

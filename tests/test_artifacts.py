@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from ttpminer.artifacts import read_pairs, write_pairs
-from ttpminer.errors import ManifestError
+from ttpminer.errors import ArtifactError
 from ttpminer.rule_miner import filter_pairs, mine_pairs
 
 
@@ -28,13 +28,8 @@ def test_pairs_round_trip_exact(tmp_path, sample_pairs, suffix):
     assert restored == sorted(sample_pairs, key=lambda p: p.key)
 
 
-def test_read_pairs_missing_file(tmp_path):
-    with pytest.raises(ManifestError, match="missing artifact"):
-        read_pairs(tmp_path / "absent.csv")
-
-
 def test_read_pairs_missing_columns(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text("tech_a,tech_b\nT1,T2\n", encoding="utf-8")
-    with pytest.raises(ManifestError, match="missing columns"):
+    with pytest.raises(ArtifactError, match="expected columns"):
         read_pairs(path)

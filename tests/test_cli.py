@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from ttpminer.errors import ConfigError
 from .conftest import FIXTURES
 
 E2E = FIXTURES / "e2e"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past the JSON decoder's depth limit
 
 
 def run_cli(*argv: str) -> int:
@@ -122,6 +124,12 @@ class TestPipeline:
         code = run_cli("mine", "--config", E2E / "config.cfg", "--output-dir", out)
         assert code == 1
         assert "corpus.json" in caplog.text
+
+    def test_graph_without_pairs_artifact_exits_1_naming_file(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        code = run_cli("graph", "--config", E2E / "config.cfg", "--output-dir", out)
+        assert code == 1
+        assert f"missing recurring pairs artifact file: {out / 'recurring_pairs.csv'}" in caplog.text
 
     def test_stagewise_run_matches_all(self, tmp_path):
         out_all = tmp_path / "all"
@@ -244,8 +252,15 @@ class TestPipeline:
             "graph", "--config", E2E / "config.cfg", "--output-dir", out, "--top-k", "3"
         )
         assert code == 0
-        captured = capsys.readouterr()
-        assert "top 3 all_pairs (eta):" in captured.out
+        assert capsys.readouterr().out == (
+            "top 3 all_pairs (eta):\n  T1014\t3\n  T1017\t3\n  T1001.001\t2\n"
+            "top 3 follow (delta_out):\n  T1001.001\t0.25\n  T1014\t0.25\n  T1005\t0.0\n"
+            "top 2 happens_together (delta):\n  T1002\t0.5\n  T1008\t0.5\n"
+            "top 2 implementation_overlap (delta):\n  T1004\t0.5\n  T1005\t0.5\n"
+            "top 2 require (delta_out):\n  T1001.001\t0.5\n  T1004\t0.0\n"
+            "top 2 same_asset (delta):\n  T1002\t0.5\n  T1008\t0.5\n"
+            "top 2 same_platform (delta):\n  T1003\t0.5\n  T1006\t0.5\n"
+        )
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_graph_top_k_below_one_exits_1(self, tmp_path, caplog, k):
@@ -476,7 +491,18 @@ class TestUpstreamArtifactBoundary:
             ("graph", "recurring_pairs.csv",
              "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
              "strength,relation_labels\nT1001,T1005,ab,0.4,0.5\n",
-             "malformed (confidence_ba must be a number, got None)"),
+             "malformed (confidence_ba must be a number, got '')"),
+            ("graph", "recurring_pairs.csv",
+             "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
+             "strength,relation_labels\nT1001,T1005,ab,0.4,0.5,0.5,0.3,9,0.01,1.2,moderate,,extra\n",
+             "row 0: 1 cell(s) more than the header"),
+            ("graph", "recurring_pairs.csv", "tech_a,tech_b\nT1001,T1005\n", "expected columns"),
+            *(
+                pytest.param(command, artifact, DEEP_JSON, "malformed", id=f"{artifact}-deep")
+                for command, artifact in [("corpus", "catalog.json"), ("mine", "corpus.json"),
+                                          ("eval", "prevalent_techniques.json"),
+                                          ("eval", "recurring_pairs.json")]
+            ),
             ("mine", "corpus.json",
              '[{"attack_id": "x", "member_citations": ["a"], "techniques": "T1059", '
              '"representative_date": "2020-01-01", "latest_date": "2020-01-01"}]',
@@ -509,12 +535,16 @@ class TestUpstreamArtifactBoundary:
         self, tmp_path, caplog, command, artifact, content, needle
     ):
         out = tmp_path / "out"
-        assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
+        tabular_json = artifact in ("recurring_pairs.json", "prevalent_techniques.json")
+        common = ("--config", E2E / "config.cfg", "--output-dir", out,
+                  "--format", "json" if tabular_json else "csv")
+        assert run_cli("all", *common) == 0
         path = out / artifact
         path.write_text(content, encoding="utf-8")
         caplog.clear()
-        assert run_cli(command, "--config", E2E / "config.cfg", "--output-dir", out) == 1
-        assert f"{path}: {needle}" in caplog.text
+        assert run_cli(command, *common) == 1
+        assert re.search(rf"{re.escape(str(path))}[: ].*{re.escape(needle)}", caplog.text)
+        assert caplog.text.count(str(path)) == 1
         assert "Traceback" not in caplog.text
 
     @pytest.mark.parametrize(
@@ -574,6 +604,19 @@ class TestCollectorState:
         assert seen == ([] if case == "bad_config" else [False])
 
 
+def with_extra_cell(name: str) -> bytes:
+    """The e2e input CSV ``name`` with one cell added to its first data row."""
+    header, first, rest = (E2E / name).read_bytes().split(b"\n", 2)
+    return b"\n".join([header, first + b",oops", rest])
+
+
+def with_published(name: str, value: str) -> bytes:
+    """The e2e manifest ``name`` with ``value`` as the first record's publication date."""
+    records = json.loads((E2E / name).read_bytes())
+    records[0]["published"] = value
+    return json.dumps(records).encode()
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
@@ -586,6 +629,12 @@ class TestCollectorState:
         ("elbow_labels.csv", b"\xffbucket,pair_key,is_duplicate\n"),
         ("annotations.csv", b"tech_a,tech_b,relation,direction\nT1001,T1005\n"),
         ("elbow_labels.csv", b"bucket,pair_key,is_duplicate\n1,a\n"),
+        *(pytest.param(name, with_extra_cell(name), id=f"{name}-extra-cell")
+          for name in ("annotations.csv", "elbow_labels.csv")),
+        pytest.param("manifest.json", with_published("manifest.json", "20200304"), id="manifest-basic-date"),
+        pytest.param("unseen.json", with_published("unseen.json", "2023-W10-3"), id="unseen-week-date"),
+        *(pytest.param(name, DEEP_JSON.encode(), id=f"{name}-deep")
+          for name in ("bundle.json", "manifest.json", "unseen.json")),
     ],
 )
 def test_malformed_input_file_exits_1_naming_file(tmp_path, caplog, name, content):
@@ -599,7 +648,7 @@ def test_malformed_input_file_exits_1_naming_file(tmp_path, caplog, name, conten
     path.write_bytes(content)
     argv = ["all", "--config", path.parent / "config.cfg", "--output-dir", tmp_path / "out"]
     assert run_cli(*argv, "--elbow-labels", inputs / "elbow_labels.csv") == 1
-    assert str(path) in caplog.text
+    assert caplog.text.count(str(path)) == 1
     assert "Traceback" not in caplog.text
 
 

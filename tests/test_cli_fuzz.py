@@ -1,9 +1,10 @@
-"""Fuzz the stage boundary: a stage fed an upstream artifact with one value
-replaced exits 0 or 1 and never lets an exception escape ``cli.main``."""
+"""Fuzz the stage boundary: a stage fed an upstream artifact or a manifest with
+one value replaced exits 0 or 1 and never lets an exception escape ``cli.main``."""
 
 from __future__ import annotations
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,12 +18,14 @@ from .conftest import FIXTURES
 
 E2E = FIXTURES / "e2e"
 
-# Each upstream artifact and the stage commands that read it back.
+# Each upstream artifact and input manifest, and the stage commands that read it.
 CONSUMERS = {
     "catalog.json": ("corpus", "prevalence"),
     "corpus.json": ("prevalence", "mine", "eval"),
     "recurring_pairs.json": ("graph", "eval"),
     "prevalent_techniques.json": ("eval",),
+    "manifest.json": ("corpus",),
+    "unseen.json": ("eval",),
 }
 
 JSON_VALUES = st.recursive(
@@ -38,16 +41,21 @@ JSON_VALUES = st.recursive(
 
 
 def stage_args(command: str, out: Path) -> list[str]:
-    argv = [command, "--config", str(E2E / "config.cfg"), "--output-dir", str(out), "--format", "json"]
+    """A stage run on the inputs and artifacts in ``out``, where the config file sits too."""
+    argv = [command, "--config", str(out / "config.cfg"), "--output-dir", str(out), "--format", "json"]
     return argv + ["--parent-match"] if command == "eval" else argv
 
 
 @pytest.fixture(scope="module")
 def upstream(tmp_path_factory) -> dict[str, str]:
-    """The text of each upstream artifact that ``all --format json`` writes for the e2e fixture."""
+    """The text of the e2e inputs the stages read, and of each upstream artifact
+    that ``all --format json`` writes for them."""
     out = tmp_path_factory.mktemp("fuzz_base")
+    for path in E2E.iterdir():
+        shutil.copy(path, out)
     assert main(stage_args("all", out)) == 0
-    return {name: (out / name).read_text(encoding="utf-8") for name in CONSUMERS}
+    names = (*CONSUMERS, "config.cfg", "annotations.csv")
+    return {name: (out / name).read_text(encoding="utf-8") for name in names}
 
 
 def paths_by_depth(doc) -> list[list[tuple]]:

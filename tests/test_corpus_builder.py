@@ -101,7 +101,14 @@ class TestLoadManifest:
 
     def test_bad_date_rejected(self, tmp_path):
         path = write_manifest(tmp_path, [manifest_entry("r1", "01/02/2020", ["T1", "T2"])])
-        with pytest.raises(ManifestError, match="ISO-8601"):
+        with pytest.raises(ManifestError, match="'published' must be an ISO date string"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("published", ["20200304", "2020-W10-3"])
+    def test_iso_forms_other_than_yyyy_mm_dd_rejected(self, tmp_path, published):
+        path = write_manifest(tmp_path, [manifest_entry("r1", published, ["T1", "T2"])])
+        needle = f"record 0: field 'published' must be an ISO date string, got '{published}'"
+        with pytest.raises(ManifestError, match=needle):
             load_manifest(path)
 
     def test_unknown_exclusion_reason_rejected(self, tmp_path):

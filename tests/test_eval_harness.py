@@ -92,6 +92,23 @@ class TestLoadUnseen:
         with pytest.raises(ManifestError, match=r"record 0: field 'technique_ids' must be an array"):
             load_unseen_manifest(path)
 
+    @pytest.mark.parametrize(
+        "published, needle",
+        [
+            (None, "missing published date"),
+            ("absent", "missing published date"),
+            ("20230304", "field 'published' must be an ISO date string, got '20230304'"),
+            ("2023-W10-3", "field 'published' must be an ISO date string, got '2023-W10-3'"),
+        ],
+    )
+    def test_missing_or_non_iso_date_rejected(self, tmp_path, published, needle):
+        entry = {"id": "u1", "published": published, "technique_ids": ["T1"]}
+        if published == "absent":
+            del entry["published"]
+        path = self.write(tmp_path, [entry])
+        with pytest.raises(ManifestError, match=rf"record 0.*: {needle}"):
+            load_unseen_manifest(path)
+
     def test_bare_string_record_rejected(self, tmp_path):
         path = self.write(tmp_path, ["u1"])
         with pytest.raises(ManifestError, match=r"unseen.json record 0: must be a JSON object"):

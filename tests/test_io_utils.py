@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from datetime import date
 
 import pytest
@@ -10,8 +11,10 @@ from ttpminer.corpus_builder import TechniqueSet
 from ttpminer.io_utils import (
     atomic_write_text,
     canonical_json,
+    csv_rows,
     decode,
     fmt_number,
+    reader,
     render_csv,
     sha256_file,
 )
@@ -70,6 +73,20 @@ def test_render_csv_quotes_and_terminates_lf():
     assert text == 'a,b\n"x,y",0.25\n'
 
 
+class TestCsvRows:
+    def test_short_row_reads_missing_cells_as_empty(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1\n", encoding="utf-8")
+        assert list(csv_rows(path, {"a", "c"}, LookupError)) == [{"a": "1", "b": "", "c": ""}]
+
+    def test_row_longer_than_header_names_file_and_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n1,2,3,4\n", encoding="utf-8")
+        message = f"{path} row 1: 2 cell(s) more than the header"
+        with pytest.raises(LookupError, match=f"^{re.escape(message)}$"):
+            list(csv_rows(path, {"a"}, LookupError))
+
+
 def test_sha256_file_matches_hashlib(tmp_path):
     path = tmp_path / "blob.bin"
     payload = b"\x00\x01" * 1000
@@ -114,3 +131,10 @@ class TestDecode:
         for value in (5, "20200304", "2020-W10-3"):
             with pytest.raises(ValueError, match=f"latest_date must be an ISO date string, got {value!r}"):
                 decode({**row, "latest_date": value}, TechniqueSet)
+
+    def test_nullable_non_scalar(self):
+        read = reader(date | None)
+        assert read(None, "published") is None
+        assert read("2020-03-04", "published") == date(2020, 3, 4)
+        with pytest.raises(ValueError, match="published must be an ISO date string, got '20200304'"):
+            read("20200304", "published")
