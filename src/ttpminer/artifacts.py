@@ -9,6 +9,7 @@ byte-deterministic helpers in :mod:`ttpminer.io_utils`.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -34,7 +35,6 @@ PAIRS_HEADER = (
     "strength",
     "relation_labels",
 )
-_PAIR_FLOATS = frozenset(c for c, kind in get_type_hints(RecurringPair).items() if kind is float)
 CENTRALITY_HEADER = ("node", "relation", "delta", "delta_in", "delta_out", "eta")
 
 
@@ -46,9 +46,31 @@ def _write_table(path: Path, header: Sequence[str], rows: list[list]) -> None:
         atomic_write_text(path, render_csv(header, rows))
 
 
-def _read_table(path: Path, header: Sequence[str]) -> list[dict]:
+@dataclass(frozen=True)
+class PrevalentRow:
+    """A ``prevalent_techniques`` row, as written (``PREVALENT_HEADER``)."""
+
+    id: str
+    name: str
+    tactic: str
+    pct_reports: float
+    cell: str
+
+
+def _number(cell: str, name: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {cell!r}") from None
+
+
+def _read_table(path: Path, header: Sequence[str], record_type: type) -> list[dict]:
+    """Rows holding ``header``'s columns; the ``float`` fields of ``record_type`` are
+    parsed as numbers in CSV, whose cells are text."""
     if path.suffix != ".json":
-        return list(csv_rows(path, set(header), ArtifactError))
+        floats = {c for c, kind in get_type_hints(record_type).items() if kind is float}
+        rows = csv_rows(path, set(header), ArtifactError)
+        return [{c: _number(v, c) if c in floats else v for c, v in row.items()} for row in rows]
     rows = json.loads(path.read_text(encoding="utf-8"))
     if type(rows) is not list or any(type(row) is not dict for row in rows):
         raise ValueError("must be an array of objects")
@@ -98,7 +120,7 @@ def write_prevalent(
 
 
 def read_prevalent(path: Path) -> list[str]:
-    return [reader(str)(row["id"], "id") for row in _read_table(path, ("id",))]
+    return [decode(row, PrevalentRow).id for row in _read_table(path, PREVALENT_HEADER, PrevalentRow)]
 
 
 def write_pairs(path: Path, pairs: Sequence[RecurringPair]) -> None:
@@ -113,17 +135,8 @@ def _labels(cell: object) -> list[str]:
     return [label for label in reader(str)(cell, "relation_labels").split(";") if label]
 
 
-def _number(cell: str, name: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {cell!r}") from None
-
-
 def read_pairs(path: Path) -> list[RecurringPair]:
-    rows = _read_table(path, PAIRS_HEADER)
-    if path.suffix != ".json":  # CSV cells are text; the float columns are parsed as numbers
-        rows = [{c: _number(v, c) if c in _PAIR_FLOATS else v for c, v in row.items()} for row in rows]
+    rows = _read_table(path, PAIRS_HEADER, RecurringPair)
     return [decode({**row, "relation_labels": _labels(row["relation_labels"])}, RecurringPair) for row in rows]
 
 

@@ -209,11 +209,13 @@ def filter_pairs(
         table = candidate.table()
         try:
             phi_value = phi(table)
-            statistic, p_value = chi_square(table, yates=yates)
         except UndefinedMeasureError as exc:
             logger.info("dropping pair (%s, %s): %s", candidate.tech_a, candidate.tech_b, exc)
             continue
-        if phi_value < phi_min or p_value >= alpha:
+        if phi_value < phi_min:  # most candidates stop here, before the chi-square test
+            continue
+        statistic, p_value = chi_square(table, yates=yates)
+        if p_value >= alpha:
             continue
         conf_ab, conf_ba = candidate.confidence_ab, candidate.confidence_ba
         kept.append(

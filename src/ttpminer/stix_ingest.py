@@ -5,7 +5,8 @@ entries found in object external references, and two derived maps keyed by
 normalized citation URL: which techniques each cited report documents, and
 which groups/malware/tools each cited report is attributed to.
 
-Parsing is deterministic: objects are processed in sorted order, so two
+Parsing is deterministic: objects other than relationships are processed in
+(type, id) order, and relationships only add to sets and minima, so two
 bundles with the same objects in different order produce identical catalogs.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BundleParseError, BundleSchemaError
@@ -99,20 +101,6 @@ def _mitre_external_id(obj: dict) -> str | None:
     return None
 
 
-def _citation_refs(obj: dict):
-    """Yield (key, source_name, url, date_text) for report-like references."""
-    for ref in obj.get("external_references", ()):
-        url = ref.get("url")
-        if not url or ref.get("source_name") in _CATALOG_SOURCES:
-            continue
-        yield (
-            normalize_citation_url(url),
-            ref.get("source_name", ""),
-            url,
-            ref.get("description") or None,
-        )
-
-
 def _is_flagged(obj: dict) -> bool:
     return bool(obj.get("revoked") or obj.get("x_mitre_deprecated"))
 
@@ -125,7 +113,8 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     objects are flagged rather than dropped. Unknown object types are
     skipped. Raises :class:`BundleParseError` unless it is UTF-8 JSON nested
     no deeper than the decoder allows, and :class:`BundleSchemaError` when
-    the ``objects`` array is missing.
+    the ``objects`` array is missing or the ``spec_version`` (the bundle's,
+    else the first object's in (type, id) order) is not a string.
     """
     try:
         if isinstance(raw, bytes):
@@ -140,11 +129,12 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     if not isinstance(bundle, dict) or not isinstance(bundle.get("objects"), list):
         raise BundleSchemaError("bundle has no 'objects' array")
 
-    objects = sorted(
-        (o for o in bundle["objects"] if isinstance(o, dict)),
-        key=lambda o: (o.get("type", ""), o.get("id", "")),
-    )
-    spec_version = str(bundle.get("spec_version") or _sniff_spec_version(objects))
+    objects = [o for o in bundle["objects"] if isinstance(o, dict)]
+    spec_version = bundle.get("spec_version")
+    if spec_version in (None, ""):
+        spec_version = _sniff_spec_version(objects)
+    if type(spec_version) is not str:
+        raise BundleSchemaError(f"spec_version must be a string, got {spec_version!r}")
 
     tactic_by_shortname: dict[str, str] = {}
     tactics: dict[str, TacticRecord] = {}
@@ -152,20 +142,12 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     technique_raw: dict[str, dict] = {}
     stix_to_technique: dict[str, str] = {}
     stix_to_attributor: dict[str, str] = {}
+    # (object, technique id or None, attributor or None) for each object whose citations count
+    citing: list[tuple[dict, str | None, str | None]] = []
 
-    citation_entries: dict[str, tuple[str, str, str | None]] = {}
-    technique_citations: dict[str, set[str]] = {}
-    attribution: dict[str, set[str]] = {}
-
-    def record_citation(key: str, source_name: str, url: str, date_text: str | None) -> None:
-        candidate = (source_name, url, date_text)
-        prior = citation_entries.get(key)
-        if prior is None or candidate < prior:
-            citation_entries[key] = candidate
-        technique_citations.setdefault(key, set())
-        attribution.setdefault(key, set())
-
-    for obj in objects:
+    # The order of the other objects decides which duplicate technique wins and
+    # which attributor an id maps to, so they run sorted.
+    for obj in sorted((o for o in objects if o.get("type") != "relationship"), key=_object_order):
         otype = obj.get("type")
         if otype == "x-mitre-tactic":
             tid = _mitre_external_id(obj)
@@ -193,33 +175,52 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
             if prior is None or (prior["flagged"] and not entry["flagged"]):
                 technique_raw[tid] = entry
             stix_to_technique[obj.get("id", "")] = tid
-            for key, source_name, url, date_text in _citation_refs(obj):
-                record_citation(key, source_name, url, date_text)
-                technique_citations[key].add(tid)
+            citing.append((obj, tid, None))
         elif otype in ATTRIBUTION_TYPES:
             attributor = _mitre_external_id(obj) or obj.get("name") or obj.get("id", "")
             stix_to_attributor[obj.get("id", "")] = attributor
-            for key, source_name, url, date_text in _citation_refs(obj):
-                record_citation(key, source_name, url, date_text)
-                attribution[key].add(attributor)
+            citing.append((obj, None, attributor))
 
-    # Relationships resolve against the object index, so they run last.
-    for obj in objects:
-        if obj.get("type") != "relationship" or obj.get("relationship_type") != "uses":
-            continue
-        target_technique = stix_to_technique.get(obj.get("target_ref", ""))
-        source_attributor = stix_to_attributor.get(obj.get("source_ref", ""))
-        if target_technique is None:
-            continue
-        for key, source_name, url, date_text in _citation_refs(obj):
-            record_citation(key, source_name, url, date_text)
-            technique_citations[key].add(target_technique)
-            if source_attributor is not None:
-                attribution[key].add(source_attributor)
+    # Relationships resolve against the finished index and only add to sets and
+    # minima, so they run last and in file order.
+    uses = (
+        (obj, stix_to_technique[obj.get("target_ref", "")], stix_to_attributor.get(obj.get("source_ref", "")))
+        for obj in objects
+        if obj.get("type") == "relationship" and obj.get("relationship_type") == "uses"
+        and obj.get("target_ref", "") in stix_to_technique
+    )
+
+    # Citation identity is the normalized URL; each distinct raw URL is normalized once.
+    keys: dict[str, str] = {}
+    # key -> the least (source_name, url, description or "") citing it; a missing
+    # description reads as "", which sorts first and, unlike None, compares with text
+    citation_entries: dict[str, tuple[str, str, str]] = {}
+    technique_citations: dict[str, set[str]] = {}
+    attribution: dict[str, set[str]] = {}
+    for obj, technique, attributor in chain(citing, uses):
+        for ref in obj.get("external_references", ()):
+            url, source_name = ref.get("url"), ref.get("source_name", "")
+            if not url or source_name in _CATALOG_SOURCES:
+                continue
+            key = keys.get(url)
+            if key is None:
+                key = keys[url] = normalize_citation_url(url)
+            candidate = (source_name, url, ref.get("description") or "")
+            prior = citation_entries.get(key)
+            if prior is None:
+                citation_entries[key] = candidate
+                technique_citations[key] = set()
+                attribution[key] = set()
+            elif candidate < prior:
+                citation_entries[key] = candidate
+            if technique is not None:
+                technique_citations[key].add(technique)
+            if attributor is not None:
+                attribution[key].add(attributor)
 
     techniques = _assemble_techniques(technique_raw, tactic_by_shortname)
     citations = [
-        CitationEntry(key=key, source_name=sn, url=url, date_text=dt)
+        CitationEntry(key=key, source_name=sn, url=url, date_text=dt or None)
         for key, (sn, url, dt) in sorted(citation_entries.items())
     ]
     return AttackCatalog(
@@ -232,11 +233,14 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     )
 
 
-def _sniff_spec_version(objects: list[dict]) -> str:
-    for obj in objects:
-        if obj.get("spec_version"):
-            return str(obj["spec_version"])
-    return "2.0"
+def _object_order(obj: dict) -> tuple:
+    return (obj.get("type", ""), obj.get("id", ""))
+
+
+def _sniff_spec_version(objects: list[dict]) -> object:
+    """The spec_version of the first object in (type, id) order that has one, else "2.0"."""
+    first = min((o for o in objects if o.get("spec_version") not in (None, "")), key=_object_order, default=None)
+    return "2.0" if first is None else first["spec_version"]
 
 
 def _assemble_techniques(

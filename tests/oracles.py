@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from itertools import combinations
+from urllib.parse import urlsplit, urlunsplit
 
 
 def enumerate_pair_counts(itemsets, min_support):
@@ -65,7 +67,8 @@ def phi_from_cells(n11: int, n10: int, n01: int, n00: int) -> float:
     return num / den
 
 
-def pearson_chi2(n11: int, n10: int, n01: int, n00: int) -> float:
+def pearson_chi2(n11: int, n10: int, n01: int, n00: int, yates: bool = False) -> float:
+    """Pearson's statistic; with ``yates`` each |O - E| shrinks by 0.5, but not below 0."""
     n = n11 + n10 + n01 + n00
     row1, row0 = n11 + n10, n01 + n00
     col1, col0 = n11 + n01, n10 + n00
@@ -76,7 +79,10 @@ def pearson_chi2(n11: int, n10: int, n01: int, n00: int) -> float:
         (n01, row0 * col1 / n),
         (n00, row0 * col0 / n),
     ):
-        total += (observed - expected) ** 2 / expected
+        deviation = abs(observed - expected)
+        if yates:
+            deviation = max(deviation - 0.5, 0.0)
+        total += deviation**2 / expected
     return total
 
 
@@ -144,3 +150,110 @@ def nearest_rank(values, pct: float):
     ordered = sorted(values)
     rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
     return ordered[rank - 1]
+
+
+_MITRE = ("mitre-attack", "mitre-mobile-attack", "mitre-ics-attack")
+
+
+def catalog_document(bundle: dict) -> dict:
+    """The catalog of a decoded STIX bundle, shaped as ``catalog.json``, by brute force.
+
+    Every object is sorted by (type, id), relationships included, every
+    reference URL is normalized where it is read, and each map is built by
+    scanning all objects again, with no index kept between passes.
+    """
+    objects = sorted(
+        (o for o in bundle["objects"] if isinstance(o, dict)),
+        key=lambda o: (o.get("type", ""), o.get("id", "")),
+    )
+
+    def mitre_id(obj):
+        ids = [r["external_id"] for r in obj.get("external_references", [])
+               if r.get("source_name") in _MITRE and r.get("external_id")]
+        return ids[0] if ids else None
+
+    def normalized(url):
+        parts = urlsplit(url.strip())
+        return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path.rstrip("/"), parts.query, ""))
+
+    def valid(obj, kind, pattern):
+        return obj.get("type") == kind and re.fullmatch(pattern, mitre_id(obj) or "") is not None
+
+    tactic_objects = [o for o in objects if valid(o, "x-mitre-tactic", r"TA\d{4}")]
+    technique_objects = [o for o in objects if valid(o, "attack-pattern", r"T\d{4}(\.\d{3})?")]
+    attributor_objects = [o for o in objects if o.get("type") in ("intrusion-set", "malware", "tool")]
+
+    tactics = {}
+    for obj in reversed(tactic_objects):  # the first object with an id names the tactic
+        tactics[mitre_id(obj)] = obj.get("name", "")
+    shortnames = {o["x_mitre_shortname"]: mitre_id(o) for o in tactic_objects if o.get("x_mitre_shortname")}
+
+    def flagged(obj):
+        return bool(obj.get("revoked") or obj.get("x_mitre_deprecated"))
+
+    def own_tactics(obj):
+        return {shortnames[p["phase_name"]] for p in obj.get("kill_chain_phases", [])
+                if p.get("kill_chain_name") in _MITRE and p.get("phase_name") in shortnames}
+
+    def winner(tid):  # the first live object with the id, else the first object
+        copies = [o for o in technique_objects if mitre_id(o) == tid]
+        return next((o for o in copies if not flagged(o)), copies[0])
+
+    techniques = []
+    for tid in sorted({mitre_id(o) for o in technique_objects}):
+        obj = winner(tid)
+        is_sub = bool(obj.get("x_mitre_is_subtechnique")) or "." in tid
+        parent = tid.split(".")[0] if is_sub else None
+        tactic_ids = own_tactics(obj)
+        if is_sub and not tactic_ids and any(mitre_id(o) == parent for o in technique_objects):
+            tactic_ids = own_tactics(winner(parent))
+        techniques.append({
+            "id": tid, "name": obj.get("name", ""), "tactic_ids": sorted(tactic_ids),
+            "is_subtechnique": is_sub, "parent_id": parent, "revoked_or_deprecated": flagged(obj),
+        })
+
+    def last_with_stix_id(candidates, stix_id):
+        matches = [o for o in candidates if o.get("id", "") == stix_id]
+        return matches[-1] if matches else None
+
+    def attributor_of(obj):
+        return mitre_id(obj) or obj.get("name") or obj.get("id", "")
+
+    # (object, technique ids, attributors) for every object whose references count
+    citing = [(o, {mitre_id(o)}, set()) for o in technique_objects]
+    citing += [(o, set(), {attributor_of(o)}) for o in attributor_objects]
+    for obj in objects:
+        if obj.get("type") != "relationship" or obj.get("relationship_type") != "uses":
+            continue
+        target = last_with_stix_id(technique_objects, obj.get("target_ref", ""))
+        if target is None:
+            continue
+        source = last_with_stix_id(attributor_objects, obj.get("source_ref", ""))
+        citing.append((obj, {mitre_id(target)}, {attributor_of(source)} if source else set()))
+
+    refs = [
+        (normalized(ref["url"]), ref, techs, attributors)
+        for obj, techs, attributors in citing
+        for ref in obj.get("external_references", [])
+        if ref.get("url") and ref.get("source_name") not in _MITRE
+    ]
+    keys = sorted({key for key, *_ in refs})
+
+    def entry(key):  # the least (source_name, url, description), a missing description first
+        source_name, url, description = min(
+            (r.get("source_name", ""), r["url"], r.get("description") or "") for k, r, _, _ in refs if k == key
+        )
+        return {"key": key, "source_name": source_name, "url": url, "date_text": description or None}
+
+    if bundle.get("spec_version"):
+        spec_version = bundle["spec_version"]
+    else:
+        spec_version = next((o["spec_version"] for o in objects if o.get("spec_version")), "2.0")
+    return {
+        "spec_version": spec_version,
+        "tactics": [{"id": tid, "name": tactics[tid]} for tid in sorted(tactics)],
+        "techniques": techniques,
+        "citations": [entry(key) for key in keys],
+        "attribution": {key: sorted(set().union(*(a for k, _, _, a in refs if k == key))) for key in keys},
+        "technique_citations": {key: sorted(set().union(*(t for k, _, t, _ in refs if k == key))) for key in keys},
+    }

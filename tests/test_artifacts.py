@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
-from ttpminer.artifacts import read_pairs, write_pairs
+from ttpminer.artifacts import read_pairs, read_prevalent, write_pairs
 from ttpminer.errors import ArtifactError
 from ttpminer.rule_miner import filter_pairs, mine_pairs
 
@@ -33,3 +36,36 @@ def test_read_pairs_missing_columns(tmp_path):
     path.write_text("tech_a,tech_b\nT1,T2\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match="expected columns"):
         read_pairs(path)
+
+
+PREVALENT_ROW = {"id": "T1059", "name": "Command", "tactic": "TA0002", "pct_reports": 12.5, "cell": "high/rising"}
+
+
+@pytest.mark.parametrize(
+    "row, error, needle",
+    [
+        ({"id": "T1059", "bogus": 1}, KeyError, "'name'"),
+        ({k: v for k, v in PREVALENT_ROW.items() if k != "cell"}, KeyError, "'cell'"),
+        ({**PREVALENT_ROW, "bogus": 1}, ValueError, "unknown field 'bogus'"),
+        ({**PREVALENT_ROW, "pct_reports": "12.5"}, ValueError, "pct_reports must be a number, got '12.5'"),
+        ({**PREVALENT_ROW, "pct_reports": 12}, ValueError, "pct_reports must be a number, got 12"),
+        ({**PREVALENT_ROW, "tactic": None}, ValueError, "tactic must be a string, got None"),
+    ],
+)
+def test_read_prevalent_reads_the_whole_json_row(tmp_path, row, error, needle):
+    path = tmp_path / "prevalent_techniques.json"
+    path.write_text(json.dumps([PREVALENT_ROW, row]), encoding="utf-8")
+    with pytest.raises(error, match=re.escape(needle)):
+        read_prevalent(path)
+
+
+def test_read_prevalent_csv(tmp_path):
+    path = tmp_path / "prevalent_techniques.csv"
+    path.write_text("id,name,tactic,pct_reports,cell\nT1059,Command,TA0002,12.5,high/rising\n", encoding="utf-8")
+    assert read_prevalent(path) == ["T1059"]
+    path.write_text("id,name,tactic,pct_reports\nT1059,Command,TA0002,12.5\n", encoding="utf-8")
+    with pytest.raises(ArtifactError, match="expected columns"):
+        read_prevalent(path)
+    path.write_text("id,name,tactic,pct_reports,cell\nT1059,Command,TA0002,many,high/rising\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="pct_reports must be a number, got 'many'"):
+        read_prevalent(path)

@@ -557,6 +557,9 @@ class TestUpstreamArtifactBoundary:
              "malformed (tech_a must be a string, got 1001)"),
             ("mine", "corpus.json", "extra_field", 5, "malformed (unknown field 'extra_field')"),
             ("eval", "prevalent_techniques.json", "id", 5, "malformed (id must be a string, got 5)"),
+            ("eval", "prevalent_techniques.json", "pct_reports", "12.5",
+             "malformed (pct_reports must be a number, got '12.5')"),
+            ("eval", "prevalent_techniques.json", "bogus", 1, "malformed (unknown field 'bogus')"),
         ],
     )
     def test_mistyped_json_field_exits_1_naming_file(
@@ -571,6 +574,26 @@ class TestUpstreamArtifactBoundary:
         caplog.clear()
         extra = ("--parent-match",) if command == "eval" else ()
         assert run_cli(command, *common, *extra) == 1
+        assert f"{path}: {needle}" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "rewrite, needle",
+        [
+            (lambda row: {"id": row["id"], "bogus": 1}, "missing field 'name'"),
+            (lambda row: {k: v for k, v in row.items() if k != "cell"}, "missing field 'cell'"),
+        ],
+        ids=["id-and-unknown-field", "no-cell"],
+    )
+    def test_every_prevalent_row_is_read_whole(self, tmp_path, caplog, rewrite, needle):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path, "--format", "json")
+        assert run_cli("all", *common) == 0
+        path = tmp_path / "prevalent_techniques.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        assert rows
+        path.write_text(json.dumps([rewrite(row) for row in rows]), encoding="utf-8")
+        caplog.clear()
+        assert run_cli("eval", *common) == 1
         assert f"{path}: {needle}" in caplog.text
         assert "Traceback" not in caplog.text
 
@@ -617,6 +640,13 @@ def with_published(name: str, value: str) -> bytes:
     return json.dumps(records).encode()
 
 
+def with_spec_version(value) -> bytes:
+    """The e2e bundle with ``value`` as its ``spec_version``."""
+    bundle = json.loads((E2E / "bundle.json").read_bytes())
+    bundle["spec_version"] = value
+    return json.dumps(bundle).encode()
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
@@ -635,6 +665,8 @@ def with_published(name: str, value: str) -> bytes:
         pytest.param("unseen.json", with_published("unseen.json", "2023-W10-3"), id="unseen-week-date"),
         *(pytest.param(name, DEEP_JSON.encode(), id=f"{name}-deep")
           for name in ("bundle.json", "manifest.json", "unseen.json")),
+        *(pytest.param("bundle.json", with_spec_version(value), id=f"bundle-spec-version-{value}")
+          for value in (2.1, True)),
     ],
 )
 def test_malformed_input_file_exits_1_naming_file(tmp_path, caplog, name, content):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import astuple
@@ -264,6 +265,64 @@ class TestFilterPairs:
             filter_pairs([], phi_min=1.5)
         with pytest.raises(ParameterError):
             filter_pairs([], alpha=0.0)
+
+
+@st.composite
+def candidates_and_thresholds(draw):
+    """Candidate tables, degenerate ones included, with ``phi_min`` 0, 1, any value in
+    between, or exactly the phi of one of the tables, and ``alpha`` a fixed level or
+    exactly the p-value of one of the tables."""
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 25)] * 4), max_size=12))
+    candidates = [candidate(*c, a=f"T{i:02d}", b=f"T{i:02d}.x") for i, c in enumerate(cells)]
+    phis = [oracles.phi_from_cells(*c) for c in cells if all(m > 0 for m in marginals(*c))]
+    choices = [st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)]
+    if any(0.0 <= v <= 1.0 for v in phis):
+        choices.append(st.sampled_from([v for v in phis if 0.0 <= v <= 1.0]))
+    phi_min = draw(st.one_of(choices))
+    p_values = [oracles.chi2_sf_1dof(oracles.pearson_chi2(*c)) for c in cells if all(m > 0 for m in marginals(*c))]
+    alpha = draw(st.sampled_from([0.001, 0.05, 0.5, 0.999] + [p for p in p_values if 0.0 < p < 1.0]))
+    return candidates, cells, phi_min, alpha, draw(st.booleans())
+
+
+def marginals(n11, n10, n01, n00):
+    return (n11 + n10, n01 + n00, n11 + n01, n10 + n00)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(candidates_and_thresholds())
+@example(
+    ([candidate(5, 5, 0, 0), candidate(8, 2, 2, 8, a="C", b="D")], [(5, 5, 0, 0), (8, 2, 2, 8)], 0.6, 0.05, False)
+)
+@example(([candidate(8, 2, 2, 8)], [(8, 2, 2, 8)], 0.6, 0.05, True))
+@example(([candidate(10, 0, 0, 10)], [(10, 0, 0, 10)], 1.0, 0.05, False))
+def test_filter_pairs_matches_the_oracles(case):
+    candidates, cells, phi_min, alpha, yates = case
+    expected, dropped = [], []
+    for c, (n11, n10, n01, n00) in zip(candidates, cells):
+        if 0 in marginals(n11, n10, n01, n00):
+            dropped.append(f"dropping pair ({c.tech_a}, {c.tech_b}): "
+                           f"degenerate marginal in table ({n11},{n10},{n01},{n00})")
+            continue
+        phi_value = oracles.phi_from_cells(n11, n10, n01, n00)
+        chi2 = oracles.pearson_chi2(n11, n10, n01, n00, yates=yates)
+        p_value = oracles.chi2_sf_1dof(chi2)
+        if phi_value >= phi_min and p_value < alpha:
+            expected.append((c.tech_a, c.tech_b, phi_value, chi2, p_value))
+
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("ttpminer.rule_miner")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        kept = filter_pairs(candidates, phi_min=phi_min, alpha=alpha, yates=yates)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert [(p.tech_a, p.tech_b, p.phi, p.chi2, p.p_value) for p in kept] == expected
+    assert messages == dropped
 
 
 class TestPiatetskyProperties:

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttpminer.errors import BundleParseError, BundleSchemaError
 from ttpminer.stix_ingest import (
@@ -13,6 +16,7 @@ from ttpminer.stix_ingest import (
     parse_bundle,
 )
 
+from . import oracles
 from .conftest import bundle_bytes, stix_attributor, stix_tactic, stix_technique, stix_uses
 
 
@@ -217,3 +221,146 @@ def test_citation_technique_pair_count_matches_raw_scan(small_bundle_objects):
         (key, tech) for key, techs in catalog.technique_citations.items() for tech in techs
     }
     assert actual == expected
+
+
+@pytest.mark.parametrize("value", [2.1, True, False, 0, ["2.1"]])
+def test_non_string_bundle_spec_version_is_schema_error(value):
+    raw = json.dumps({"type": "bundle", "spec_version": value, "objects": []}).encode()
+    with pytest.raises(BundleSchemaError, match=rf"spec_version must be a string, got {re.escape(repr(value))}"):
+        parse_bundle(raw)
+
+
+@pytest.mark.parametrize("value", [2.1, True, False, {"major": 2}])
+def test_non_string_sniffed_spec_version_is_schema_error(value):
+    objects = [
+        dict(stix_tactic("TA0002", "Execution", "execution"), spec_version="2.1"),
+        dict(stix_technique("T1000", "First in (type, id) order"), spec_version=value),
+    ]
+    raw = json.dumps({"type": "bundle", "objects": objects}).encode()
+    with pytest.raises(BundleSchemaError, match=r"spec_version must be a string"):
+        parse_bundle(raw)
+
+
+def test_sniffed_spec_version_is_the_first_in_type_id_order():
+    objects = [
+        dict(stix_tactic("TA0002", "Execution", "execution"), spec_version="2.1"),
+        {"type": "relationship", "id": "relationship--z", "relationship_type": "uses", "spec_version": "2.0"},
+        dict(stix_technique("T1000", "Placeholder"), spec_version=""),  # empty: counts as absent
+    ]
+    raw = json.dumps({"type": "bundle", "spec_version": "", "objects": objects}).encode()
+    assert parse_bundle(raw).spec_version == "2.0"  # relationships count, and sort before tactics
+
+
+def test_same_citation_with_and_without_description():
+    url = "https://example.org/described"
+    technique = stix_technique("T1000", "Placeholder", ["execution"], citations=[("V", url)])
+    attacker = stix_attributor("malware", "S0001", "M")
+    uses = stix_uses(attacker["id"], technique["id"])
+    uses["external_references"] = [{"source_name": "V", "url": url, "description": "V, 2020"}]
+    for objects in ([technique, attacker, uses], [uses, attacker, technique]):
+        (entry,) = parse_bundle(bundle_bytes(objects)).citations
+        assert (entry.source_name, entry.url, entry.date_text) == ("V", url, None)
+
+
+# --- the one-pass parser against the brute-force oracle -------------------
+
+URL_BASES = ("https://example.com/reports/alpha", "http://vendor.example.net/beta", "https://x.org/c?id=7")
+TACTIC_POOL = (("TA0002", "execution"), ("TA0011", "command-and-control"), ("TA0003", "persistence"),
+               ("TA12", "bad-id"))
+TECHNIQUE_POOL = ("T1001", "T1001.001", "T1001.002", "T1002", "T1003.001", "T1004", "X1004")
+ATTRIBUTOR_POOL = ("G0001", "G0002", "S0003", None)
+
+
+@st.composite
+def url_variants(draw):
+    """A base URL, possibly with its scheme or host upper-cased, a trailing / or a fragment."""
+    scheme, rest = draw(st.sampled_from(URL_BASES)).split("://")
+    host, path = rest.split("/", 1)
+    scheme = scheme.upper() if draw(st.booleans()) else scheme
+    host = host.upper() if draw(st.booleans()) else host
+    return f"{scheme}://{host}/{path}" + draw(st.sampled_from(["", "/", "#section-2", "/#top"]))
+
+
+@st.composite
+def references(draw):
+    refs = []
+    for _ in range(draw(st.integers(0, 3))):
+        ref = {"source_name": draw(st.sampled_from(["Vendor A", "Vendor B", "mitre-attack"]))}
+        url = draw(st.one_of(url_variants(), st.sampled_from(["", None])))
+        if url is not None:
+            ref["url"] = url
+        description = draw(st.sampled_from([None, "", "Vendor A, 2020", "Vendor B, 2021"]))
+        if description is not None:
+            ref["description"] = description
+        refs.append(ref)
+    return refs
+
+
+def with_external_id(source_name, external_id, refs):
+    return [{"source_name": source_name, "external_id": external_id}, *refs] if external_id else refs
+
+
+@st.composite
+def stix_bundles(draw):
+    """(bundle, the same bundle with its objects shuffled). Object ids are unique, ATT&CK ids are not."""
+    objects = []
+    for i in range(draw(st.integers(0, 4))):
+        tid, shortname = draw(st.sampled_from(TACTIC_POOL))
+        objects.append({"type": "x-mitre-tactic", "id": f"x-mitre-tactic--{i}", "name": f"tactic {i}",
+                        "x_mitre_shortname": draw(st.sampled_from([shortname, "unknown-phase"])),
+                        "external_references": with_external_id("mitre-attack", tid, [])})
+    shortnames = [shortname for _, shortname in TACTIC_POOL] + ["unknown-phase"]
+    for i in range(draw(st.integers(0, 6))):
+        obj = {
+            "type": "attack-pattern", "id": f"attack-pattern--{i}", "name": f"technique {i}",
+            "kill_chain_phases": [
+                {"kill_chain_name": draw(st.sampled_from(["mitre-attack", "other-chain"])), "phase_name": p}
+                for p in draw(st.lists(st.sampled_from(shortnames), max_size=2))
+            ],
+            "external_references": with_external_id(
+                draw(st.sampled_from(["mitre-attack", "mitre-mobile-attack"])),
+                draw(st.sampled_from(TECHNIQUE_POOL)), draw(references())),
+        }
+        for flag in ("revoked", "x_mitre_deprecated", "x_mitre_is_subtechnique"):
+            if draw(st.booleans()):
+                obj[flag] = draw(st.booleans())
+        if i == 0 and draw(st.booleans()):
+            del obj["id"]  # read as "", which a relationship without a target_ref names
+        objects.append(obj)
+    for i in range(draw(st.integers(0, 4))):
+        otype = draw(st.sampled_from(["intrusion-set", "malware", "tool"]))
+        obj = {"type": otype, "id": f"{otype}--{i}",
+               "external_references": with_external_id("mitre-attack", draw(st.sampled_from(ATTRIBUTOR_POOL)),
+                                                       draw(references()))}
+        if draw(st.booleans()):
+            obj["name"] = f"attributor {i}"
+        objects.append(obj)
+    sources = [o["id"] for o in objects if o["type"] != "attack-pattern"] + ["intrusion-set--unknown", None]
+    targets = [o["id"] for o in objects if o["type"] == "attack-pattern" and "id" in o]
+    for i in range(draw(st.integers(0, 8))):
+        relationship = {
+            "type": "relationship", "id": f"relationship--{i}",
+            "relationship_type": draw(st.sampled_from(["uses", "uses", "mitigates", "subtechnique-of"])),
+            "source_ref": draw(st.sampled_from(sources)),
+            "target_ref": draw(st.sampled_from(targets + ["attack-pattern--unknown", None])),
+            "external_references": draw(references()),
+        }
+        objects.append({key: value for key, value in relationship.items() if value is not None})
+    objects.append({"type": "course-of-action", "id": "course-of-action--0", "name": "ignored"})
+    for obj in objects:
+        if draw(st.integers(0, 3)) == 0:
+            obj["spec_version"] = draw(st.sampled_from(["2.0", "2.1", ""]))
+    bundle = {"type": "bundle", "objects": objects + draw(st.lists(st.sampled_from([5, "x", None]), max_size=1))}
+    spec_version = draw(st.sampled_from([None, "", "2.1"]))
+    if spec_version is not None:
+        bundle["spec_version"] = spec_version
+    return bundle, dict(bundle, objects=draw(st.permutations(bundle["objects"])))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(stix_bundles())
+def test_parse_bundle_equals_the_brute_force_catalog(bundles):
+    bundle, shuffled = bundles
+    text = catalog_to_json(parse_bundle(json.dumps(bundle)))
+    assert json.loads(text) == oracles.catalog_document(bundle)
+    assert catalog_to_json(parse_bundle(json.dumps(shuffled))) == text
