@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Callable
 
 from .errors import ManifestError, ParameterError
 from .io_utils import csv_rows, read_text, reader
@@ -45,20 +46,10 @@ EXCLUSION_REASONS = frozenset(
 PAIR_KEY_SEP = "||"
 
 
-# Field -> its type, for the report and the unseen-report manifests alike.
-# A field a record leaves out is not checked here.
-MANIFEST_FIELDS = {
-    "citation_key": str, "id": str, "url": str, "include": bool,
-    "technique_ids": frozenset[str], "attribution": frozenset[str], "exclusion_reason": str | None,
-    "published": date | None,
-}
-
-
-def read_manifest_records(path: Path) -> list[dict]:
-    """The records of a manifest file, a JSON array of objects, with each known
-    field read by its type (``MANIFEST_FIELDS``: string arrays become frozensets
-    and ISO strings dates).
-    A ManifestError names the file, the record index and the field.
+def read_manifest_records(path: Path, record_type: type, stand_in: Callable[[dict], object]) -> list:
+    """The records of a manifest file, a JSON array of objects, each decoded into
+    ``record_type`` after ``stand_in`` has filled in the absent fields that no
+    default can name. A ManifestError names the file, the record index and the field.
     """
     try:
         doc = json.loads(read_text(path, ManifestError))
@@ -66,27 +57,27 @@ def read_manifest_records(path: Path) -> list[dict]:
         raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ManifestError(f"{path}: manifest must be a JSON array of records")
-    fields = [(name, f"field {name!r}", reader(hint)) for name, hint in MANIFEST_FIELDS.items()]
+    read, records = reader(record_type), []
     for i, raw in enumerate(doc):
         if not isinstance(raw, dict):
             raise ManifestError(f"{path} record {i}: must be a JSON object, got {raw!r}")
+        stand_in(raw)
         try:
-            for name, label, read in fields:
-                if name in raw:
-                    raw[name] = read(raw[name], label)
-        except ValueError as exc:
-            raise ManifestError(f"{path} record {i}: {exc}") from None
-    return doc
+            records.append(read(raw, record_type.__name__))
+        except (KeyError, ValueError) as exc:
+            problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ManifestError(f"{path} record {i}: {problem}") from None
+    return records
 
 
 @dataclass(frozen=True)
 class ReportRecord:
     citation_key: str
-    url: str
-    published: date | None
-    technique_ids: frozenset[str]
-    attribution: frozenset[str]
+    url: str  # an absent url reads as the citation_key
     include: bool
+    published: date | None = None
+    technique_ids: frozenset[str] = frozenset()
+    attribution: frozenset[str] = frozenset()
     exclusion_reason: str | None = None
 
 
@@ -137,56 +128,30 @@ def load_manifest(path: Path | str, catalog: AttackCatalog | None = None) -> lis
     """
     path = Path(path)
     known = catalog.technique_ids() if catalog is not None else None
-    records: list[ReportRecord] = []
+    records = read_manifest_records(path, ReportRecord, lambda raw: raw.setdefault("url", raw.get("citation_key")))
     seen_keys: set[str] = set()
-    for i, raw in enumerate(read_manifest_records(path)):
-        label = f"{path} record {i} ({raw.get('citation_key', '?')})"
-        record = _parse_record(raw, label, known)
+    for i, record in enumerate(records):
+        label = f"{path} record {i} ({record.citation_key})"
+        include, reason, technique_ids = record.include, record.exclusion_reason, record.technique_ids
+        if reason is not None and reason not in EXCLUSION_REASONS:
+            raise ManifestError(f"{label}: unknown exclusion_reason {reason!r}")
+        if include and reason is not None:
+            raise ManifestError(f"{label}: included record must not carry an exclusion_reason")
+        if not include and reason is None:
+            raise ManifestError(f"{label}: excluded record must carry an exclusion_reason")
+        if include and len(technique_ids) < 2:
+            raise ManifestError(
+                f"{label}: included record maps {len(technique_ids)} technique(s); "
+                "at least two are required (fewer-than-two-techniques)"
+            )
+        if include and record.published is None:
+            raise ManifestError(f"{label}: included record must carry a publication date")
+        if known is not None and not technique_ids <= known:
+            raise ManifestError(f"{label}: unknown technique id(s) {sorted(technique_ids - known)}")
         if record.citation_key in seen_keys:
             raise ManifestError(f"{label}: duplicate citation_key")
         seen_keys.add(record.citation_key)
-        records.append(record)
     return records
-
-
-def _parse_record(raw: dict, label: str, known: frozenset[str] | None) -> ReportRecord:
-    try:
-        citation_key = raw["citation_key"]
-        url = raw.get("url", citation_key)
-        include = raw["include"]
-        technique_ids = frozenset(raw.get("technique_ids", ()))
-    except KeyError as exc:
-        raise ManifestError(f"{label}: missing field {exc}") from exc
-
-    published = raw.get("published")
-    reason = raw.get("exclusion_reason")
-    if reason is not None and reason not in EXCLUSION_REASONS:
-        raise ManifestError(f"{label}: unknown exclusion_reason {reason!r}")
-    if include and reason is not None:
-        raise ManifestError(f"{label}: included record must not carry an exclusion_reason")
-    if not include and reason is None:
-        raise ManifestError(f"{label}: excluded record must carry an exclusion_reason")
-    if include and len(technique_ids) < 2:
-        raise ManifestError(
-            f"{label}: included record maps {len(technique_ids)} technique(s); "
-            "at least two are required (fewer-than-two-techniques)"
-        )
-    if include and published is None:
-        raise ManifestError(f"{label}: included record must carry a publication date")
-    if known is not None:
-        unknown = technique_ids - known
-        if unknown:
-            raise ManifestError(f"{label}: unknown technique id(s) {sorted(unknown)}")
-
-    return ReportRecord(
-        citation_key=citation_key,
-        url=url,
-        published=published,
-        technique_ids=technique_ids,
-        attribution=frozenset(raw.get("attribution", ())),
-        include=include,
-        exclusion_reason=reason,
-    )
 
 
 def included_records(records: list[ReportRecord]) -> list[ReportRecord]:

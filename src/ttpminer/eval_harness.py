@@ -38,26 +38,25 @@ def cutoff_date(corpus: Sequence[TechniqueSet]) -> date:
 def load_unseen_manifest(path: Path | str, cutoff: date | None = None) -> list[UnseenReport]:
     """Load unseen reports (JSON array); each must postdate the cutoff if given."""
     path = Path(path)
-    reports = []
+    reports = read_manifest_records(path, UnseenReport, _id_from_citation_key)
     seen: set[str] = set()
-    for i, raw in enumerate(read_manifest_records(path)):
-        report_id = raw.get("id") or raw.get("citation_key")
-        label = f"{path} record {i} ({report_id or '?'})"
-        if not report_id:
-            raise ManifestError(f"{label}: missing id")
-        if report_id in seen:
+    for i, report in enumerate(reports):
+        label = f"{path} record {i} ({report.id})"
+        if not report.id:
+            raise ManifestError(f"{path} record {i}: id must be non-empty")
+        if report.id in seen:
             raise ManifestError(f"{label}: duplicate id")
-        seen.add(report_id)
-        published = raw.get("published")
-        if published is None:
-            raise ManifestError(f"{label}: missing published date")
-        technique_ids = frozenset(raw.get("technique_ids", ()))
-        if not technique_ids:
+        seen.add(report.id)
+        if not report.technique_ids:
             raise ManifestError(f"{label}: technique_ids must be non-empty")
-        if cutoff is not None and published <= cutoff:
-            raise ManifestError(f"{label}: published {published} is not after the cutoff {cutoff}")
-        reports.append(UnseenReport(id=report_id, published=published, technique_ids=technique_ids))
+        if cutoff is not None and report.published <= cutoff:
+            raise ManifestError(f"{label}: published {report.published} is not after the cutoff {cutoff}")
     return reports
+
+
+def _id_from_citation_key(raw: dict) -> None:
+    if "id" not in raw and "citation_key" in raw:
+        raw["id"] = raw.pop("citation_key")
 
 
 def _matches(prevalent_id: str, mentioned: frozenset[str], parent_match: bool) -> bool:

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from datetime import date
 from functools import cache
 from pathlib import Path
@@ -54,7 +54,8 @@ def _iso_date(value: Any, name: str) -> date:
 def reader(hint: Any) -> Callable[[Any, str], Any]:
     """``read(value, name)``: the Python value of a decoded JSON field annotated
     ``hint``, else ValueError naming the field. A dataclass is an object with
-    exactly its fields (a missing one raises KeyError), ``frozenset[str]`` an
+    its fields and no others; a field with a default may be absent and reads
+    as it, and a missing one without raises KeyError. ``frozenset[str]`` is an
     array of strings, ``date`` an ISO string, ``list[X]`` and ``dict[str, X]``
     an array and an object of X, ``X | None`` null or X, and a scalar has its
     exact JSON type.
@@ -65,17 +66,21 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
         return _iso_date
     if is_dataclass(hint):
         readers = {name: reader(h) for name, h in get_type_hints(hint).items()}
-        names, fields = readers.keys(), tuple(readers.items())  # in the dataclass's field order
+        names, ordered = readers.keys(), tuple(readers.items())  # in the dataclass's field order
+        required = [field.name for field in fields(hint) if field.default is MISSING]
 
         def record(row: Any, name: str) -> Any:
-            if type(row) is not dict or row.keys() != names:
-                if type(row) is not dict:
-                    raise ValueError(f"a {hint.__name__} record must be an object, got {row!r}")
-                missing = [field for field in names if field not in row]
-                if missing:
-                    raise KeyError(missing[0])
-                raise ValueError(f"unknown field {next(key for key in row if key not in names)!r}")
-            return hint(*[read(row[field], field) for field, read in fields])
+            if type(row) is dict and row.keys() == names:
+                return hint(*[read(row[field], field) for field, read in ordered])
+            if type(row) is not dict:
+                raise ValueError(f"a {hint.__name__} record must be an object, got {row!r}")
+            missing = [field for field in required if field not in row]
+            if missing:
+                raise KeyError(missing[0])
+            unknown = [key for key in row if key not in names]
+            if unknown:
+                raise ValueError(f"unknown field {unknown[0]!r}")
+            return hint(**{field: readers[field](value, field) for field, value in row.items()})
 
         return record
     if get_origin(hint) in (list, dict):

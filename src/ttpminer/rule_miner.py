@@ -98,7 +98,7 @@ class RecurringPair:
     lift: float
     strength: str
     direction: str  # "ab" or "ba": the orientation with the higher confidence
-    relation_labels: frozenset[str] = frozenset()
+    relation_labels: frozenset[str]
 
     @property
     def key(self) -> tuple[str, str]:
@@ -174,9 +174,9 @@ def chi_square(table: ContingencyTable, yates: bool = False) -> tuple[float, flo
         a_absent * b_absent / n,
     )
     correction = 0.5 if yates else 0.0
-    statistic = sum(
-        max(abs(o - e) - correction, 0.0) ** 2 / e for o, e in zip(observed, expected)
-    )
+    statistic = 0.0
+    for o, e in zip(observed, expected):  # left to right: sum() of floats is compensated from 3.12 on
+        statistic += max(abs(o - e) - correction, 0.0) ** 2 / e
     # The chi-square upper tail with one degree of freedom is erfc(sqrt(x / 2)).
     return statistic, math.erfc(math.sqrt(statistic / 2.0))
 
@@ -231,6 +231,7 @@ def filter_pairs(
                 lift=candidate.cooccurrences * candidate.n / (candidate.count_a * candidate.count_b),
                 strength=strength_bucket(phi_value),
                 direction="ba" if conf_ba > conf_ab else "ab",
+                relation_labels=frozenset(),
             )
         )
     return kept

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
+from types import NoneType
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BundleParseError, BundleSchemaError
-from .io_utils import canonical_json, decode
+from .io_utils import canonical_json, decode, reader
 
 TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(\.\d{3})?$")
 TACTIC_ID_RE = re.compile(r"^TA\d{4}$")
@@ -81,11 +82,11 @@ class AttackCatalog:
     """
 
     spec_version: str
-    tactics: list[TacticRecord] = field(default_factory=list)
-    techniques: list[TechniqueRecord] = field(default_factory=list)
-    citations: list[CitationEntry] = field(default_factory=list)
-    attribution: dict[str, frozenset[str]] = field(default_factory=dict)
-    technique_citations: dict[str, frozenset[str]] = field(default_factory=dict)
+    tactics: list[TacticRecord]
+    techniques: list[TechniqueRecord]
+    citations: list[CitationEntry]
+    attribution: dict[str, frozenset[str]]
+    technique_citations: dict[str, frozenset[str]]
 
     def technique_ids(self) -> frozenset[str]:
         return frozenset(t.id for t in self.techniques)
@@ -113,8 +114,9 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     objects are flagged rather than dropped. Unknown object types are
     skipped. Raises :class:`BundleParseError` unless it is UTF-8 JSON nested
     no deeper than the decoder allows, and :class:`BundleSchemaError` when
-    the ``objects`` array is missing or the ``spec_version`` (the bundle's,
-    else the first object's in (type, id) order) is not a string.
+    the ``objects`` array is missing, the ``spec_version`` (the bundle's,
+    else the first object's in (type, id) order) is not a string, or a cited
+    reference is mistyped.
     """
     try:
         if isinstance(raw, bytes):
@@ -198,14 +200,18 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     technique_citations: dict[str, set[str]] = {}
     attribution: dict[str, set[str]] = {}
     for obj, technique, attributor in chain(citing, uses):
-        for ref in obj.get("external_references", ()):
-            url, source_name = ref.get("url"), ref.get("source_name", "")
+        for index, ref in enumerate(obj.get("external_references", ())):
+            url, source_name, description = ref.get("url"), ref.get("source_name", ""), ref.get("description")
+            if url is None:
+                continue
+            if type(url) is not str or type(source_name) is not str or type(description) not in (str, NoneType):
+                _reject_mistyped_reference(obj, index, ref)
             if not url or source_name in _CATALOG_SOURCES:
                 continue
             key = keys.get(url)
             if key is None:
                 key = keys[url] = normalize_citation_url(url)
-            candidate = (source_name, url, ref.get("description") or "")
+            candidate = (source_name, url, description or "")
             prior = citation_entries.get(key)
             if prior is None:
                 citation_entries[key] = candidate
@@ -231,6 +237,15 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
         attribution={k: frozenset(v) for k, v in sorted(attribution.items())},
         technique_citations={k: frozenset(v) for k, v in sorted(technique_citations.items())},
     )
+
+
+def _reject_mistyped_reference(obj: dict, index: int, ref: dict) -> None:
+    try:
+        reader(str)(ref["url"], "url")
+        reader(str)(ref.get("source_name", ""), "source_name")
+        reader(str | None)(ref.get("description"), "description")
+    except ValueError as exc:
+        raise BundleSchemaError(f"{obj.get('id')} external_references[{index}]: {exc}") from None
 
 
 def _object_order(obj: dict) -> tuple:

@@ -374,13 +374,21 @@ class TestInMemoryHandoff:
 
 
 class TestManifestBoundary:
+    BASES = {
+        "--manifest": {"citation_key": "r1", "url": "https://x.example/r1", "published": "2030-01-01",
+                       "technique_ids": ["T1001", "T1005"], "attribution": [], "include": True,
+                       "exclusion_reason": None},
+        "--unseen": {"id": "u1", "published": "2030-01-01", "technique_ids": ["T1001", "T1005"]},
+    }
+
     @pytest.mark.parametrize(
         "command, flag, records, needle",
         [
-            ("corpus", "--manifest", [{"include": "false"}], "record 0: field 'include'"),
-            ("corpus", "--manifest", [{"technique_ids": "T1005"}], "record 0: field 'technique_ids'"),
+            ("corpus", "--manifest", [{"include": "false"}], "record 0: include must be a boolean, got 'false'"),
+            ("corpus", "--manifest", [{"technique_ids": "T1005"}],
+             "record 0: technique_ids must be an array of strings"),
             ("corpus", "--manifest", ["r1"], "record 0: must be a JSON object"),
-            ("eval", "--unseen", [{"technique_ids": "T1005"}], "record 0: field 'technique_ids'"),
+            ("eval", "--unseen", [{"technique_ids": "T1005"}], "record 0: technique_ids must be an array of strings"),
         ],
     )
     def test_bad_record_exits_1_naming_file_record_and_field(
@@ -388,9 +396,7 @@ class TestManifestBoundary:
     ):
         out = tmp_path / "out"
         assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
-        base = {"citation_key": "r1", "id": "u1", "url": "https://x.example/r1",
-                "published": "2030-01-01", "technique_ids": ["T1001", "T1005"],
-                "attribution": [], "include": True, "exclusion_reason": None}
+        base = self.BASES[flag]
         bad = tmp_path / "bad.json"
         bad.write_text(
             json.dumps([r if isinstance(r, str) else {**base, **r} for r in records]),
@@ -399,6 +405,24 @@ class TestManifestBoundary:
         caplog.clear()
         assert run_cli(command, flag, bad, "--output-dir", out) == 1
         assert f"{bad} {needle}" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "flag, fixture, old, new",
+        [("--manifest", "manifest.json", "attribution", "atribution"), ("--unseen", "unseen.json", "id", "source")],
+    )
+    def test_unknown_field_exits_1_naming_file_record_and_field(self, tmp_path, caplog, flag, fixture, old, new):
+        """A misspelt field no longer reads as absent: ``all`` stops before writing a corpus."""
+        records = json.loads((E2E / fixture).read_text(encoding="utf-8"))
+        records[0] = {**records[0], new: records[0][old]}
+        if flag == "--manifest":
+            del records[0][old]
+        bad = tmp_path / fixture
+        bad.write_text(json.dumps(records), encoding="utf-8")
+        out = tmp_path / "out"
+        caplog.clear()
+        assert run_cli("all", "--config", E2E / "config.cfg", flag, bad, "--output-dir", out) == 1
+        assert f"{bad} record 0: unknown field '{new}'" in caplog.text
         assert "Traceback" not in caplog.text
 
 
@@ -575,6 +599,23 @@ class TestUpstreamArtifactBoundary:
         extra = ("--parent-match",) if command == "eval" else ()
         assert run_cli(command, *common, *extra) == 1
         assert f"{path}: {needle}" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "command, artifact, field",
+        [("graph", "recurring_pairs.json", "relation_labels"), ("corpus", "catalog.json", "tactics")],
+    )
+    def test_absent_artifact_field_is_missing(self, tmp_path, caplog, command, artifact, field):
+        """Only input records have optional fields; every artifact field is required."""
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path, "--format", "json")
+        assert run_cli("all", *common) == 0
+        path = tmp_path / artifact
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del (doc[0] if isinstance(doc, list) else doc)[field]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        caplog.clear()
+        assert run_cli(command, *common) == 1
+        assert f"{path}: missing field '{field}'" in caplog.text
         assert "Traceback" not in caplog.text
 
     @pytest.mark.parametrize(

@@ -101,13 +101,13 @@ class TestLoadManifest:
 
     def test_bad_date_rejected(self, tmp_path):
         path = write_manifest(tmp_path, [manifest_entry("r1", "01/02/2020", ["T1", "T2"])])
-        with pytest.raises(ManifestError, match="'published' must be an ISO date string"):
+        with pytest.raises(ManifestError, match="record 0: published must be an ISO date string"):
             load_manifest(path)
 
     @pytest.mark.parametrize("published", ["20200304", "2020-W10-3"])
     def test_iso_forms_other_than_yyyy_mm_dd_rejected(self, tmp_path, published):
         path = write_manifest(tmp_path, [manifest_entry("r1", published, ["T1", "T2"])])
-        needle = f"record 0: field 'published' must be an ISO date string, got '{published}'"
+        needle = f"record 0: published must be an ISO date string, got '{published}'"
         with pytest.raises(ManifestError, match=needle):
             load_manifest(path)
 
@@ -149,12 +149,12 @@ class TestLoadManifest:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("include", "false", r"record 0: field 'include' must be a boolean"),
-            ("include", 0, r"record 0: field 'include' must be a boolean"),
-            ("technique_ids", "T1005", r"record 0: field 'technique_ids' must be an array of strings"),
-            ("attribution", ["G1", 7], r"record 0: field 'attribution' must be an array of strings"),
-            ("url", None, r"record 0: field 'url' must be a string"),
-            ("exclusion_reason", 3, r"record 0: field 'exclusion_reason' must be a string or null"),
+            ("include", "false", r"record 0: include must be a boolean, got 'false'"),
+            ("include", 0, r"record 0: include must be a boolean, got 0"),
+            ("technique_ids", "T1005", r"record 0: technique_ids must be an array of strings"),
+            ("attribution", ["G1", 7], r"record 0: attribution must be an array of strings"),
+            ("url", None, r"record 0: url must be a string, got None"),
+            ("exclusion_reason", 3, r"record 0: exclusion_reason must be a string or null, got 3"),
         ],
     )
     def test_field_of_wrong_json_type_rejected(self, tmp_path, field, value, match):
@@ -169,6 +169,34 @@ class TestLoadManifest:
         path = write_manifest(tmp_path, [manifest_entry("r1", "2020-01-01", ["T1", "T2"]), "r2"])
         with pytest.raises(ManifestError, match=r"record 1: must be a JSON object"):
             load_manifest(path)
+
+    def test_absent_optional_fields_take_their_defaults(self, tmp_path):
+        path = write_manifest(
+            tmp_path, [{"citation_key": "r1", "include": False, "exclusion_reason": "no-date"}]
+        )
+        assert load_manifest(path) == [
+            ReportRecord(citation_key="r1", url="r1", include=False, published=None,
+                         technique_ids=frozenset(), attribution=frozenset(), exclusion_reason="no-date")
+        ]
+
+    @pytest.mark.parametrize(
+        "rewrite, match",
+        [
+            (lambda entry: {k: v for k, v in entry.items() if k != "include"}, "record 1: missing field 'include'"),
+            (lambda entry: {k: v for k, v in entry.items() if k != "citation_key"},
+             "record 1: missing field 'citation_key'"),
+            (lambda entry: {("atribution" if k == "attribution" else k): v for k, v in entry.items()},
+             "record 1: unknown field 'atribution'"),
+            (lambda entry: {**entry, "id": "u1"}, "record 1: unknown field 'id'"),
+        ],
+        ids=["no-include", "no-citation-key", "typo", "unseen-field"],
+    )
+    def test_missing_or_unknown_field_rejected(self, tmp_path, rewrite, match):
+        entries = [manifest_entry("r1", "2020-01-01", ["T1", "T2"]), manifest_entry("r2", "2020-01-01", ["T1", "T2"])]
+        path = write_manifest(tmp_path, [entries[0], rewrite(entries[1])])
+        with pytest.raises(ManifestError, match=match) as caught:
+            load_manifest(path)
+        assert str(path) in str(caught.value)
 
 
 JSON_VALUES = st.recursive(
@@ -188,14 +216,23 @@ MANIFEST_KEYS = (
 
 
 @settings(deadline=None)
-@given(overrides=st.dictionaries(st.sampled_from(MANIFEST_KEYS), JSON_VALUES))
-def test_arbitrary_field_values_load_or_raise_manifest_error(tmp_path_factory, overrides):
+@given(
+    overrides=st.dictionaries(st.sampled_from(MANIFEST_KEYS), JSON_VALUES),
+    absent=st.sets(st.sampled_from(MANIFEST_KEYS)),
+)
+def test_arbitrary_field_values_load_or_raise_manifest_error(tmp_path_factory, overrides, absent):
+    """Each loader starts from a record of its own fields, so the values drawn
+    reach its decoder and checks, not only its unknown-field check."""
     from ttpminer.eval_harness import load_unseen_manifest
 
-    entry = {**manifest_entry("r1", "2020-01-01", ["T1", "T2"]), "id": "u1", **overrides}
+    bases = {
+        load_manifest: manifest_entry("r1", "2020-01-01", ["T1", "T2"]),
+        load_unseen_manifest: {"id": "u1", "published": "2020-01-01", "technique_ids": ["T1"]},
+    }
     path = tmp_path_factory.getbasetemp() / "arbitrary_manifest.json"
-    path.write_text(json.dumps([entry]), encoding="utf-8")
-    for load in (load_manifest, load_unseen_manifest):
+    for load, base in bases.items():
+        entry = {k: v for k, v in {**base, **overrides}.items() if k not in absent}
+        path.write_text(json.dumps([entry]), encoding="utf-8")
         try:
             load(path)
         except ManifestError:

@@ -89,16 +89,16 @@ class TestLoadUnseen:
 
     def test_string_technique_ids_rejected(self, tmp_path):
         path = self.write(tmp_path, [{"id": "u1", "published": "2023-01-01", "technique_ids": "T1005"}])
-        with pytest.raises(ManifestError, match=r"record 0: field 'technique_ids' must be an array"):
+        with pytest.raises(ManifestError, match=r"record 0: technique_ids must be an array"):
             load_unseen_manifest(path)
 
     @pytest.mark.parametrize(
         "published, needle",
         [
-            (None, "missing published date"),
-            ("absent", "missing published date"),
-            ("20230304", "field 'published' must be an ISO date string, got '20230304'"),
-            ("2023-W10-3", "field 'published' must be an ISO date string, got '2023-W10-3'"),
+            (None, "published must be an ISO date string, got None"),
+            ("absent", "missing field 'published'"),
+            ("20230304", "published must be an ISO date string, got '20230304'"),
+            ("2023-W10-3", "published must be an ISO date string, got '2023-W10-3'"),
         ],
     )
     def test_missing_or_non_iso_date_rejected(self, tmp_path, published, needle):
@@ -120,6 +120,24 @@ class TestLoadUnseen:
             [{"citation_key": "u1", "published": "2023-01-01", "technique_ids": ["T1"]}],
         )
         assert load_unseen_manifest(path)[0].id == "u1"
+
+    @pytest.mark.parametrize(
+        "entry, needle",
+        [
+            ({"id": "", "published": "2023-01-01", "technique_ids": ["T1"]}, "record 0: id must be non-empty"),
+            ({"published": "2023-01-01", "technique_ids": ["T1"]}, "record 0: missing field 'id'"),
+            ({"id": "u1", "published": "2023-01-01", "technique_ids": ["T1"], "source": "x"},
+             "record 0: unknown field 'source'"),
+            ({"id": "u1", "citation_key": "u1", "published": "2023-01-01", "technique_ids": ["T1"]},
+             "record 0: unknown field 'citation_key'"),
+        ],
+        ids=["empty-id", "no-id", "unknown-field", "id-and-citation-key"],
+    )
+    def test_bad_id_or_unknown_field_rejected(self, tmp_path, entry, needle):
+        path = self.write(tmp_path, [entry])
+        with pytest.raises(ManifestError, match=needle) as caught:
+            load_unseen_manifest(path)
+        assert str(path) in str(caught.value)
 
 
 class TestEvA:

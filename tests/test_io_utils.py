@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+from dataclasses import dataclass
 from datetime import date
 
 import pytest
@@ -119,6 +120,22 @@ class TestDecode:
     def test_unknown_field_is_named(self):
         with pytest.raises(ValueError, match="unknown field 'extra'"):
             decode({**self.ROW, "extra": 5}, CitationEntry)
+
+    def test_a_field_with_a_default_may_be_absent(self):
+        @dataclass(frozen=True)
+        class Row:
+            key: str
+            tags: frozenset[str] = frozenset()
+            note: str | None = None
+
+        assert decode({"key": "k"}, Row) == Row("k", frozenset(), None)
+        assert decode({"note": "n", "key": "k"}, Row) == Row("k", frozenset(), "n")
+        with pytest.raises(KeyError, match="key"):
+            decode({"tags": []}, Row)
+        with pytest.raises(ValueError, match="unknown field 'extra'"):
+            decode({"key": "k", "extra": 1}, Row)
+        with pytest.raises(ValueError, match="tags must be an array of strings"):
+            decode({"key": "k", "tags": "T1"}, Row)
 
     def test_string_set_and_date(self):
         row = {"attack_id": "a", "member_citations": ["a", "b"], "techniques": ["T1"],

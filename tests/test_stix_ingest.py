@@ -262,6 +262,28 @@ def test_same_citation_with_and_without_description():
         assert (entry.source_name, entry.url, entry.date_text) == ("V", url, None)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("source_name", None, "source_name must be a string, got None"),
+        ("url", 5, "url must be a string, got 5"),
+        ("description", 5, "description must be a string or null, got 5"),
+    ],
+)
+def test_mistyped_cited_reference_is_schema_error(field, value, message):
+    url = "https://example.org/report"
+    attacker = stix_attributor("intrusion-set", "G0001", "G", citations=[("V", url), ("W", url)])
+    attacker["external_references"][2][field] = value
+    with pytest.raises(BundleSchemaError, match=re.escape(f"{attacker['id']} external_references[2]: {message}")):
+        parse_bundle(bundle_bytes([attacker]))
+
+
+def test_reference_without_a_url_is_not_typed():
+    attacker = stix_attributor("malware", "S0001", "M")
+    attacker["external_references"].append({"source_name": None, "url": None, "description": 5})
+    assert parse_bundle(bundle_bytes([attacker])).citations == []
+
+
 # --- the one-pass parser against the brute-force oracle -------------------
 
 URL_BASES = ("https://example.com/reports/alpha", "http://vendor.example.net/beta", "https://x.org/c?id=7")
