@@ -8,3 +8,13 @@ reports.
 """
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``ttpminer.<submodule>`` imports that submodule on first access (PEP 562). A private
+    name never does: importing ``__main__`` would run the command line."""
+    import importlib.util
+
+    if not name.isidentifier() or name.startswith("_") or importlib.util.find_spec(f"{__name__}.{name}") is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.{name}")

@@ -14,19 +14,17 @@ Exit codes: 0 success, 1 validation/configuration error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import difflib
 import gc
 import logging
 import sys
 from dataclasses import dataclass, field, fields, replace
+from importlib import import_module
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from . import __version__
-from . import artifacts, corpus_builder, eval_harness, graph_analysis, prevalence, rule_miner
+from . import __version__, graph_analysis  # argparse reads graph_analysis.RELATION_TYPES
 from .errors import ArtifactError, ConfigError, ParameterError, TTPMinerError
 from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, read_text, sha256_file, write_csv
-from .stix_ingest import catalog_from_json, catalog_to_json, parse_bundle
 
 logger = logging.getLogger(__name__)
 
@@ -102,6 +100,7 @@ def validate_config(path: Path | str) -> PipelineConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in value_types:
+            import difflib
             hint = difflib.get_close_matches(key, value_types, n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}{suggestion}")
@@ -152,13 +151,18 @@ def _artifact(config: PipelineConfig, stem: str, suffix: str | None = None) -> P
 
 # What a stage hands to later ones: artifact stem, suffix (None for the
 # tabular format) and loader. _hand_off writes and _upstream reads the file
-# named here. The loaders look their reader up when called.
+# named here. The loaders import their reader's module when called.
 _UPSTREAM = {
-    "catalog": ("catalog", ".json", lambda p: catalog_from_json(p.read_text("utf-8"))),
-    "corpus": ("corpus", ".json", lambda p: corpus_builder.corpus_from_json(p.read_text("utf-8"))),
-    "prevalent": ("prevalent_techniques", None, lambda p: artifacts.read_prevalent(p)),
-    "pairs": ("recurring_pairs", None, lambda p: artifacts.read_pairs(p)),
+    "catalog": ("catalog", ".json", lambda p: _module("stix_ingest").catalog_from_json(p.read_text("utf-8"))),
+    "corpus": ("corpus", ".json", lambda p: _module("corpus_builder").corpus_from_json(p.read_text("utf-8"))),
+    "prevalent": ("prevalent_techniques", None, lambda p: _module("artifacts").read_prevalent(p)),
+    "pairs": ("recurring_pairs", None, lambda p: _module("artifacts").read_pairs(p)),
 }
+
+
+def _module(name: str):
+    """The ttpminer module ``name``; a command imports only the modules its stages run."""
+    return import_module(f".{name}", __package__)
 
 
 def _upstream(config: PipelineConfig, options: StageOptions, name: str, required: bool = True):
@@ -207,10 +211,11 @@ def _hand_off(config: PipelineConfig, options: StageOptions, name: str, value, w
 
 
 def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
+    from . import stix_ingest
     bundle_path = _require_file(config.bundle_path, "STIX bundle")
     options.inputs["bundle"] = bundle_path
     try:
-        catalog = parse_bundle(bundle_path.read_bytes())
+        catalog = stix_ingest.parse_bundle(bundle_path.read_bytes())
     except TTPMinerError as exc:  # the bundle is not UTF-8 JSON, or has no objects
         raise type(exc)(f"{bundle_path}: {exc}") from None
     logger.info(
@@ -220,10 +225,13 @@ def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
         sum(t.is_subtechnique for t in catalog.techniques),
         len(catalog.citations),
     )
-    _hand_off(config, options, "catalog", catalog, lambda p: atomic_write_text(p, catalog_to_json(catalog)))
+    _hand_off(
+        config, options, "catalog", catalog, lambda p: atomic_write_text(p, stix_ingest.catalog_to_json(catalog))
+    )
 
 
 def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
+    from . import corpus_builder
     manifest_path = _require_file(config.manifest_path, "report manifest")
     options.inputs["manifest"] = manifest_path
     catalog = _upstream(config, options, "catalog")
@@ -280,6 +288,7 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
 
 
 def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
+    from . import artifacts, prevalence
     corpus = _upstream(config, options, "corpus")
     # Without the catalog universe, the catalog only supplies names and
     # tactics for the prevalent listing, when there is one.
@@ -302,6 +311,7 @@ def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
 
 
 def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
+    from . import artifacts, rule_miner
     corpus = _upstream(config, options, "corpus")
     itemsets = [ts.techniques for ts in corpus]
     candidates = rule_miner.mine_pairs(itemsets, config.min_support)
@@ -317,6 +327,7 @@ def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
 
 
 def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
+    from . import artifacts
     pairs = _upstream(config, options, "pairs")
     annotations = _annotations(config, options)
 
@@ -358,6 +369,7 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
 
 
 def stage_eval(config: PipelineConfig, options: StageOptions) -> None:
+    from . import eval_harness
     unseen_path = _require_file(config.unseen_manifest_path, "unseen manifest")
     options.inputs["unseen_manifest"] = unseen_path
     corpus = _upstream(config, options, "corpus")

@@ -14,13 +14,12 @@ import json
 import logging
 import math
 import random
-import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import ManifestError, ParameterError
 from .io_utils import csv_rows, read_text, reader
@@ -347,6 +346,13 @@ def merge_duplicates(
     return sorted(sets, key=lambda ts: ts.attack_id)
 
 
+def median(values: Iterable) -> float:
+    """What ``statistics.median`` returns for non-empty ``values``, of the same type."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    return ordered[middle] if len(ordered) % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def corpus_stats(sets: list[TechniqueSet]) -> CorpusStats:
     if not sets:
         raise ParameterError("corpus is empty")
@@ -355,7 +361,7 @@ def corpus_stats(sets: list[TechniqueSet]) -> CorpusStats:
         report_count=len(sets),
         total_mentions=sum(sizes),
         mean_techniques=sum(sizes) / len(sizes),
-        median_techniques=statistics.median(sizes),
+        median_techniques=median(sizes),
         distinct_techniques=len(frozenset().union(*(ts.techniques for ts in sets))),
     )
 

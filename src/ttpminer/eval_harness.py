@@ -8,14 +8,13 @@ techniques mentioned somewhere) and actually co-present in a single report.
 
 from __future__ import annotations
 
-import statistics
 from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
 from typing import Sequence
 
-from .corpus_builder import TechniqueSet, read_manifest_records
+from .corpus_builder import TechniqueSet, median, read_manifest_records
 from .errors import ManifestError, ParameterError
 from .rule_miner import RecurringPair
 from .stix_ingest import parent_technique_id
@@ -107,7 +106,7 @@ def ev_a(
         prevalent_found_count=len(found),
         prevalent_found_ids=found,
         mean_prevalent_per_report=sum(per_report) / len(per_report),
-        median_prevalent_per_report=statistics.median(per_report),
+        median_prevalent_per_report=median(per_report),
         top20_overlap_count=len(overlap),
         top20_overlap_ids=overlap,
     )

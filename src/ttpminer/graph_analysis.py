@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import AnnotationError, ParameterError
 from .io_utils import csv_rows
-from .rule_miner import RecurringPair
+
+if TYPE_CHECKING:  # annotations only: `ttpminer ingest` loads no rule_miner
+    from .rule_miner import RecurringPair
 
 # Relation taxonomy: name -> directed. Follow and require orient
 # antecedent -> consequent; the rest are symmetric.

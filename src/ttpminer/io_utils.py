@@ -16,7 +16,7 @@ import os
 import tempfile
 from dataclasses import MISSING, fields, is_dataclass
 from datetime import date
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
@@ -42,11 +42,16 @@ def _string_set(value: Any, name: str) -> frozenset[str]:
 
 def _iso_date(value: Any, name: str) -> date:
     try:
-        parsed = date.fromisoformat(value)
-    except (TypeError, ValueError):
-        parsed = None
-    if parsed is None or parsed.isoformat() != value:  # YYYY-MM-DD, as written
-        raise ValueError(f"{name} must be an ISO date string, got {value!r}")
+        return _parse_date(value)
+    except (TypeError, ValueError):  # TypeError: not a string, or unhashable
+        raise ValueError(f"{name} must be an ISO date string, got {value!r}") from None
+
+
+@lru_cache(maxsize=1 << 16)  # the date of each distinct string that parsed; a failure is not kept
+def _parse_date(text: str) -> date:
+    parsed = date.fromisoformat(text)
+    if parsed.isoformat() != text:  # YYYY-MM-DD, as written
+        raise ValueError(text)
     return parsed
 
 

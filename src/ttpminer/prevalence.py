@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import logging
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus_builder import TechniqueSet
+from .corpus_builder import TechniqueSet, median
 from .errors import ParameterError
 
 logger = logging.getLogger(__name__)
@@ -242,7 +241,7 @@ def build_matrix(
             frequency_bin=key[1],
             technique_ids=tuple(tids),
             count=len(tids),
-            median_pct=statistics.median(report_pct[tid] for tid in tids) if tids else 0.0,
+            median_pct=median(report_pct[tid] for tid in tids) if tids else 0.0,
             mention_share=cell_mentions / total_mentions if total_mentions else 0.0,
         )
     return PrevalenceMatrix(cells=cells, report_pct=report_pct)

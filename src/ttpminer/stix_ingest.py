@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from types import NoneType
+from typing import Any, Iterator
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BundleParseError, BundleSchemaError
@@ -96,9 +97,13 @@ class AttackCatalog:
 
 
 def _mitre_external_id(obj: dict) -> str | None:
-    for ref in obj.get("external_references", ()):
-        if ref.get("source_name") in _CATALOG_SOURCES and ref.get("external_id"):
-            return ref["external_id"]
+    for index, ref in enumerate(obj.get("external_references", ())):
+        try:
+            if ref.get("source_name") in _CATALOG_SOURCES and ref.get("external_id"):
+                return ref["external_id"]
+        except TypeError:  # an unhashable source_name
+            _reject_mistyped(f"{obj.get('id')} external_references[{index}]",
+                             source_name=(str, ref["source_name"]))
     return None
 
 
@@ -185,12 +190,7 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
 
     # Relationships resolve against the finished index and only add to sets and
     # minima, so they run last and in file order.
-    uses = (
-        (obj, stix_to_technique[obj.get("target_ref", "")], stix_to_attributor.get(obj.get("source_ref", "")))
-        for obj in objects
-        if obj.get("type") == "relationship" and obj.get("relationship_type") == "uses"
-        and obj.get("target_ref", "") in stix_to_technique
-    )
+    uses = _uses(objects, stix_to_technique, stix_to_attributor)
 
     # Citation identity is the normalized URL; each distinct raw URL is normalized once.
     keys: dict[str, str] = {}
@@ -205,7 +205,8 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
             if url is None:
                 continue
             if type(url) is not str or type(source_name) is not str or type(description) not in (str, NoneType):
-                _reject_mistyped_reference(obj, index, ref)
+                _reject_mistyped(f"{obj.get('id')} external_references[{index}]", url=(str, url),
+                                 source_name=(str, source_name), description=(str | None, description))
             if not url or source_name in _CATALOG_SOURCES:
                 continue
             key = keys.get(url)
@@ -239,13 +240,24 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     )
 
 
-def _reject_mistyped_reference(obj: dict, index: int, ref: dict) -> None:
+def _uses(objects: list[dict], stix_to_technique: dict[str, str], stix_to_attributor: dict[str, str]) -> Iterator:
+    """(relationship, technique id, attributor or None) per ``uses`` relationship to a technique."""
+    for obj in objects:
+        if obj.get("type") == "relationship" and obj.get("relationship_type") == "uses":
+            source, target = obj.get("source_ref", ""), obj.get("target_ref", "")
+            if type(source) is not str or type(target) is not str:
+                _reject_mistyped(str(obj.get("id")), source_ref=(str, source), target_ref=(str, target))
+            if target in stix_to_technique:
+                yield obj, stix_to_technique[target], stix_to_attributor.get(source)
+
+
+def _reject_mistyped(where: str, **fields: tuple[Any, Any]) -> None:
+    """BundleSchemaError naming ``where`` and the first field whose value does not read as its hint."""
     try:
-        reader(str)(ref["url"], "url")
-        reader(str)(ref.get("source_name", ""), "source_name")
-        reader(str | None)(ref.get("description"), "description")
+        for name, (hint, value) in fields.items():
+            reader(hint)(value, name)
     except ValueError as exc:
-        raise BundleSchemaError(f"{obj.get('id')} external_references[{index}]: {exc}") from None
+        raise BundleSchemaError(f"{where}: {exc}") from None
 
 
 def _object_order(obj: dict) -> tuple:

@@ -299,7 +299,6 @@ class TestInMemoryHandoff:
     UPSTREAM_READERS = (
         ("ttpminer.corpus_builder", "corpus_from_json"),
         ("ttpminer.stix_ingest", "catalog_from_json"),
-        ("ttpminer.cli", "catalog_from_json"),
         ("ttpminer.artifacts", "read_pairs"),
         ("ttpminer.artifacts", "read_prevalent"),
     )
@@ -753,6 +752,65 @@ def test_importing_the_package_loads_no_submodule():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def run_probe(probe: str, *argv) -> str:
+    """The stdout of ``python -c probe argv...`` with this checkout's ``src`` on the path."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, argv)], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    probe = (
+        "import json, sys\n"
+        "from ttpminer.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "names = [m for m in sys.modules if m.startswith('ttpminer.') or m in ('difflib', 'statistics')]\n"
+        "print(json.dumps(names))\n"
+        "sys.exit(code)\n"
+    )
+    loaded = {}
+    for command in ("all", "ingest", "corpus", "prevalence", "mine", "graph", "eval"):
+        stdout = run_probe(probe, command, "--config", E2E / "config.cfg", "--output-dir", tmp_path / "out")
+        loaded[command] = {name.removeprefix("ttpminer.") for name in json.loads(stdout)}
+    # argparse reads graph_analysis.RELATION_TYPES for the --relation choices
+    assert loaded["ingest"] == {"cli", "errors", "io_utils", "graph_analysis", "stix_ingest"}
+    assert {"stix_ingest", "corpus_builder", "prevalence", "rule_miner", "graph_analysis", "eval_harness",
+            "artifacts"} <= loaded["all"]
+    for command, names in loaded.items():
+        assert not names & {"difflib", "statistics"}, command
+
+
+def test_submodules_load_on_first_access():
+    probe = (
+        "import sys, ttpminer\n"
+        "assert 'ttpminer.rule_miner' not in sys.modules\n"
+        "print(ttpminer.rule_miner.__name__, hasattr(ttpminer, 'no_such_module'), hasattr(ttpminer, '__main__'))\n"
+    )
+    assert run_probe(probe).split() == ["ttpminer.rule_miner", "False", "False"]
+
+
+@pytest.mark.parametrize("otype, where, field", [("attack-pattern", " external_references[0]", "source_name"),
+                                                 ("relationship", "", "target_ref")])
+def test_unhashable_bundle_value_exits_1_naming_object_and_field(tmp_path, caplog, otype, where, field):
+    bundle = json.loads((E2E / "bundle.json").read_bytes())
+    obj = next(obj for obj in bundle["objects"] if obj["type"] == otype)
+    holder = obj["external_references"][0] if where else obj
+    holder[field] = value = [holder[field]]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    assert run_cli("ingest", "--bundle", path, "--output-dir", tmp_path / "out") == 1
+    assert f"{path}: {obj['id']}{where}: {field} must be a string, got {value!r}" in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 class TestCommandLineSurface:

@@ -19,6 +19,7 @@ from ttpminer.corpus_builder import (
     find_candidate_pairs,
     included_records,
     load_manifest,
+    median,
     merge_duplicates,
     month_bucket,
     read_elbow_labels,
@@ -582,6 +583,21 @@ class TestStats:
     def test_empty_corpus_is_error(self):
         with pytest.raises(ParameterError):
             corpus_stats([])
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.one_of(st.lists(st.integers(-5, 5), min_size=1), st.lists(st.integers(), min_size=1),
+                 st.lists(st.floats(), min_size=1)))
+@example([1, 2, 3])
+@example([1, 3])
+@example([1, 2])
+def test_median_is_statistics_median_in_value_and_type(values):
+    import statistics
+
+    expected = statistics.median(values)
+    for actual in (median(values), median(iter(values))):
+        assert type(actual) is type(expected)
+        assert repr(actual) == repr(expected)  # equal floats, nan and -0.0 too
 
 
 def test_corpus_json_round_trip():

@@ -149,6 +149,15 @@ class TestDecode:
             with pytest.raises(ValueError, match=f"latest_date must be an ISO date string, got {value!r}"):
                 decode({**row, "latest_date": value}, TechniqueSet)
 
+    def test_each_date_string_reads_the_same_on_every_call(self):
+        read = reader(date)
+        for _ in range(2):
+            for value in ("20200304", "2020-W10-3", 5, None, ["2020-03-04"]):
+                with pytest.raises(ValueError, match=re.escape(f"d must be an ISO date string, got {value!r}")):
+                    read(value, "d")
+        first, second = (read("-".join(["2020", "03", "04"]), "d") for _ in range(2))  # two equal strings
+        assert first == second == date(2020, 3, 4)
+
     def test_nullable_non_scalar(self):
         read = reader(date | None)
         assert read(None, "published") is None

@@ -278,6 +278,34 @@ def test_mistyped_cited_reference_is_schema_error(field, value, message):
         parse_bundle(bundle_bytes([attacker]))
 
 
+@pytest.mark.parametrize("otype", ["attack-pattern", "x-mitre-tactic", "intrusion-set"])
+def test_unhashable_catalog_source_name_is_schema_error(otype):
+    obj = {"type": otype, "id": f"{otype}--1",
+           "external_references": [{"source_name": ["x"], "external_id": "T1001"}]}
+    with pytest.raises(BundleSchemaError, match=re.escape(f"{otype}--1 external_references[0]: "
+                                                           "source_name must be a string, got ['x']")):
+        parse_bundle(bundle_bytes([obj]))
+
+
+@pytest.mark.parametrize("field, value", [("target_ref", ["attack-pattern--t1000"]), ("source_ref", {"id": "x"}),
+                                          ("target_ref", None), ("source_ref", 5)])
+def test_mistyped_uses_relationship_ref_is_schema_error(field, value):
+    technique = stix_technique("T1000", "Placeholder", ["execution"])
+    uses = stix_uses("malware--s0001", technique["id"])
+    uses[field] = value
+    for objects in ([uses], [technique, uses]):
+        message = f"{uses['id']}: {field} must be a string, got {value!r}"
+        with pytest.raises(BundleSchemaError, match=re.escape(message)):
+            parse_bundle(bundle_bytes(objects))
+
+
+def test_refs_of_other_relationships_are_not_typed():
+    technique = stix_technique("T1000", "Placeholder", ["execution"])
+    mitigates = dict(stix_uses("course-of-action--1", technique["id"]), relationship_type="mitigates",
+                     target_ref=[1])
+    assert parse_bundle(bundle_bytes([technique, mitigates])).techniques[0].id == "T1000"
+
+
 def test_reference_without_a_url_is_not_typed():
     attacker = stix_attributor("malware", "S0001", "M")
     attacker["external_references"].append({"source_name": None, "url": None, "description": 5})
