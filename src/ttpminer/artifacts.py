@@ -2,39 +2,26 @@
 
 Tabular artifacts (matrix, prevalent techniques, recurring pairs, centrality)
 exist in CSV and JSON variants with identical column semantics; readers sniff
-the variant from the file extension. All writers go through the atomic,
-byte-deterministic helpers in :mod:`ttpminer.io_utils`.
+the variant from the file extension. A table with a row record has that
+record's fields as its columns, in declaration order. All writers go through
+the atomic, byte-deterministic helpers in :mod:`ttpminer.io_utils`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Sequence, get_type_hints
 
 from .errors import ArtifactError
 from .io_utils import atomic_write_text, canonical_json, csv_rows, decode, reader, render_csv
-from .prevalence import BINS, TRENDS, PrevalenceMatrix
-from .rule_miner import RecurringPair
-from .stix_ingest import AttackCatalog
 
-MATRIX_HEADER = ("trend", "bin", "count", "median_pct", "mention_share", "technique_ids")
-PREVALENT_HEADER = ("id", "name", "tactic", "pct_reports", "cell")
-PAIRS_HEADER = (
-    "tech_a",
-    "tech_b",
-    "direction",
-    "support",
-    "confidence_ab",
-    "confidence_ba",
-    "phi",
-    "chi2",
-    "p_value",
-    "lift",
-    "strength",
-    "relation_labels",
-)
+if TYPE_CHECKING:
+    from .prevalence import PrevalenceMatrix
+    from .rule_miner import RecurringPair
+    from .stix_ingest import AttackCatalog
+
 CENTRALITY_HEADER = ("node", "relation", "delta", "delta_in", "delta_out", "eta")
 
 
@@ -46,15 +33,17 @@ def _write_table(path: Path, header: Sequence[str], rows: list[list]) -> None:
         atomic_write_text(path, render_csv(header, rows))
 
 
-@dataclass(frozen=True)
-class PrevalentRow:
-    """A ``prevalent_techniques`` row, as written (``PREVALENT_HEADER``)."""
+def _cell(value: object) -> object:
+    if isinstance(value, frozenset):
+        return ";".join(sorted(value))
+    return ";".join(value) if isinstance(value, tuple) else value
 
-    id: str
-    name: str
-    tactic: str
-    pct_reports: float
-    cell: str
+
+def _write_records(path: Path, record_type: type, records: Iterable) -> None:
+    """One row per record, one column per field of ``record_type`` in declaration
+    order; a set cell is written sorted and ``;``-joined, a tuple cell ``;``-joined."""
+    header = [f.name for f in fields(record_type)]
+    _write_table(path, header, [[_cell(getattr(record, name)) for name in header] for record in records])
 
 
 def _number(cell: str, name: str) -> float:
@@ -64,35 +53,40 @@ def _number(cell: str, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {cell!r}") from None
 
 
-def _read_table(path: Path, header: Sequence[str], record_type: type) -> list[dict]:
-    """Rows holding ``header``'s columns; the ``float`` fields of ``record_type`` are
-    parsed as numbers in CSV, whose cells are text."""
+def _read_records(path: Path, record_type: type) -> list:
+    """The ``record_type`` rows of a table that :func:`_write_records` wrote. CSV cells
+    are text, so there the ``float`` fields are parsed as numbers; a ``frozenset[str]``
+    field is a ``;``-joined string in both formats."""
+    hints = get_type_hints(record_type)
     if path.suffix != ".json":
-        floats = {c for c, kind in get_type_hints(record_type).items() if kind is float}
-        rows = csv_rows(path, set(header), ArtifactError)
-        return [{c: _number(v, c) if c in floats else v for c, v in row.items()} for row in rows]
-    rows = json.loads(path.read_text(encoding="utf-8"))
-    if type(rows) is not list or any(type(row) is not dict for row in rows):
-        raise ValueError("must be an array of objects")
-    return rows
+        floats = {c for c, hint in hints.items() if hint is float}
+        rows = csv_rows(path, set(hints), ArtifactError)
+        rows = [{c: _number(v, c) if c in floats else v for c, v in row.items()} for row in rows]
+    else:
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        if type(rows) is not list or any(type(row) is not dict for row in rows):
+            raise ValueError("must be an array of objects")
+    for c in [c for c, hint in hints.items() if hint == frozenset[str]]:
+        for row in rows:
+            if c in row:
+                row[c] = [item for item in reader(str)(row[c], c).split(";") if item]
+    return [decode(row, record_type) for row in rows]
+
+
+@dataclass(frozen=True)
+class PrevalentRow:
+    """A ``prevalent_techniques`` row, as written."""
+
+    id: str
+    name: str
+    tactic: str
+    pct_reports: float
+    cell: str
 
 
 def write_matrix(path: Path, matrix: PrevalenceMatrix) -> None:
-    rows = []
-    for trend in TRENDS:
-        for fbin in BINS:
-            cell = matrix.cells[(trend, fbin)]
-            rows.append(
-                [
-                    trend,
-                    fbin,
-                    cell.count,
-                    cell.median_pct,
-                    cell.mention_share,
-                    ";".join(cell.technique_ids),
-                ]
-            )
-    _write_table(path, MATRIX_HEADER, rows)
+    from .prevalence import MatrixCell
+    _write_records(path, MatrixCell, matrix.cells.values())  # build_matrix fills TRENDS x BINS in order
 
 
 def write_prevalent(
@@ -100,44 +94,30 @@ def write_prevalent(
 ) -> None:
     by_id = catalog.technique_by_id() if catalog is not None else {}
     cell_of = {
-        tid: f"{cell.frequency_bin}/{cell.trend}"
+        tid: f"{cell.bin}/{cell.trend}"
         for cell in matrix.cells.values()
         for tid in cell.technique_ids
     }
     rows = []
     for tid in prevalent:
         record = by_id.get(tid)
-        rows.append(
-            [
-                tid,
-                record.name if record else "",
-                ";".join(sorted(record.tactic_ids)) if record else "",
-                matrix.report_pct[tid],
-                cell_of[tid],
-            ]
-        )
-    _write_table(path, PREVALENT_HEADER, rows)
+        name, tactic = (record.name, ";".join(sorted(record.tactic_ids))) if record else ("", "")
+        rows.append(PrevalentRow(tid, name, tactic, matrix.report_pct[tid], cell_of[tid]))
+    _write_records(path, PrevalentRow, rows)
 
 
 def read_prevalent(path: Path) -> list[str]:
-    return [decode(row, PrevalentRow).id for row in _read_table(path, PREVALENT_HEADER, PrevalentRow)]
+    return [row.id for row in _read_records(path, PrevalentRow)]
 
 
 def write_pairs(path: Path, pairs: Sequence[RecurringPair]) -> None:
-    rows = []
-    for p in sorted(pairs, key=lambda p: p.key):
-        row = {**vars(p), "relation_labels": ";".join(sorted(p.relation_labels))}
-        rows.append([row[column] for column in PAIRS_HEADER])
-    _write_table(path, PAIRS_HEADER, rows)
-
-
-def _labels(cell: object) -> list[str]:
-    return [label for label in reader(str)(cell, "relation_labels").split(";") if label]
+    from .rule_miner import RecurringPair
+    _write_records(path, RecurringPair, sorted(pairs, key=lambda p: p.key))
 
 
 def read_pairs(path: Path) -> list[RecurringPair]:
-    rows = _read_table(path, PAIRS_HEADER, RecurringPair)
-    return [decode({**row, "relation_labels": _labels(row["relation_labels"])}, RecurringPair) for row in rows]
+    from .rule_miner import RecurringPair
+    return _read_records(path, RecurringPair)
 
 
 def write_centrality(path: Path, rows: list[list]) -> None:

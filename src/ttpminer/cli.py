@@ -181,7 +181,7 @@ def _upstream(config: PipelineConfig, options: StageOptions, name: str, required
     path = _require_file(path, f"{stem.replace('_', ' ')} artifact")
     try:
         return load(path)
-    except (KeyError, AttributeError, TypeError, ValueError, RecursionError) as exc:  # JSON errors too
+    except (KeyError, ValueError, RecursionError) as exc:  # what the decoders raise; JSON errors too
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed ({exc})"
         raise ArtifactError(f"{path}: {problem}; re-run the stage that writes it") from exc
 
@@ -262,7 +262,7 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
             for sample in samples
             for key in sample.sampled_pairs
         ]
-        write_csv(options.sample_pairs, ("bucket", "pair_key", "is_duplicate"), rows)
+        write_csv(options.sample_pairs, corpus_builder.SAMPLE_COLUMNS, rows)
         options.artifacts_written.append(options.sample_pairs)
         logger.info(
             "wrote %s: %s sampled pairs per bucket for manual duplicate labeling",

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import ManifestError, ParameterError
 from .io_utils import csv_rows, read_text, reader
-from .stix_ingest import AttackCatalog
+
+if TYPE_CHECKING:
+    from .stix_ingest import AttackCatalog
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +45,7 @@ EXCLUSION_REASONS = frozenset(
 )
 
 PAIR_KEY_SEP = "||"
+SAMPLE_COLUMNS = ("bucket", "pair_key", "is_duplicate")  # the labeling sample, and the labels read back
 
 
 def read_manifest_records(path: Path, record_type: type, stand_in: Callable[[dict], object]) -> list:
@@ -84,7 +87,6 @@ class ReportRecord:
 class DuplicateCandidatePair:
     a: str
     b: str
-    common_attribution: frozenset[str]
     date_gap_days: int
 
     @property
@@ -177,33 +179,20 @@ def find_candidate_pairs(
         for attributed in record.attribution:
             by_attribution.setdefault(attributed, []).append(record)
 
-    by_key = {r.citation_key: r for r in records}
-    pair_keys: set[tuple[str, str]] = set()
+    gaps: dict[tuple[str, str], int] = {}  # (a, b) with a < b -> days between them
     for group in by_attribution.values():
         group.sort(key=lambda r: r.published)
         days = [r.published.toordinal() for r in group]
-        for i, first in enumerate(group):
+        keys = [r.citation_key for r in group]
+        for i, a in enumerate(keys):
             if max_gap_days is None:
                 end = len(group)
             else:
                 end = bisect_right(days, days[i] + max_gap_days, i + 1)
-            a = first.citation_key
-            for second in group[i + 1 : end]:
-                b = second.citation_key
-                pair_keys.add((a, b) if a < b else (b, a))
-
-    pairs = []
-    for a, b in sorted(pair_keys):
-        ra, rb = by_key[a], by_key[b]
-        pairs.append(
-            DuplicateCandidatePair(
-                a=a,
-                b=b,
-                common_attribution=ra.attribution & rb.attribution,
-                date_gap_days=abs((ra.published - rb.published).days),
-            )
-        )
-    return pairs
+            for j in range(i + 1, end):
+                b = keys[j]
+                gaps[(a, b) if a < b else (b, a)] = days[j] - days[i]
+    return [DuplicateCandidatePair(a, b, gap) for (a, b), gap in sorted(gaps.items())]
 
 
 def month_bucket(date_gap_days: int) -> int:
@@ -247,14 +236,14 @@ def sample_buckets(
 
 
 def read_elbow_labels(path: Path | str) -> list[float]:
-    """Read the manual duplicate labels CSV (bucket,pair_key,is_duplicate).
+    """Read the manual duplicate labels CSV (columns ``SAMPLE_COLUMNS``).
 
     Returns the duplicate fraction r_i per bucket, ordered by bucket. Buckets
     must form a contiguous range starting at 1.
     """
     path = Path(path)
     tallies: dict[int, list[bool]] = {}
-    for row in csv_rows(path, {"bucket", "pair_key", "is_duplicate"}, ManifestError):
+    for row in csv_rows(path, set(SAMPLE_COLUMNS), ManifestError):
         try:
             bucket = int(row["bucket"])
         except ValueError as exc:

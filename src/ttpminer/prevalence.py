@@ -53,12 +53,14 @@ class TrendResult:
 
 @dataclass(frozen=True)
 class MatrixCell:
+    """A ``prevalence_matrix`` row: one (trend, frequency bin) cell, its columns in order."""
+
     trend: str
-    frequency_bin: str
-    technique_ids: tuple[str, ...]
+    bin: str
     count: int
     median_pct: float
     mention_share: float
+    technique_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -238,11 +240,11 @@ def build_matrix(
         cell_mentions = sum(frequencies[tid] for tid in tids)
         cells[key] = MatrixCell(
             trend=key[0],
-            frequency_bin=key[1],
-            technique_ids=tuple(tids),
+            bin=key[1],
             count=len(tids),
             median_pct=median(report_pct[tid] for tid in tids) if tids else 0.0,
             mention_share=cell_mentions / total_mentions if total_mentions else 0.0,
+            technique_ids=tuple(tids),
         )
     return PrevalenceMatrix(cells=cells, report_pct=report_pct)
 

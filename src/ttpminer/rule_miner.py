@@ -87,8 +87,11 @@ class CandidatePair:
 
 @dataclass(frozen=True)
 class RecurringPair:
+    """A ``recurring_pairs`` row: a kept pair and its measures, its columns in order."""
+
     tech_a: str
     tech_b: str
+    direction: str  # "ab" or "ba": the orientation with the higher confidence
     support: float
     confidence_ab: float
     confidence_ba: float
@@ -97,7 +100,6 @@ class RecurringPair:
     p_value: float
     lift: float
     strength: str
-    direction: str  # "ab" or "ba": the orientation with the higher confidence
     relation_labels: frozenset[str]
 
     @property

@@ -100,11 +100,26 @@ def _mitre_external_id(obj: dict) -> str | None:
     for index, ref in enumerate(obj.get("external_references", ())):
         try:
             if ref.get("source_name") in _CATALOG_SOURCES and ref.get("external_id"):
-                return ref["external_id"]
-        except TypeError:  # an unhashable source_name
+                if type(ref["external_id"]) is str:
+                    return ref["external_id"]
+                raise TypeError  # an external_id that is no string: named below
+        except TypeError:  # or an unhashable source_name
             _reject_mistyped(f"{obj.get('id')} external_references[{index}]",
-                             source_name=(str, ref["source_name"]))
+                             source_name=(str, ref["source_name"]), external_id=(str, ref.get("external_id")))
     return None
+
+
+def _phase_names(obj: dict) -> list[str]:
+    """The phase names of ``obj``'s kill-chain phases in an ATT&CK kill chain."""
+    names = []
+    for index, phase in enumerate(obj.get("kill_chain_phases", ())):
+        chain, name = phase.get("kill_chain_name"), phase.get("phase_name")
+        if type(chain) is not str or type(name) is not str:
+            _reject_mistyped(f"{obj.get('id')} kill_chain_phases[{index}]",
+                             kill_chain_name=(str | None, chain), phase_name=(str | None, name))
+        if chain in _CATALOG_SOURCES and name:
+            names.append(name)
+    return names
 
 
 def _is_flagged(obj: dict) -> bool:
@@ -120,8 +135,8 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     skipped. Raises :class:`BundleParseError` unless it is UTF-8 JSON nested
     no deeper than the decoder allows, and :class:`BundleSchemaError` when
     the ``objects`` array is missing, the ``spec_version`` (the bundle's,
-    else the first object's in (type, id) order) is not a string, or a cited
-    reference is mistyped.
+    else the first object's in (type, id) order) is not a string, or a
+    reference, a kill-chain phase or a tactic shortname is mistyped.
     """
     try:
         if isinstance(raw, bytes):
@@ -162,6 +177,8 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
                 continue
             tactics.setdefault(tid, TacticRecord(id=tid, name=obj.get("name", "")))
             shortname = obj.get("x_mitre_shortname")
+            if type(shortname) is not str:
+                _reject_mistyped(str(obj.get("id")), x_mitre_shortname=(str | None, shortname))
             if shortname:
                 tactic_by_shortname[shortname] = tid
         elif otype == "attack-pattern":
@@ -170,11 +187,7 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
                 continue
             entry = {
                 "name": obj.get("name", ""),
-                "phases": [
-                    p.get("phase_name")
-                    for p in obj.get("kill_chain_phases", ())
-                    if p.get("kill_chain_name") in _CATALOG_SOURCES and p.get("phase_name")
-                ],
+                "phases": _phase_names(obj),
                 "flagged": _is_flagged(obj),
                 "is_sub": bool(obj.get("x_mitre_is_subtechnique")) or is_subtechnique_id(tid),
             }

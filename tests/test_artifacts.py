@@ -23,12 +23,26 @@ def sample_pairs():
     return pairs
 
 
-@pytest.mark.parametrize("suffix", [".csv", ".json"])
-def test_pairs_round_trip_exact(tmp_path, sample_pairs, suffix):
+EMPTY_PAIRS = {
+    ".csv": "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,strength,"
+    "relation_labels\n",
+    ".json": "[]\n",
+}
+
+
+@pytest.mark.parametrize(
+    "suffix, empty",
+    [pytest.param(suffix, empty, id=f"empty{suffix}" if empty else suffix)
+     for empty in (False, True) for suffix in (".csv", ".json")],
+)
+def test_pairs_round_trip_exact(tmp_path, sample_pairs, suffix, empty):
+    pairs = [] if empty else sample_pairs
     path = tmp_path / f"pairs{suffix}"
-    write_pairs(path, sample_pairs)
+    write_pairs(path, pairs)
+    if empty:
+        assert path.read_text(encoding="utf-8") == EMPTY_PAIRS[suffix]  # a header-only CSV, or []
     restored = read_pairs(path)
-    assert restored == sorted(sample_pairs, key=lambda p: p.key)
+    assert restored == sorted(pairs, key=lambda p: p.key)
 
 
 def test_read_pairs_missing_columns(tmp_path):

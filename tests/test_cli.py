@@ -783,7 +783,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         stdout = run_probe(probe, command, "--config", E2E / "config.cfg", "--output-dir", tmp_path / "out")
         loaded[command] = {name.removeprefix("ttpminer.") for name in json.loads(stdout)}
     # argparse reads graph_analysis.RELATION_TYPES for the --relation choices
-    assert loaded["ingest"] == {"cli", "errors", "io_utils", "graph_analysis", "stix_ingest"}
+    base = {"cli", "errors", "io_utils", "graph_analysis"}
+    assert loaded["ingest"] == base | {"stix_ingest"}
+    assert loaded["corpus"] == base | {"stix_ingest", "corpus_builder"}
+    assert loaded["prevalence"] == base | {"stix_ingest", "corpus_builder", "prevalence", "artifacts"}
+    assert loaded["mine"] == base | {"corpus_builder", "rule_miner", "artifacts"}
+    assert loaded["graph"] == base | {"rule_miner", "artifacts"}
+    assert loaded["eval"] == base | {"stix_ingest", "corpus_builder", "rule_miner", "artifacts", "eval_harness"}
     assert {"stix_ingest", "corpus_builder", "prevalence", "rule_miner", "graph_analysis", "eval_harness",
             "artifacts"} <= loaded["all"]
     for command, names in loaded.items():
@@ -800,6 +806,7 @@ def test_submodules_load_on_first_access():
 
 
 @pytest.mark.parametrize("otype, where, field", [("attack-pattern", " external_references[0]", "source_name"),
+                                                 ("x-mitre-tactic", " external_references[0]", "external_id"),
                                                  ("relationship", "", "target_ref")])
 def test_unhashable_bundle_value_exits_1_naming_object_and_field(tmp_path, caplog, otype, where, field):
     bundle = json.loads((E2E / "bundle.json").read_bytes())

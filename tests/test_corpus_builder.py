@@ -247,7 +247,6 @@ class TestCandidatePairs:
             record("b", "2020-07-31", ["T2", "T3"], attribution=["WellMail"]),
         ]
         (pair,) = find_candidate_pairs(records)
-        assert pair.common_attribution == frozenset({"WellMail"})
         assert pair.date_gap_days == 30
 
     def test_same_group_five_years_apart(self):
@@ -272,7 +271,7 @@ class TestCandidatePairs:
         ]
         pairs = find_candidate_pairs(records)
         assert len(pairs) == 1
-        assert pairs[0].common_attribution == frozenset({"G1", "S1"})
+        assert (pairs[0].a, pairs[0].b, pairs[0].date_gap_days) == ("a", "b", 31)
 
     def test_undated_record_rejected(self):
         bad = record("a", None, ["T1", "T2"], attribution=["G1"], include=False, reason="no-date")
@@ -328,8 +327,7 @@ class TestElbow:
                 gap = (i - 1) * 30 + 1 + (j % 30)
                 pairs.append(
                     DuplicateCandidatePair(
-                        a=f"a{i}-{j}", b=f"b{i}-{j}", common_attribution=frozenset({"G"}),
-                        date_gap_days=gap,
+                        a=f"a{i}-{j}", b=f"b{i}-{j}", date_gap_days=gap,
                     )
                 )
         return pairs
@@ -539,7 +537,7 @@ def test_merge_equals_components_by_search(reports, edges, tau):
         for i, (day, techniques, included) in enumerate(reports)
     ]
     pairs = [
-        DuplicateCandidatePair(f"r{a:02d}", f"r{b:02d}", frozenset({"G"}), gap) for a, b, gap in edges
+        DuplicateCandidatePair(f"r{a:02d}", f"r{b:02d}", gap) for a, b, gap in edges
     ]
     by_key = {r.citation_key: r for r in records if r.include}
     qualifying = [(p.a, p.b) for p in pairs if p.date_gap_days <= tau * 30]

@@ -287,6 +287,28 @@ def test_unhashable_catalog_source_name_is_schema_error(otype):
         parse_bundle(bundle_bytes([obj]))
 
 
+@pytest.mark.parametrize(
+    "obj, path, field, value, message",
+    [
+        (stix_technique("T1000", "P", ["execution"]), ("kill_chain_phases", 0), "kill_chain_name",
+         ["mitre-attack"], " kill_chain_phases[0]: kill_chain_name must be a string or null, got ['mitre-attack']"),
+        (stix_technique("T1000", "P", ["execution"]), ("kill_chain_phases", 0), "phase_name",
+         ["execution"], " kill_chain_phases[0]: phase_name must be a string or null, got ['execution']"),
+        (stix_tactic("TA0002", "Execution", "execution"), (), "x_mitre_shortname", ["execution"],
+         ": x_mitre_shortname must be a string or null, got ['execution']"),
+        (stix_technique("T1000", "P"), ("external_references", 0), "external_id", ["T1000"],
+         " external_references[0]: external_id must be a string, got ['T1000']"),
+        (stix_tactic("TA0002", "Execution", "execution"), ("external_references", 0), "external_id", 1001,
+         " external_references[0]: external_id must be a string, got 1001"),
+    ],
+)
+def test_mistyped_catalog_field_is_schema_error(obj, path, field, value, message):
+    holder = obj[path[0]][path[1]] if path else obj
+    holder[field] = value
+    with pytest.raises(BundleSchemaError, match=re.escape(f"{obj['id']}{message}")):
+        parse_bundle(bundle_bytes([obj]))
+
+
 @pytest.mark.parametrize("field, value", [("target_ref", ["attack-pattern--t1000"]), ("source_ref", {"id": "x"}),
                                           ("target_ref", None), ("source_ref", 5)])
 def test_mistyped_uses_relationship_ref_is_schema_error(field, value):
