@@ -24,7 +24,7 @@ from typing import get_args, get_type_hints
 
 from . import __version__, graph_analysis  # argparse reads graph_analysis.RELATION_TYPES
 from .errors import ArtifactError, ConfigError, ParameterError, TTPMinerError
-from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, read_text, sha256_file, write_csv
+from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, read_text, render_csv, sha256_file
 
 logger = logging.getLogger(__name__)
 
@@ -262,13 +262,10 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
             for sample in samples
             for key in sample.sampled_pairs
         ]
-        write_csv(options.sample_pairs, corpus_builder.SAMPLE_COLUMNS, rows)
-        options.artifacts_written.append(options.sample_pairs)
-        logger.info(
-            "wrote %s: %s sampled pairs per bucket for manual duplicate labeling",
-            options.sample_pairs,
-            "/".join(str(len(s.sampled_pairs)) for s in samples),
-        )
+        logger.info("sampled %s pairs per bucket for manual duplicate labeling",
+                    "/".join(str(len(s.sampled_pairs)) for s in samples))
+        text = render_csv(corpus_builder.SAMPLE_COLUMNS, rows)
+        _write(options.sample_pairs, lambda p: atomic_write_text(p, text), options)
 
     sets = corpus_builder.merge_duplicates(included, pairs, tau)
     stats = corpus_builder.corpus_stats(sets)
@@ -412,7 +409,8 @@ _STAGES = {
 
 def _write_run_manifest(command: str, config: PipelineConfig, options: StageOptions) -> None:
     # No timestamps and no output locations: the manifest itself is part of
-    # the byte-determinism contract.
+    # the byte-determinism contract. The options recorded are the StageOptions
+    # whose values are JSON scalars, so neither paths nor run state.
     manifest = {
         "tool": "ttpminer",
         "tool_version": __version__,
@@ -420,6 +418,8 @@ def _write_run_manifest(command: str, config: PipelineConfig, options: StageOpti
         "config": {
             name: getattr(config, name) for name, kind in _value_types().items() if kind is not Path
         },
+        "options": {name: getattr(options, name) for name, hint in get_type_hints(StageOptions).items()
+                    if set(get_args(hint) or (hint,)) <= TYPE_NOUNS.keys()},
         "inputs": {
             role: {"path": path.as_posix(), "sha256": sha256_file(path)}
             for role, path in sorted(options.inputs.items())

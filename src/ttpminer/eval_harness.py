@@ -58,15 +58,6 @@ def _id_from_citation_key(raw: dict) -> None:
         raw["id"] = raw.pop("citation_key")
 
 
-def _matches(prevalent_id: str, mentioned: frozenset[str], parent_match: bool) -> bool:
-    if prevalent_id in mentioned:
-        return True
-    if parent_match:
-        base = parent_technique_id(prevalent_id)
-        return any(parent_technique_id(m) == base for m in mentioned)
-    return False
-
-
 @dataclass(frozen=True)
 class EvAResult:
     prevalent_found_count: int
@@ -91,17 +82,14 @@ def ev_a(
     """Coverage of the prevalent techniques in the unseen reports."""
     if not unseen:
         raise ParameterError("unseen report set is empty")
-    found = tuple(
-        tid
-        for tid in prevalent
-        if any(_matches(tid, report.technique_ids, parent_match) for report in unseen)
-    )
-    per_report = [
-        sum(1 for tid in prevalent if _matches(tid, report.technique_ids, parent_match))
-        for report in unseen
-    ]
-    top20 = frozenset(top_mentioned(unseen, 20))
-    overlap = tuple(tid for tid in prevalent if _matches(tid, top20, parent_match))
+    key = parent_technique_id if parent_match else str  # a mention matches a technique of equal key
+    prevalent_keys = Counter(map(key, prevalent))  # a duplicate prevalent id counts each time
+    report_keys = [set(map(key, report.technique_ids)) for report in unseen]
+    per_report = [sum(prevalent_keys[k] for k in keys & prevalent_keys.keys()) for keys in report_keys]
+    mentioned = set().union(*report_keys)
+    found = tuple(tid for tid in prevalent if key(tid) in mentioned)
+    top20 = set(map(key, top_mentioned(unseen, 20)))
+    overlap = tuple(tid for tid in prevalent if key(tid) in top20)
     return EvAResult(
         prevalent_found_count=len(found),
         prevalent_found_ids=found,

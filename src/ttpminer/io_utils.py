@@ -176,10 +176,6 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
-def write_csv(path: Path | str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    atomic_write_text(path, render_csv(header, rows))
-
-
 def sha256_file(path: Path | str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain
 from types import NoneType
-from typing import Any, Iterator
+from typing import Any
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BundleParseError, BundleSchemaError
@@ -32,10 +31,6 @@ ATTRIBUTION_TYPES = frozenset({"intrusion-set", "malware", "tool"})
 # external_reference source names that point back into the catalog itself,
 # never at a CTI report.
 _CATALOG_SOURCES = frozenset({"mitre-attack", "mitre-mobile-attack", "mitre-ics-attack"})
-
-
-def is_subtechnique_id(technique_id: str) -> bool:
-    return "." in technique_id
 
 
 def parent_technique_id(technique_id: str) -> str:
@@ -96,23 +91,29 @@ class AttackCatalog:
         return {t.id: t for t in self.techniques}
 
 
+def _objects_in(obj: dict, field: str) -> list[dict]:
+    """``obj[field]``, which must be an array of objects; absent, it reads as []."""
+    items = obj.get(field, [])
+    if type(items) is not list or not all(type(item) is dict for item in items):
+        raise BundleSchemaError(f"{obj.get('id')}: {field} must be an array of objects")
+    return items
+
+
 def _mitre_external_id(obj: dict) -> str | None:
-    for index, ref in enumerate(obj.get("external_references", ())):
-        try:
-            if ref.get("source_name") in _CATALOG_SOURCES and ref.get("external_id"):
-                if type(ref["external_id"]) is str:
-                    return ref["external_id"]
-                raise TypeError  # an external_id that is no string: named below
-        except TypeError:  # or an unhashable source_name
-            _reject_mistyped(f"{obj.get('id')} external_references[{index}]",
-                             source_name=(str, ref["source_name"]), external_id=(str, ref.get("external_id")))
+    for index, ref in enumerate(_objects_in(obj, "external_references")):
+        source_name, external_id = ref.get("source_name"), ref.get("external_id")
+        if type(source_name) in (list, dict) or (source_name in _CATALOG_SOURCES and external_id):
+            if type(source_name) is not str or type(external_id) is not str:  # unhashable, or no id string
+                _reject_mistyped(f"{obj.get('id')} external_references[{index}]",
+                                 source_name=(str, source_name), external_id=(str, external_id))
+            return external_id
     return None
 
 
 def _phase_names(obj: dict) -> list[str]:
     """The phase names of ``obj``'s kill-chain phases in an ATT&CK kill chain."""
     names = []
-    for index, phase in enumerate(obj.get("kill_chain_phases", ())):
+    for index, phase in enumerate(_objects_in(obj, "kill_chain_phases")):
         chain, name = phase.get("kill_chain_name"), phase.get("phase_name")
         if type(chain) is not str or type(name) is not str:
             _reject_mistyped(f"{obj.get('id')} kill_chain_phases[{index}]",
@@ -120,10 +121,6 @@ def _phase_names(obj: dict) -> list[str]:
         if chain in _CATALOG_SOURCES and name:
             names.append(name)
     return names
-
-
-def _is_flagged(obj: dict) -> bool:
-    return bool(obj.get("revoked") or obj.get("x_mitre_deprecated"))
 
 
 def parse_bundle(raw: bytes | str) -> AttackCatalog:
@@ -135,8 +132,9 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     skipped. Raises :class:`BundleParseError` unless it is UTF-8 JSON nested
     no deeper than the decoder allows, and :class:`BundleSchemaError` when
     the ``objects`` array is missing, the ``spec_version`` (the bundle's,
-    else the first object's in (type, id) order) is not a string, or a
-    reference, a kill-chain phase or a tactic shortname is mistyped.
+    else the first object's in (type, id) order) is not a string, or a field
+    the parser reads is mistyped: an object's type or id, a name, a flag, a
+    reference, a kill-chain phase or a tactic shortname.
     """
     try:
         if isinstance(raw, bytes):
@@ -164,47 +162,6 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     technique_raw: dict[str, dict] = {}
     stix_to_technique: dict[str, str] = {}
     stix_to_attributor: dict[str, str] = {}
-    # (object, technique id or None, attributor or None) for each object whose citations count
-    citing: list[tuple[dict, str | None, str | None]] = []
-
-    # The order of the other objects decides which duplicate technique wins and
-    # which attributor an id maps to, so they run sorted.
-    for obj in sorted((o for o in objects if o.get("type") != "relationship"), key=_object_order):
-        otype = obj.get("type")
-        if otype == "x-mitre-tactic":
-            tid = _mitre_external_id(obj)
-            if not tid or not TACTIC_ID_RE.match(tid):
-                continue
-            tactics.setdefault(tid, TacticRecord(id=tid, name=obj.get("name", "")))
-            shortname = obj.get("x_mitre_shortname")
-            if type(shortname) is not str:
-                _reject_mistyped(str(obj.get("id")), x_mitre_shortname=(str | None, shortname))
-            if shortname:
-                tactic_by_shortname[shortname] = tid
-        elif otype == "attack-pattern":
-            tid = _mitre_external_id(obj)
-            if not tid or not TECHNIQUE_ID_RE.match(tid):
-                continue
-            entry = {
-                "name": obj.get("name", ""),
-                "phases": _phase_names(obj),
-                "flagged": _is_flagged(obj),
-                "is_sub": bool(obj.get("x_mitre_is_subtechnique")) or is_subtechnique_id(tid),
-            }
-            prior = technique_raw.get(tid)
-            if prior is None or (prior["flagged"] and not entry["flagged"]):
-                technique_raw[tid] = entry
-            stix_to_technique[obj.get("id", "")] = tid
-            citing.append((obj, tid, None))
-        elif otype in ATTRIBUTION_TYPES:
-            attributor = _mitre_external_id(obj) or obj.get("name") or obj.get("id", "")
-            stix_to_attributor[obj.get("id", "")] = attributor
-            citing.append((obj, None, attributor))
-
-    # Relationships resolve against the finished index and only add to sets and
-    # minima, so they run last and in file order.
-    uses = _uses(objects, stix_to_technique, stix_to_attributor)
-
     # Citation identity is the normalized URL; each distinct raw URL is normalized once.
     keys: dict[str, str] = {}
     # key -> the least (source_name, url, description or "") citing it; a missing
@@ -212,8 +169,13 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     citation_entries: dict[str, tuple[str, str, str]] = {}
     technique_citations: dict[str, set[str]] = {}
     attribution: dict[str, set[str]] = {}
-    for obj, technique, attributor in chain(citing, uses):
-        for index, ref in enumerate(obj.get("external_references", ())):
+
+    def cite(obj: dict, technique: str | None, attributor: str | None) -> None:
+        """Count ``obj``'s report references for ``technique`` and ``attributor``."""
+        refs = obj.get("external_references", [])  # typed inline, as this runs per relationship
+        for index, ref in enumerate(refs if type(refs) is list else _objects_in(obj, "external_references")):
+            if type(ref) is not dict:
+                _objects_in(obj, "external_references")  # raises
             url, source_name, description = ref.get("url"), ref.get("source_name", ""), ref.get("description")
             if url is None:
                 continue
@@ -238,6 +200,59 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
             if attributor is not None:
                 attribution[key].add(attributor)
 
+    # The order of the other objects decides which duplicate technique wins and
+    # which attributor an id maps to, so they run sorted. Citations only add to
+    # sets and minima, so they are counted as each object is read.
+    for obj in sorted((o for o in objects if o.get("type") != "relationship"), key=_object_order):
+        otype = obj.get("type")
+        if otype == "x-mitre-tactic":
+            tid = _mitre_external_id(obj)
+            if not tid or not TACTIC_ID_RE.match(tid):
+                continue
+            name, shortname = obj.get("name", ""), obj.get("x_mitre_shortname")
+            if type(name) is not str or type(shortname) is not str:
+                _reject_mistyped(str(obj.get("id")), name=(str, name), x_mitre_shortname=(str | None, shortname))
+            tactics.setdefault(tid, TacticRecord(id=tid, name=name))
+            if shortname:
+                tactic_by_shortname[shortname] = tid
+        elif otype == "attack-pattern":
+            tid = _mitre_external_id(obj)
+            if not tid or not TECHNIQUE_ID_RE.match(tid):
+                continue
+            name, revoked = obj.get("name", ""), obj.get("revoked")
+            deprecated, is_sub = obj.get("x_mitre_deprecated"), obj.get("x_mitre_is_subtechnique")
+            if type(name) is not str or not {type(revoked), type(deprecated), type(is_sub)} <= {bool, NoneType}:
+                _reject_mistyped(str(obj.get("id")), name=(str, name), revoked=(bool | None, revoked),
+                                 x_mitre_deprecated=(bool | None, deprecated),
+                                 x_mitre_is_subtechnique=(bool | None, is_sub))
+            entry = {
+                "name": name,
+                "phases": _phase_names(obj),
+                "flagged": bool(revoked or deprecated),
+                "is_sub": bool(is_sub) or "." in tid,
+            }
+            prior = technique_raw.get(tid)
+            if prior is None or (prior["flagged"] and not entry["flagged"]):
+                technique_raw[tid] = entry
+            stix_to_technique[obj.get("id", "")] = tid
+            cite(obj, tid, None)
+        elif otype in ATTRIBUTION_TYPES:
+            name = obj.get("name")
+            if type(name) not in (str, NoneType):
+                _reject_mistyped(str(obj.get("id")), name=(str | None, name))
+            attributor = _mitre_external_id(obj) or name or obj.get("id", "")
+            stix_to_attributor[obj.get("id", "")] = attributor
+            cite(obj, None, attributor)
+
+    # Relationships resolve against the finished index, so they run last, in file order.
+    for obj in objects:
+        if obj.get("type") == "relationship" and obj.get("relationship_type") == "uses":
+            source, target = obj.get("source_ref", ""), obj.get("target_ref", "")
+            if type(source) is not str or type(target) is not str:
+                _reject_mistyped(str(obj.get("id")), source_ref=(str, source), target_ref=(str, target))
+            if target in stix_to_technique:
+                cite(obj, stix_to_technique[target], stix_to_attributor.get(source))
+
     techniques = _assemble_techniques(technique_raw, tactic_by_shortname)
     citations = [
         CitationEntry(key=key, source_name=sn, url=url, date_text=dt or None)
@@ -253,17 +268,6 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     )
 
 
-def _uses(objects: list[dict], stix_to_technique: dict[str, str], stix_to_attributor: dict[str, str]) -> Iterator:
-    """(relationship, technique id, attributor or None) per ``uses`` relationship to a technique."""
-    for obj in objects:
-        if obj.get("type") == "relationship" and obj.get("relationship_type") == "uses":
-            source, target = obj.get("source_ref", ""), obj.get("target_ref", "")
-            if type(source) is not str or type(target) is not str:
-                _reject_mistyped(str(obj.get("id")), source_ref=(str, source), target_ref=(str, target))
-            if target in stix_to_technique:
-                yield obj, stix_to_technique[target], stix_to_attributor.get(source)
-
-
 def _reject_mistyped(where: str, **fields: tuple[Any, Any]) -> None:
     """BundleSchemaError naming ``where`` and the first field whose value does not read as its hint."""
     try:
@@ -273,8 +277,11 @@ def _reject_mistyped(where: str, **fields: tuple[Any, Any]) -> None:
         raise BundleSchemaError(f"{where}: {exc}") from None
 
 
-def _object_order(obj: dict) -> tuple:
-    return (obj.get("type", ""), obj.get("id", ""))
+def _object_order(obj: dict) -> tuple[str, str]:
+    order = obj.get("type", ""), obj.get("id", "")
+    if type(order[0]) is not str or type(order[1]) is not str:
+        _reject_mistyped(str(order[1]), type=(str, order[0]), id=(str, order[1]))
+    return order
 
 
 def _sniff_spec_version(objects: list[dict]) -> object:

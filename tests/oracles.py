@@ -257,3 +257,32 @@ def catalog_document(bundle: dict) -> dict:
         "attribution": {key: sorted(set().union(*(a for k, _, _, a in refs if k == key))) for key in keys},
         "technique_citations": {key: sorted(set().union(*(t for k, _, t, _ in refs if k == key))) for key in keys},
     }
+
+
+def ev_a_fields(prevalent, reports, parent_match):
+    """The EV-A result fields for ``prevalent`` ids against ``reports`` (sets of mentioned
+    ids), by testing every (prevalent id, mentioned id) pair literally: the same id, or,
+    with ``parent_match``, the same base id (the part before the first ".")."""
+
+    def matches(tid, mentioned):
+        return any(m == tid or (parent_match and m.split(".")[0] == tid.split(".")[0]) for m in mentioned)
+
+    found = tuple(tid for tid in prevalent if any(matches(tid, report) for report in reports))
+    per_report = sorted(sum(1 for tid in prevalent if matches(tid, report)) for report in reports)
+    middle = len(per_report) // 2
+    counts = {}
+    for report in reports:
+        for tid in report:
+            counts[tid] = counts.get(tid, 0) + 1
+    top20 = sorted(counts, key=lambda tid: (-counts[tid], tid))[:20]
+    overlap = tuple(tid for tid in prevalent if matches(tid, top20))
+    return {
+        "prevalent_found_count": len(found),
+        "prevalent_found_ids": found,
+        "mean_prevalent_per_report": sum(per_report) / len(per_report),
+        "median_prevalent_per_report": (
+            per_report[middle] if len(per_report) % 2 else (per_report[middle - 1] + per_report[middle]) / 2
+        ),
+        "top20_overlap_count": len(overlap),
+        "top20_overlap_ids": overlap,
+    }

@@ -98,6 +98,20 @@ class TestPipeline:
         for entry in manifest["inputs"].values():
             assert len(entry["sha256"]) == 64
 
+    def test_run_manifest_records_the_stage_options(self, tmp_path):
+        flags = ("--yates", "--universe", "corpus", "--conventional-normalization", "--parent-match")
+        for name, extra in (("default", ()), ("flags", flags)):
+            assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", tmp_path / name, *extra) == 0
+        default, flagged = (json.loads((tmp_path / name / "run_manifest.json").read_text())
+                            for name in ("default", "flags"))
+        assert default["options"] == {
+            "n_buckets": 5, "sample_size": 20, "universe": "catalog", "yates": False, "relation": None,
+            "top_k": None, "conventional_normalization": False, "parent_match": False,
+        }
+        assert flagged["options"] == {**default["options"], "universe": "corpus", "yates": True,
+                                      "conventional_normalization": True, "parent_match": True}
+        assert flagged != default
+
     def test_all_without_unseen_writes_six_artifacts_plus_manifest(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -817,6 +831,33 @@ def test_unhashable_bundle_value_exits_1_naming_object_and_field(tmp_path, caplo
     path.write_text(json.dumps(bundle), encoding="utf-8")
     assert run_cli("ingest", "--bundle", path, "--output-dir", tmp_path / "out") == 1
     assert f"{path}: {obj['id']}{where}: {field} must be a string, got {value!r}" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def _e2e_bundle_with(tmp_path, field, value):
+    """The e2e bundle, written to ``tmp_path``, with ``field`` of its first technique set to ``value``."""
+    bundle = json.loads((E2E / "bundle.json").read_bytes())
+    technique = next(obj for obj in bundle["objects"] if obj["type"] == "attack-pattern")
+    technique[field] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    return path, technique["id"]
+
+
+def test_mistyped_bundle_shape_exits_1_naming_object_and_field(tmp_path, caplog):
+    path, stix_id = _e2e_bundle_with(tmp_path, "kill_chain_phases", "x")
+    assert run_cli("ingest", "--bundle", path, "--output-dir", tmp_path / "out") == 1
+    assert f"{path}: {stix_id}: kill_chain_phases must be an array of objects" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_all_and_stagewise_runs_agree_on_a_mistyped_name(tmp_path, caplog):
+    path, stix_id = _e2e_bundle_with(tmp_path, "name", 5)
+    config = ("--config", E2E / "config.cfg")
+    assert run_cli("all", *config, "--bundle", path, "--output-dir", tmp_path / "all") == 1
+    assert run_cli("ingest", *config, "--bundle", path, "--output-dir", tmp_path / "stages") == 1
+    assert run_cli("corpus", *config, "--output-dir", tmp_path / "stages") == 1
+    assert caplog.text.count(f"{path}: {stix_id}: name must be a string, got 5") == 2
     assert "Traceback" not in caplog.text
 
 

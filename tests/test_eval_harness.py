@@ -5,6 +5,8 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttpminer.errors import ManifestError, ParameterError
 from ttpminer.eval_harness import (
@@ -20,6 +22,7 @@ from ttpminer.eval_harness import (
 )
 from ttpminer.rule_miner import RecurringPair
 
+from . import oracles
 from .conftest import make_set
 
 
@@ -273,3 +276,23 @@ def test_evaluate_summary_round_trip():
     text = summary_to_text(summary, len(prevalent), len(pairs))
     assert "EV-A" in text and "EV-B" in text
     assert "2 of 2" in text
+
+
+# Twelve base ids, each with two sub-techniques: reports can name more than 20 distinct ids.
+TECHNIQUE_POOL = [f"T10{n:02d}{sub}" for n in range(12) for sub in ("", ".001", ".002")]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    prevalent=st.lists(st.sampled_from(TECHNIQUE_POOL), max_size=8),
+    reports=st.lists(st.sets(st.sampled_from(TECHNIQUE_POOL), min_size=1, max_size=12), min_size=1, max_size=8),
+    parent_match=st.booleans(),
+)
+def test_ev_a_equals_the_pairwise_oracle(prevalent, reports, parent_match):
+    unseen = [report(f"u{i}", techniques) for i, techniques in enumerate(reports)]
+    result = vars(ev_a(prevalent, unseen, parent_match=parent_match))
+    expected = oracles.ev_a_fields(prevalent, reports, parent_match)
+    assert result == expected
+    assert {name: type(value) for name, value in result.items()} == {
+        name: type(value) for name, value in expected.items()
+    }

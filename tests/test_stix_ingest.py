@@ -287,6 +287,9 @@ def test_unhashable_catalog_source_name_is_schema_error(otype):
         parse_bundle(bundle_bytes([obj]))
 
 
+ARRAY_SHAPES = ("x", ["x"], 5)  # what external_references or kill_chain_phases may wrongly hold
+
+
 @pytest.mark.parametrize(
     "obj, path, field, value, message",
     [
@@ -300,6 +303,25 @@ def test_unhashable_catalog_source_name_is_schema_error(otype):
          " external_references[0]: external_id must be a string, got ['T1000']"),
         (stix_tactic("TA0002", "Execution", "execution"), ("external_references", 0), "external_id", 1001,
          " external_references[0]: external_id must be a string, got 1001"),
+        *((stix_technique("T1000", "P"), (), field, value, f": {field} must be an array of objects")
+          for field in ("external_references", "kill_chain_phases") for value in ARRAY_SHAPES),
+        (stix_tactic("TA0002", "Execution", "execution"), (), "external_references", ["x"],
+         ": external_references must be an array of objects"),
+        (stix_attributor("malware", "S0001", "M"), (), "external_references", 5,
+         ": external_references must be an array of objects"),
+        (stix_technique("T1000", "P"), (), "type", ["attack-pattern"],
+         ": type must be a string, got ['attack-pattern']"),
+        (stix_attributor("tool", "S0002", "T"), (), "type", None, ": type must be a string, got None"),
+        (stix_technique("T1000", "P"), (), "id", 5, ": id must be a string, got 5"),
+        (stix_technique("T1000", "P"), (), "name", 5, ": name must be a string, got 5"),
+        (stix_tactic("TA0002", "Execution", "execution"), (), "name", None, ": name must be a string, got None"),
+        (stix_attributor("intrusion-set", "G0001", "G"), (), "name", ["G"],
+         ": name must be a string or null, got ['G']"),
+        (stix_technique("T1000", "P"), (), "revoked", "false", ": revoked must be a boolean or null, got 'false'"),
+        (stix_technique("T1000", "P"), (), "x_mitre_deprecated", 1,
+         ": x_mitre_deprecated must be a boolean or null, got 1"),
+        (stix_technique("T1000", "P"), (), "x_mitre_is_subtechnique", "true",
+         ": x_mitre_is_subtechnique must be a boolean or null, got 'true'"),
     ],
 )
 def test_mistyped_catalog_field_is_schema_error(obj, path, field, value, message):
@@ -319,6 +341,27 @@ def test_mistyped_uses_relationship_ref_is_schema_error(field, value):
         message = f"{uses['id']}: {field} must be a string, got {value!r}"
         with pytest.raises(BundleSchemaError, match=re.escape(message)):
             parse_bundle(bundle_bytes(objects))
+
+
+@pytest.mark.parametrize("value", ARRAY_SHAPES)
+def test_uses_relationship_references_must_be_an_array_of_objects(value):
+    technique = stix_technique("T1000", "Placeholder", ["execution"])
+    uses = dict(stix_uses("malware--s0001", technique["id"]), external_references=value)
+    with pytest.raises(BundleSchemaError, match=re.escape(f"{uses['id']}: external_references must be an array "
+                                                           "of objects")):
+        parse_bundle(bundle_bytes([technique, uses]))
+
+
+def test_fields_the_parser_does_not_read_are_not_typed():
+    objects = [
+        stix_technique("T1000", "Placeholder", ["execution"]),
+        dict(stix_attributor("malware", "S0001", "M"), name=None),  # named by its ATT&CK id
+        dict(stix_tactic("TA12", "Bad id", "bad"), name=5),  # not a tactic id: skipped
+        {"type": "course-of-action", "id": "course-of-action--1", "external_references": "x", "name": 5},
+        dict(stix_uses("malware--s0001", "attack-pattern--unknown"), external_references="x"),
+    ]
+    catalog = parse_bundle(bundle_bytes(objects))
+    assert [t.id for t in catalog.techniques] == ["T1000"] and catalog.tactics == []
 
 
 def test_refs_of_other_relationships_are_not_typed():
