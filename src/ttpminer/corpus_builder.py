@@ -31,18 +31,8 @@ logger = logging.getLogger(__name__)
 
 DAYS_PER_MONTH = 30  # the dedup time unit: one month is exactly 30 days
 
-EXCLUSION_REASONS = frozenset(
-    {
-        "not-english",
-        "inaccessible",
-        "not-incident",
-        "fewer-than-two-techniques",
-        "insecure-url",
-        "no-attack-description",
-        "non-report-url",
-        "no-date",
-    }
-)
+EXCLUSION_REASONS = frozenset({"not-english", "inaccessible", "not-incident", "fewer-than-two-techniques",
+                               "insecure-url", "no-attack-description", "non-report-url", "no-date"})
 
 PAIR_KEY_SEP = "||"
 SAMPLE_COLUMNS = ("bucket", "pair_key", "is_duplicate")  # the labeling sample, and the labels read back
@@ -132,26 +122,28 @@ def load_manifest(path: Path | str, catalog: AttackCatalog | None = None) -> lis
     records = read_manifest_records(path, ReportRecord, lambda raw: raw.setdefault("url", raw.get("citation_key")))
     seen_keys: set[str] = set()
     for i, record in enumerate(records):
-        label = f"{path} record {i} ({record.citation_key})"
         include, reason, technique_ids = record.include, record.exclusion_reason, record.technique_ids
         if reason is not None and reason not in EXCLUSION_REASONS:
-            raise ManifestError(f"{label}: unknown exclusion_reason {reason!r}")
-        if include and reason is not None:
-            raise ManifestError(f"{label}: included record must not carry an exclusion_reason")
-        if not include and reason is None:
-            raise ManifestError(f"{label}: excluded record must carry an exclusion_reason")
-        if include and len(technique_ids) < 2:
-            raise ManifestError(
-                f"{label}: included record maps {len(technique_ids)} technique(s); "
+            problem = f"unknown exclusion_reason {reason!r}"
+        elif include and reason is not None:
+            problem = "included record must not carry an exclusion_reason"
+        elif not include and reason is None:
+            problem = "excluded record must carry an exclusion_reason"
+        elif include and len(technique_ids) < 2:
+            problem = (
+                f"included record maps {len(technique_ids)} technique(s); "
                 "at least two are required (fewer-than-two-techniques)"
             )
-        if include and record.published is None:
-            raise ManifestError(f"{label}: included record must carry a publication date")
-        if known is not None and not technique_ids <= known:
-            raise ManifestError(f"{label}: unknown technique id(s) {sorted(technique_ids - known)}")
-        if record.citation_key in seen_keys:
-            raise ManifestError(f"{label}: duplicate citation_key")
-        seen_keys.add(record.citation_key)
+        elif include and record.published is None:
+            problem = "included record must carry a publication date"
+        elif known is not None and not technique_ids <= known:
+            problem = f"unknown technique id(s) {sorted(technique_ids - known)}"
+        elif record.citation_key in seen_keys:
+            problem = "duplicate citation_key"
+        else:
+            seen_keys.add(record.citation_key)
+            continue
+        raise ManifestError(f"{path} record {i} ({record.citation_key}): {problem}")
     return records
 
 
@@ -168,7 +160,8 @@ def find_candidate_pairs(
     apart: each attribution group is sorted by date and swept forward from
     each record up to the first one past the gap (a sorted neighbourhood),
     so the work grows with the pairs listed rather than with the group size
-    squared. A pair sharing several attributions is listed once.
+    squared. Pairs come in the sweep's deterministic order (groups of two or more
+    by name, then by date); a pair sharing several attributions is listed once, in its first.
     """
     for record in records:
         if not record.include or record.published is None:
@@ -180,7 +173,7 @@ def find_candidate_pairs(
             by_attribution.setdefault(attributed, []).append(record)
 
     gaps: dict[tuple[str, str], int] = {}  # (a, b) with a < b -> days between them
-    for group in by_attribution.values():
+    for group in map(by_attribution.get, sorted(name for name, g in by_attribution.items() if len(g) > 1)):
         group.sort(key=lambda r: r.published)
         days = [r.published.toordinal() for r in group]
         keys = [r.citation_key for r in group]
@@ -192,7 +185,7 @@ def find_candidate_pairs(
             for j in range(i + 1, end):
                 b = keys[j]
                 gaps[(a, b) if a < b else (b, a)] = days[j] - days[i]
-    return [DuplicateCandidatePair(a, b, gap) for (a, b), gap in sorted(gaps.items())]
+    return [DuplicateCandidatePair(a, b, gap) for (a, b), gap in gaps.items()]
 
 
 def month_bucket(date_gap_days: int) -> int:
@@ -221,12 +214,8 @@ def sample_buckets(
     for i in range(1, n + 1):
         candidates = sorted(buckets[i])
         if len(candidates) < s:
-            logger.warning(
-                "bucket %d has only %d pair(s), fewer than sample size %d; emitting all",
-                i,
-                len(candidates),
-                s,
-            )
+            logger.warning("bucket %d has only %d pair(s), fewer than sample size %d; emitting all",
+                           i, len(candidates), s)
             chosen = candidates
         else:
             rng = random.Random(seed * 1_000_003 + i)
@@ -278,27 +267,6 @@ def estimate_tau(fractions: list[float]) -> int:
     return max(i + 1 for i, drop in enumerate(drops) if drop == best)
 
 
-class _UnionFind:
-    def __init__(self, keys):
-        self.parent = {k: k for k in keys}
-
-    def find(self, k: str) -> str:
-        root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Deterministic representative: lexicographically smaller root.
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def merge_duplicates(
     records: list[ReportRecord], pairs: list[DuplicateCandidatePair], tau: int
 ) -> list[TechniqueSet]:
@@ -306,26 +274,33 @@ def merge_duplicates(
 
     An edge joins a candidate pair whose publication gap is at most ``tau``
     months (tau * 30 days); every connected component of included citations
-    becomes one technique-set with the union of member techniques.
+    becomes one technique-set with the union of member techniques, whatever the pair order.
     """
     if tau < 1:
         raise ParameterError(f"tau must be >= 1 (got {tau})")
     by_key = {r.citation_key: r for r in records if r.include}
     max_gap = tau * DAYS_PER_MONTH
-    edges = [(p.a, p.b) for p in pairs if p.date_gap_days <= max_gap and p.a in by_key and p.b in by_key]
-    uf = _UnionFind({key for edge in edges for key in edge})
-    for a, b in edges:
-        uf.union(a, b)
+    parent: dict[str, str] = {}  # a union-find forest over the citations some edge touches
+    for pair in pairs:
+        if pair.date_gap_days <= max_gap and pair.a in by_key and pair.b in by_key:
+            a, b = parent.setdefault(pair.a, pair.a), parent.setdefault(pair.b, pair.b)
+            while a != parent[a]:
+                parent[a] = a = parent[parent[a]]  # path halving
+            while b != parent[b]:
+                parent[b] = b = parent[parent[b]]
+            parent[b] = a
 
     components: dict[str, list[ReportRecord]] = {}
-    for key in sorted(uf.parent):
-        components.setdefault(uf.find(key), []).append(by_key[key])
+    for key, root in parent.items():
+        while root != parent[root]:
+            root = parent[root]
+        components.setdefault(root, []).append(by_key[key])
 
     # A citation no edge touches is a technique-set of its own.
     sets = [
-        TechniqueSet(key, frozenset((key,)), frozenset(r.technique_ids), r.published, r.published)
+        TechniqueSet(key, frozenset((key,)), r.technique_ids, r.published, r.published)
         for key, r in by_key.items()
-        if key not in uf.parent
+        if key not in parent
     ]
     for members in components.values():
         keys = frozenset(r.citation_key for r in members)

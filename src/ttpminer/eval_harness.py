@@ -17,7 +17,6 @@ from typing import Sequence
 from .corpus_builder import TechniqueSet, median, read_manifest_records
 from .errors import ManifestError, ParameterError
 from .rule_miner import RecurringPair
-from .stix_ingest import parent_technique_id
 
 
 @dataclass(frozen=True)
@@ -40,22 +39,29 @@ def load_unseen_manifest(path: Path | str, cutoff: date | None = None) -> list[U
     reports = read_manifest_records(path, UnseenReport, _id_from_citation_key)
     seen: set[str] = set()
     for i, report in enumerate(reports):
-        label = f"{path} record {i} ({report.id})"
         if not report.id:
             raise ManifestError(f"{path} record {i}: id must be non-empty")
         if report.id in seen:
-            raise ManifestError(f"{label}: duplicate id")
-        seen.add(report.id)
-        if not report.technique_ids:
-            raise ManifestError(f"{label}: technique_ids must be non-empty")
-        if cutoff is not None and report.published <= cutoff:
-            raise ManifestError(f"{label}: published {report.published} is not after the cutoff {cutoff}")
+            problem = "duplicate id"
+        elif not report.technique_ids:
+            problem = "technique_ids must be non-empty"
+        elif cutoff is not None and report.published <= cutoff:
+            problem = f"published {report.published} is not after the cutoff {cutoff}"
+        else:
+            seen.add(report.id)
+            continue
+        raise ManifestError(f"{path} record {i} ({report.id}): {problem}")
     return reports
 
 
 def _id_from_citation_key(raw: dict) -> None:
     if "id" not in raw and "citation_key" in raw:
         raw["id"] = raw.pop("citation_key")
+
+
+def parent_technique_id(technique_id: str) -> str:
+    """Base technique id: T1059.001 -> T1059; parents map to themselves."""
+    return technique_id.split(".", 1)[0]
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,9 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
     as it, and a missing one without raises KeyError. ``frozenset[str]`` is an
     array of strings, ``date`` an ISO string, ``list[X]`` and ``dict[str, X]``
     an array and an object of X, ``X | None`` null or X, and a scalar has its
-    exact JSON type.
+    exact JSON type. A row with exactly a dataclass's fields is read by one function
+    built for it, as ``dataclasses`` builds ``__init__``, that types exact scalars
+    inline and fills the record's ``__dict__`` in field order, as ``__init__`` would.
     """
     if hint == frozenset[str]:
         return _string_set
@@ -87,7 +89,25 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
                 raise ValueError(f"unknown field {unknown[0]!r}")
             return hint(**{field: readers[field](value, field) for field, value in row.items()})
 
-        return record
+        if hasattr(hint, "__post_init__"):
+            return record
+        scalar = {i: read.types for i, read in enumerate(readers.values()) if hasattr(read, "types")}
+        env = {"hint": hint, "new": object.__new__, "record": record, **{f"t{i}": t for i, t in scalar.items()},
+               **{f"r{i}": read for i, read in enumerate(readers.values())}}
+        fills = "".join(f"\n            values[{field!r}] = " + (f"v{i}" if i in scalar else f"r{i}(v{i}, {field!r})")
+                        for i, field in enumerate(readers))
+        exec(f"""def straight(row, name):
+    if type(row) is dict and len(row) == {len(readers)}:
+        try:
+            ({"".join(f"v{i}, " for i in range(len(readers)))}) = ({"".join(f"row[{f!r}], " for f in readers)})
+        except KeyError:
+            return record(row, name)
+        if True{"".join(f" and type(v{i}) in t{i}" for i in scalar)}:
+            values = (made := new(hint)).__dict__{fills}
+            return made
+    return record(row, name)  # any other row, or a scalar of another type
+""", env)
+        return env["straight"]
     if get_origin(hint) in (list, dict):
         container, read = get_origin(hint), reader(get_args(hint)[-1])
 
@@ -110,6 +130,7 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
             return value
         raise ValueError(f"{name} must be {expected}, got {value!r}")
 
+    exact.types = types
     return exact
 
 

@@ -33,11 +33,6 @@ ATTRIBUTION_TYPES = frozenset({"intrusion-set", "malware", "tool"})
 _CATALOG_SOURCES = frozenset({"mitre-attack", "mitre-mobile-attack", "mitre-ics-attack"})
 
 
-def parent_technique_id(technique_id: str) -> str:
-    """Base technique id: T1059.001 -> T1059; parents map to themselves."""
-    return technique_id.split(".", 1)[0]
-
-
 def normalize_citation_url(url: str) -> str:
     """Citation identity: lowercased scheme/host, no fragment, no trailing /."""
     parts = urlsplit(url.strip())
@@ -246,12 +241,15 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
 
     # Relationships resolve against the finished index, so they run last, in file order.
     for obj in objects:
-        if obj.get("type") == "relationship" and obj.get("relationship_type") == "uses":
-            source, target = obj.get("source_ref", ""), obj.get("target_ref", "")
-            if type(source) is not str or type(target) is not str:
-                _reject_mistyped(str(obj.get("id")), source_ref=(str, source), target_ref=(str, target))
-            if target in stix_to_technique:
-                cite(obj, stix_to_technique[target], stix_to_attributor.get(source))
+        if obj.get("type") == "relationship":
+            if type(obj.get("id", "")) is not str:
+                _object_order(obj)  # raises, as for any other object
+            if obj.get("relationship_type") == "uses":
+                source, target = obj.get("source_ref", ""), obj.get("target_ref", "")
+                if type(source) is not str or type(target) is not str:
+                    _reject_mistyped(str(obj.get("id")), source_ref=(str, source), target_ref=(str, target))
+                if target in stix_to_technique:
+                    cite(obj, stix_to_technique[target], stix_to_attributor.get(source))
 
     techniques = _assemble_techniques(technique_raw, tactic_by_shortname)
     citations = [
@@ -302,7 +300,7 @@ def _assemble_techniques(
     for tid in sorted(technique_raw):
         entry = technique_raw[tid]
         tactic_ids = tactic_ids_of(entry)
-        parent_id = parent_technique_id(tid) if entry["is_sub"] else None
+        parent_id = tid.split(".", 1)[0] if entry["is_sub"] else None
         if entry["is_sub"] and not tactic_ids:
             # Sub-techniques without their own kill-chain phases inherit the parent's.
             parent = technique_raw.get(parent_id)

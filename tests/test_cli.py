@@ -803,7 +803,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert loaded["prevalence"] == base | {"stix_ingest", "corpus_builder", "prevalence", "artifacts"}
     assert loaded["mine"] == base | {"corpus_builder", "rule_miner", "artifacts"}
     assert loaded["graph"] == base | {"rule_miner", "artifacts"}
-    assert loaded["eval"] == base | {"stix_ingest", "corpus_builder", "rule_miner", "artifacts", "eval_harness"}
+    assert loaded["eval"] == base | {"corpus_builder", "rule_miner", "artifacts", "eval_harness"}
     assert {"stix_ingest", "corpus_builder", "prevalence", "rule_miner", "graph_analysis", "eval_harness",
             "artifacts"} <= loaded["all"]
     for command, names in loaded.items():

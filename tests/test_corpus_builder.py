@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -310,6 +314,76 @@ def test_windowed_search_equals_the_filtered_full_search(entries, gap, order):
     order.shuffle(records)
     expected = [p for p in find_candidate_pairs(records) if p.date_gap_days <= gap]
     assert find_candidate_pairs(records, gap) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=120),
+            st.sets(st.sampled_from(["G1", "G2", "S1", "S2"]), max_size=3),
+        ),
+        max_size=25,
+    ),
+    gap=st.none() | st.integers(min_value=0, max_value=150),
+    order=st.randoms(use_true_random=False),
+)
+def test_candidate_pairs_are_the_brute_force_pair_set(entries, gap, order):
+    start = date(2020, 1, 1)
+    records = [
+        record(f"r{i:02d}", (start + timedelta(days=day)).isoformat(), ["T1", "T2"], attribution=attributed)
+        for i, (day, attributed) in enumerate(entries)
+    ]
+    order.shuffle(records)
+    expected = set()
+    for i, x in enumerate(records):
+        for y in records[i + 1 :]:
+            days = abs((x.published - y.published).days)
+            if x.attribution & y.attribution and (gap is None or days <= gap):
+                expected.add((*sorted((x.citation_key, y.citation_key)), days))
+    pairs = find_candidate_pairs(records, gap)
+    assert len(pairs) == len(expected)  # each pair listed once
+    assert {(p.a, p.b, p.date_gap_days) for p in pairs} == expected
+    assert find_candidate_pairs(records, gap) == pairs
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_candidate_pair_order_does_not_depend_on_the_hash_seed():
+    probe = (
+        "from datetime import date, timedelta\n"
+        "from ttpminer.corpus_builder import ReportRecord, find_candidate_pairs\n"
+        "records = [ReportRecord(f'r{i:02d}', 'u', True, date(2020, 1, 1) + timedelta(days=i % 7),\n"
+        "                        frozenset({'T1', 'T2'}), frozenset({f'G{i % 5}', f'S{i % 3}'})) for i in range(30)]\n"
+        "print([p.key for p in find_candidate_pairs(records)])\n"
+    )
+    outputs = {
+        subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert len(outputs) == 1 and outputs.pop().count("||") > 50
+
+
+def test_sampling_and_merge_do_not_depend_on_pair_order():
+    rng = random.Random(5)
+    records = [
+        record(f"r{i:02d}", (date(2020, 1, 1) + timedelta(days=rng.randint(0, 160))).isoformat(), ["T1", "T2"],
+               attribution=rng.sample(["G1", "G2", "G3", "S1"], rng.randint(1, 2)))
+        for i in range(40)
+    ]
+    swept = find_candidate_pairs(records)
+    shuffled = list(swept)
+    rng.shuffle(shuffled)
+    orders = [swept, sorted(swept, key=lambda p: p.key), shuffled]
+    assert len({tuple(p.key for p in pairs) for pairs in orders}) == 3  # the orders differ
+    for n, s, seed in [(5, 3, 0), (5, 20, 42), (3, 1, 7)]:
+        samples = [sample_buckets(pairs, n=n, s=s, seed=seed) for pairs in orders]
+        assert samples[0] == samples[1] == samples[2]
+    for tau in (1, 2, 4):
+        merged = [merge_duplicates(records, pairs, tau=tau) for pairs in orders]
+        assert merged[0] == merged[1] == merged[2]
 
 
 class TestElbow:

@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttpminer.corpus_builder import TechniqueSet
+from ttpminer.corpus_builder import ReportRecord, TechniqueSet
+from ttpminer.eval_harness import UnseenReport
 from ttpminer.io_utils import (
     atomic_write_text,
     canonical_json,
@@ -164,3 +167,70 @@ class TestDecode:
         assert read("2020-03-04", "published") == date(2020, 3, 4)
         with pytest.raises(ValueError, match="published must be an ISO date string, got '20200304'"):
             read("20200304", "published")
+
+
+# --- the straight-line record reader against the generic one it falls back to ---
+
+TEXT = st.text(alphabet="aTz.1-", max_size=4)
+ISO_DATES = st.dates(min_value=date(1990, 1, 1), max_value=date(2030, 12, 31)).map(date.isoformat)
+STRINGS = st.lists(TEXT, max_size=3)
+ROWS = {  # each record type, and a strategy for each of its fields
+    ReportRecord: {"citation_key": TEXT, "url": TEXT, "include": st.booleans(), "published": st.none() | ISO_DATES,
+                   "technique_ids": STRINGS, "attribution": STRINGS, "exclusion_reason": st.none() | TEXT},
+    UnseenReport: {"id": TEXT, "published": ISO_DATES, "technique_ids": STRINGS},
+    TechniqueSet: {"attack_id": TEXT, "member_citations": STRINGS, "techniques": STRINGS,
+                   "representative_date": ISO_DATES, "latest_date": ISO_DATES},
+}
+JSON_VALUES = st.sampled_from([5, 1.5, True, None, "x", "", [], ["x"], {}, {"a": "b"}])
+BAD_DATES = st.sampled_from(["2020-1-02", "20200102", "2020-02-30", "2020-W10-3", "2020-01-02T00:00", " 2020-01-02"])
+
+
+def _outcome(read, row: dict, record_type: type):
+    try:
+        return read(row, record_type.__name__)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def rows(draw, malformed: bool):
+    """(record type, a row in a random key order, whether it must be rejected)."""
+    record_type = draw(st.sampled_from(list(ROWS)))
+    strategies = ROWS[record_type]
+    row = {field: draw(strategy) for field, strategy in strategies.items()}
+    row = dict(draw(st.permutations(list(row.items()))))
+    if not malformed:
+        return record_type, row, False
+    field = draw(st.sampled_from(list(row)))
+    shape = draw(st.sampled_from(["type", "missing", "extra", "array", "date"]))
+    if shape == "type":
+        row[field] = draw(JSON_VALUES)
+        return record_type, row, False  # the value may happen to be valid
+    if shape == "missing":
+        del row[field]
+        return record_type, row, field in {f.name for f in fields(record_type) if f.default is MISSING}
+    if shape == "extra":
+        row[draw(st.sampled_from(["extra", "Published", ""]))] = draw(JSON_VALUES)
+        return record_type, row, True
+    if shape == "array":
+        arrays = [f for f, s in strategies.items() if s is STRINGS]
+        row[draw(st.sampled_from(arrays))] = draw(st.lists(TEXT, max_size=2)) + [draw(JSON_VALUES.filter(
+            lambda v: not isinstance(v, str)))]
+        return record_type, row, True
+    row[draw(st.sampled_from([f for f in strategies if "date" in f or f == "published"]))] = draw(BAD_DATES)
+    return record_type, row, True
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=rows(malformed=False) | rows(malformed=True))
+def test_straight_line_reader_reads_and_fails_as_the_generic_path(case):
+    record_type, row, rejected = case
+    straight = reader(record_type)
+    generic = straight.__globals__["record"]  # the generic path a row that does not fit falls back to
+    assert generic is not straight
+    expected = _outcome(generic, row, record_type)
+    assert _outcome(straight, row, record_type) == expected
+    if rejected:
+        assert isinstance(expected, tuple), expected
+    elif set(row) == set(ROWS[record_type]) and not isinstance(expected, tuple):
+        assert type(expected) is record_type

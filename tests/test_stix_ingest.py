@@ -343,6 +343,24 @@ def test_mistyped_uses_relationship_ref_is_schema_error(field, value):
             parse_bundle(bundle_bytes(objects))
 
 
+@pytest.mark.parametrize("bundle_spec_version", ["2.1", ""])  # "": sniffed from the objects
+@pytest.mark.parametrize("relationship_type", ["uses", "mitigates"])
+@pytest.mark.parametrize("value", [5, None, ["relationship--x"]])
+def test_non_string_relationship_id_is_schema_error(bundle_spec_version, relationship_type, value):
+    technique = stix_technique("T1000", "Placeholder", ["execution"])
+    relationship = {"type": "relationship", "id": value, "spec_version": "2.1", "relationship_type": relationship_type,
+                    "source_ref": "malware--s0001", "target_ref": technique["id"]}
+    with pytest.raises(BundleSchemaError, match=re.escape(f"{value}: id must be a string, got {value!r}")):
+        parse_bundle(bundle_bytes([technique, relationship], spec_version=bundle_spec_version))
+
+
+def test_relationship_without_an_id_parses():
+    technique = stix_technique("T1000", "Placeholder", ["execution"])
+    uses = stix_uses("malware--s0001", technique["id"])
+    del uses["id"]
+    assert parse_bundle(bundle_bytes([technique, uses])).techniques[0].id == "T1000"
+
+
 @pytest.mark.parametrize("value", ARRAY_SHAPES)
 def test_uses_relationship_references_must_be_an_array_of_objects(value):
     technique = stix_technique("T1000", "Placeholder", ["execution"])
