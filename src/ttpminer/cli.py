@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import __version__, graph_analysis  # argparse reads graph_analysis.RELATION_TYPES
-from .errors import ArtifactError, ConfigError, ParameterError, TTPMinerError
+from .errors import AnnotationError, ArtifactError, ConfigError, ManifestError, ParameterError, TTPMinerError
 from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, read_text, render_csv, sha256_file
 
 logger = logging.getLogger(__name__)
@@ -135,6 +135,12 @@ class StageOptions:
     artifacts_written: list[Path] = field(default_factory=list)
     produced: dict[str, object] = field(default_factory=dict)  # keys of _UPSTREAM, annotations
 
+    def validate(self) -> None:
+        for flag, value in (("--n-buckets", self.n_buckets), ("--sample-size", self.sample_size),
+                            ("--top-k", self.top_k)):
+            if value is not None and value < 1:
+                raise ConfigError(f"{flag} must be >= 1, got {value}")
+
 
 def _require_file(path: Path | None, role: str) -> Path:
     if path is None:
@@ -149,14 +155,24 @@ def _artifact(config: PipelineConfig, stem: str, suffix: str | None = None) -> P
     return config.output_dir / f"{stem}{suffix}"
 
 
-# What a stage hands to later ones: artifact stem, suffix (None for the
-# tabular format) and loader. _hand_off writes and _upstream reads the file
-# named here. The loaders import their reader's module when called.
+def _read_corpus(path: Path) -> list:
+    """The corpus artifact; an empty one is corrupt, as the corpus stage never writes it."""
+    corpus = _module("corpus_builder").corpus_from_json(path.read_text("utf-8"))
+    if not corpus:
+        raise ValueError("no technique-sets")
+    return corpus
+
+
+# What a stage hands to later ones: the stage that writes it, artifact stem,
+# suffix (None for the tabular format) and loader. _hand_off writes and
+# _upstream reads the file named here. The loaders import their reader's
+# module when called.
 _UPSTREAM = {
-    "catalog": ("catalog", ".json", lambda p: _module("stix_ingest").catalog_from_json(p.read_text("utf-8"))),
-    "corpus": ("corpus", ".json", lambda p: _module("corpus_builder").corpus_from_json(p.read_text("utf-8"))),
-    "prevalent": ("prevalent_techniques", None, lambda p: _module("artifacts").read_prevalent(p)),
-    "pairs": ("recurring_pairs", None, lambda p: _module("artifacts").read_pairs(p)),
+    "catalog": ("ingest", "catalog", ".json",
+                lambda p: _module("stix_ingest").catalog_from_json(p.read_text("utf-8"))),
+    "corpus": ("corpus", "corpus", ".json", _read_corpus),
+    "prevalent": ("prevalence", "prevalent_techniques", None, lambda p: _module("artifacts").read_prevalent(p)),
+    "pairs": ("mine", "recurring_pairs", None, lambda p: _module("artifacts").read_pairs(p)),
 }
 
 
@@ -174,7 +190,7 @@ def _upstream(config: PipelineConfig, options: StageOptions, name: str, required
     """
     if name in options.produced:
         return options.produced[name]
-    stem, suffix, load = _UPSTREAM[name]
+    stage, stem, suffix, load = _UPSTREAM[name]
     path = _artifact(config, stem, suffix)
     if not required and not path.exists():
         return None
@@ -183,7 +199,7 @@ def _upstream(config: PipelineConfig, options: StageOptions, name: str, required
         return load(path)
     except (KeyError, ValueError, RecursionError) as exc:  # what the decoders raise; JSON errors too
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed ({exc})"
-        raise ArtifactError(f"{path}: {problem}; re-run the stage that writes it") from exc
+        raise ArtifactError(f"{path}: {problem}; re-run `ttpminer {stage}`") from exc
 
 
 def _annotations(config: PipelineConfig, options: StageOptions) -> list:
@@ -205,7 +221,7 @@ def _write(path: Path, writer, options: StageOptions) -> None:
 
 def _hand_off(config: PipelineConfig, options: StageOptions, name: str, value, writer) -> None:
     """Keep ``value`` for the later stages of this run; write it where ``_upstream`` reads it."""
-    stem, suffix, _ = _UPSTREAM[name]
+    _, stem, suffix, _ = _UPSTREAM[name]
     options.produced[name] = value
     _write(_artifact(config, stem, suffix), writer, options)
 
@@ -237,6 +253,8 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
     catalog = _upstream(config, options, "catalog")
     records = corpus_builder.load_manifest(manifest_path, catalog)
     included = corpus_builder.included_records(records)
+    if not included:
+        raise ManifestError(f"{manifest_path}: no included record, so the corpus would be empty")
 
     tau = config.tau
     if options.elbow_labels is not None:
@@ -257,27 +275,21 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
         samples = corpus_builder.sample_buckets(
             pairs, n=options.n_buckets, s=options.sample_size, seed=config.seed
         )
-        rows = [
-            [sample.month_bucket, key, ""]
-            for sample in samples
-            for key in sample.sampled_pairs
-        ]
+        rows = [[bucket, key, ""] for bucket, keys in samples.items() for key in keys]
         logger.info("sampled %s pairs per bucket for manual duplicate labeling",
-                    "/".join(str(len(s.sampled_pairs)) for s in samples))
+                    "/".join(str(len(keys)) for keys in samples.values()))
         text = render_csv(corpus_builder.SAMPLE_COLUMNS, rows)
         _write(options.sample_pairs, lambda p: atomic_write_text(p, text), options)
 
     sets = corpus_builder.merge_duplicates(included, pairs, tau)
-    stats = corpus_builder.corpus_stats(sets)
-    merged = sum(1 for ts in sets if len(ts.member_citations) > 1)
     logger.info(
         "corpus: %d included citations -> %d technique-sets (%d merged), "
         "%d mentions, %d distinct techniques",
         len(included),
-        stats.report_count,
-        merged,
-        stats.total_mentions,
-        stats.distinct_techniques,
+        len(sets),
+        sum(len(ts.member_citations) > 1 for ts in sets),
+        sum(len(ts.techniques) for ts in sets),
+        len(frozenset().union(*(ts.techniques for ts in sets))),
     )
     _hand_off(
         config, options, "corpus", sets, lambda p: atomic_write_text(p, corpus_builder.corpus_to_json(sets))
@@ -333,11 +345,14 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
     else:
         relations = sorted({a.relation for a in annotations})
 
+    try:  # relation None is the all-pairs graph
+        graphs = {r: graph_analysis.build_graph(pairs, annotations, relation=r) for r in [None, *relations]}
+    except AnnotationError as exc:  # a row names no recurring pair, or a directed one no orientation
+        raise AnnotationError(f"{config.annotation_path}: {exc}") from None
     rows: list[list] = []
     listings: list[tuple[str, dict]] = []  # (label, scores) per graph, for --top-k
     conventional = options.conventional_normalization
-    for relation in [None, *relations]:  # None: the all-pairs graph
-        graph = graph_analysis.build_graph(pairs, annotations, relation=relation)
+    for relation, graph in graphs.items():
         if relation is None:
             etas = graph_analysis.partner_count(graph)
             deltas = graph_analysis.degree_centrality(graph, conventional=conventional)
@@ -361,7 +376,7 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
     rows.sort(key=lambda row: (row[1], row[0]))
     _write(_artifact(config, "graph_centrality"), lambda p: artifacts.write_centrality(p, rows), options)
     if options.dot_path is not None:
-        target = graph_analysis.build_graph(pairs, annotations, relation=options.relation)
+        target = graphs[options.relation]
         _write(options.dot_path, lambda p: atomic_write_text(p, graph_analysis.to_dot(target)), options)
 
 
@@ -375,23 +390,20 @@ def stage_eval(config: PipelineConfig, options: StageOptions) -> None:
 
     cutoff = eval_harness.cutoff_date(corpus)
     unseen = eval_harness.load_unseen_manifest(unseen_path, cutoff=cutoff)
-    summary = eval_harness.evaluate(
-        prevalent, pairs, unseen, cutoff=cutoff, parent_match=options.parent_match
-    )
+    doc = eval_harness.evaluate(prevalent, pairs, unseen, cutoff=cutoff, parent_match=options.parent_match)
     logger.info(
         "EV-A %d/%d prevalent found; EV-B %d valid / %d matched pairs",
-        summary.ev_a.prevalent_found_count,
+        doc["ev_a"]["prevalent_found_count"],
         len(prevalent),
-        summary.ev_b.valid_pair_count,
-        summary.ev_b.matched_pair_count,
+        doc["ev_b"]["valid_pair_count"],
+        doc["ev_b"]["matched_pair_count"],
     )
-    doc = eval_harness.summary_to_dict(summary)
     _write(
         _artifact(config, "evaluation", ".json"),
         lambda p: atomic_write_text(p, canonical_json(doc)),
         options,
     )
-    text = eval_harness.summary_to_text(summary, len(prevalent), len(pairs))
+    text = eval_harness.summary_to_text(doc, len(prevalent), len(pairs))
     _write(
         _artifact(config, "evaluation", ".txt"), lambda p: atomic_write_text(p, text), options
     )
@@ -435,6 +447,7 @@ def run(command: str, config: PipelineConfig, options: StageOptions | None = Non
         raise ParameterError(f"unknown command {command!r}")
     config.validate()
     options = options if options is not None else StageOptions()
+    options.validate()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     stages = list(_STAGES) if command == "all" else [command]
     if command == "all" and config.unseen_manifest_path is None:

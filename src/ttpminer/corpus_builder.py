@@ -49,17 +49,21 @@ def read_manifest_records(path: Path, record_type: type, stand_in: Callable[[dic
         raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ManifestError(f"{path}: manifest must be a JSON array of records")
-    read, records = reader(record_type), []
-    for i, raw in enumerate(doc):
-        if not isinstance(raw, dict):
-            raise ManifestError(f"{path} record {i}: must be a JSON object, got {raw!r}")
-        stand_in(raw)
-        try:
-            records.append(read(raw, record_type.__name__))
-        except (KeyError, ValueError) as exc:
-            problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ManifestError(f"{path} record {i}: {problem}") from None
-    return records
+    read, name = reader(record_type), record_type.__name__
+    try:
+        for raw in doc:
+            stand_in(raw)
+        return [read(raw, name) for raw in doc]
+    except (AttributeError, TypeError, KeyError, ValueError):  # a record that is no object, or a bad field
+        for i, raw in enumerate(doc):  # again, to name the first record that fails
+            if not isinstance(raw, dict):
+                raise ManifestError(f"{path} record {i}: must be a JSON object, got {raw!r}") from None
+            try:
+                read(raw, name)
+            except (KeyError, ValueError) as exc:
+                problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ManifestError(f"{path} record {i}: {problem}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -84,12 +88,6 @@ class DuplicateCandidatePair:
         return f"{self.a}{PAIR_KEY_SEP}{self.b}"
 
 
-@dataclass
-class ElbowSample:
-    month_bucket: int
-    sampled_pairs: list[str]
-
-
 @dataclass(frozen=True)
 class TechniqueSet:
     """One unique cyberattack: the merged technique-sets of duplicate reports."""
@@ -99,15 +97,6 @@ class TechniqueSet:
     techniques: frozenset[str]
     representative_date: date
     latest_date: date
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    report_count: int
-    total_mentions: int
-    mean_techniques: float
-    median_techniques: float
-    distinct_techniques: int
 
 
 def load_manifest(path: Path | str, catalog: AttackCatalog | None = None) -> list[ReportRecord]:
@@ -193,14 +182,12 @@ def month_bucket(date_gap_days: int) -> int:
     return max(1, math.ceil(date_gap_days / DAYS_PER_MONTH))
 
 
-def sample_buckets(
-    pairs: list[DuplicateCandidatePair], n: int, s: int, seed: int
-) -> list[ElbowSample]:
+def sample_buckets(pairs: list[DuplicateCandidatePair], n: int, s: int, seed: int) -> dict[int, list[str]]:
     """Draw ``s`` pairs without replacement from each of the first ``n`` month buckets.
 
-    Deterministic for a given seed. A bucket with fewer than ``s`` pairs is
-    emitted whole with a warning; duplicate fractions are left unfilled for
-    the manual labeling pass.
+    Returns each bucket's sorted pair keys, by bucket. Deterministic for a
+    given seed. A bucket with fewer than ``s`` pairs is emitted whole with a
+    warning; duplicate fractions are left unfilled for the manual labeling pass.
     """
     if n < 1 or s < 1:
         raise ParameterError(f"n and s must be >= 1 (got n={n}, s={s})")
@@ -210,18 +197,13 @@ def sample_buckets(
         if bucket <= n:
             buckets[bucket].append(pair.key)
 
-    samples = []
-    for i in range(1, n + 1):
-        candidates = sorted(buckets[i])
-        if len(candidates) < s:
-            logger.warning("bucket %d has only %d pair(s), fewer than sample size %d; emitting all",
-                           i, len(candidates), s)
-            chosen = candidates
+    for i, keys in buckets.items():
+        keys.sort()
+        if len(keys) < s:
+            logger.warning("bucket %d has only %d pair(s), fewer than sample size %d; emitting all", i, len(keys), s)
         else:
-            rng = random.Random(seed * 1_000_003 + i)
-            chosen = sorted(rng.sample(candidates, s))
-        samples.append(ElbowSample(month_bucket=i, sampled_pairs=chosen))
-    return samples
+            buckets[i] = sorted(random.Random(seed * 1_000_003 + i).sample(keys, s))
+    return buckets
 
 
 def read_elbow_labels(path: Path | str) -> list[float]:
@@ -315,19 +297,6 @@ def median(values: Iterable) -> float:
     ordered = sorted(values)
     middle = len(ordered) // 2
     return ordered[middle] if len(ordered) % 2 else (ordered[middle - 1] + ordered[middle]) / 2
-
-
-def corpus_stats(sets: list[TechniqueSet]) -> CorpusStats:
-    if not sets:
-        raise ParameterError("corpus is empty")
-    sizes = [len(ts.techniques) for ts in sets]
-    return CorpusStats(
-        report_count=len(sets),
-        total_mentions=sum(sizes),
-        mean_techniques=sum(sizes) / len(sizes),
-        median_techniques=median(sizes),
-        distinct_techniques=len(frozenset().union(*(ts.techniques for ts in sets))),
-    )
 
 
 def corpus_to_json(sets: list[TechniqueSet]) -> str:

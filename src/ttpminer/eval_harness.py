@@ -9,7 +9,7 @@ techniques mentioned somewhere) and actually co-present in a single report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Sequence
@@ -37,6 +37,8 @@ def load_unseen_manifest(path: Path | str, cutoff: date | None = None) -> list[U
     """Load unseen reports (JSON array); each must postdate the cutoff if given."""
     path = Path(path)
     reports = read_manifest_records(path, UnseenReport, _id_from_citation_key)
+    if not reports:
+        raise ManifestError(f"{path}: no unseen reports to evaluate against")
     seen: set[str] = set()
     for i, report in enumerate(reports):
         if not report.id:
@@ -160,55 +162,44 @@ def ev_b(pairs: Sequence[RecurringPair], unseen: Sequence[UnseenReport]) -> EvBR
     )
 
 
-@dataclass(frozen=True)
-class EvaluationSummary:
-    cutoff: date | None
-    unseen_report_count: int
-    ev_a: EvAResult
-    ev_b: EvBResult
-
-
 def evaluate(
     prevalent: Sequence[str],
     pairs: Sequence[RecurringPair],
     unseen: Sequence[UnseenReport],
     cutoff: date | None = None,
     parent_match: bool = False,
-) -> EvaluationSummary:
-    return EvaluationSummary(
-        cutoff=cutoff,
-        unseen_report_count=len(unseen),
-        ev_a=ev_a(prevalent, unseen, parent_match=parent_match),
-        ev_b=ev_b(pairs, unseen),
-    )
+) -> dict:
+    """The ``evaluation.json`` document: EV-A and EV-B, each under its result's field names."""
+    return {
+        "cutoff": cutoff.isoformat() if cutoff else None,
+        "unseen_report_count": len(unseen),
+        "ev_a": vars(ev_a(prevalent, unseen, parent_match=parent_match)),
+        "ev_b": vars(ev_b(pairs, unseen)),
+    }
 
 
-def summary_to_dict(summary: EvaluationSummary) -> dict:
-    """The ``evaluation.json`` document: the result fields under their own names."""
-    return {**asdict(summary), "cutoff": summary.cutoff.isoformat() if summary.cutoff else None}
-
-
-def summary_to_text(summary: EvaluationSummary, prevalent_total: int, pair_total: int) -> str:
-    a, b = summary.ev_a, summary.ev_b
+def summary_to_text(doc: dict, prevalent_total: int, pair_total: int) -> str:
+    """``evaluation.txt``: the ``evaluate`` document for a reader."""
+    a, b = doc["ev_a"], doc["ev_b"]
     lines = [
-        f"Unseen reports: {summary.unseen_report_count}"
-        + (f" (published after {summary.cutoff.isoformat()})" if summary.cutoff else ""),
+        f"Unseen reports: {doc['unseen_report_count']}"
+        + (f" (published after {doc['cutoff']})" if doc["cutoff"] else ""),
         "",
         "EV-A: prevalent technique coverage",
-        f"  found in at least one report: {a.prevalent_found_count} of {prevalent_total}",
+        f"  found in at least one report: {a['prevalent_found_count']} of {prevalent_total}",
         f"  mean / median prevalent techniques per report: "
-        f"{a.mean_prevalent_per_report:.2f} / {a.median_prevalent_per_report:g}",
-        f"  overlap with the top-20 most-reported techniques: {a.top20_overlap_count}",
+        f"{a['mean_prevalent_per_report']:.2f} / {a['median_prevalent_per_report']:g}",
+        f"  overlap with the top-20 most-reported techniques: {a['top20_overlap_count']}",
         "",
         "EV-B: recurring pair occurrence",
-        f"  valid pairs (both techniques mentioned): {b.valid_pair_count} of {pair_total}",
-        f"  matched pairs (co-present in one report): {b.matched_pair_count}",
-        f"  reports containing at least one pair: {b.reports_with_pair}",
-        f"  mean co-present pairs per report: {b.mean_valid_pairs_per_report:.2f}"
-        f" (over matching reports: {b.mean_valid_pairs_per_matching_report:.2f})",
+        f"  valid pairs (both techniques mentioned): {b['valid_pair_count']} of {pair_total}",
+        f"  matched pairs (co-present in one report): {b['matched_pair_count']}",
+        f"  reports containing at least one pair: {b['reports_with_pair']}",
+        f"  mean co-present pairs per report: {b['mean_valid_pairs_per_report']:.2f}"
+        f" (over matching reports: {b['mean_valid_pairs_per_matching_report']:.2f})",
     ]
-    if b.per_relation_matches:
+    if b["per_relation_matches"]:
         lines.append("  matched pairs per relation:")
-        for name, count in b.per_relation_matches.items():
+        for name, count in b["per_relation_matches"].items():
             lines.append(f"    {name}: {count}")
     return "\n".join(lines) + "\n"

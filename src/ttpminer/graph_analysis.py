@@ -59,20 +59,15 @@ def load_annotations(path: Path | str) -> list[RelationAnnotation]:
     path = Path(path)
     annotations = []
     for i, row in enumerate(csv_rows(path, {"tech_a", "tech_b", "relation", "direction"}, AnnotationError)):
-        relation = row["relation"].strip()
-        direction = (row["direction"] or "none").strip() or "none"
+        tech_a, tech_b, relation = row["tech_a"].strip(), row["tech_b"].strip(), row["relation"].strip()
+        direction = row["direction"].strip() or "none"
+        if not tech_a or not tech_b:
+            raise AnnotationError(f"{path} row {i}: {'tech_b' if tech_a else 'tech_a'} must name a technique")
         if relation not in RELATION_TYPES:
             raise AnnotationError(f"{path} row {i}: unknown relation {relation!r}")
         if direction not in DIRECTIONS:
             raise AnnotationError(f"{path} row {i}: direction must be one of {DIRECTIONS}")
-        annotations.append(
-            RelationAnnotation(
-                tech_a=row["tech_a"].strip(),
-                tech_b=row["tech_b"].strip(),
-                relation=relation,
-                direction=direction,
-            )
-        )
+        annotations.append(RelationAnnotation(tech_a, tech_b, relation, direction))
     return annotations
 
 

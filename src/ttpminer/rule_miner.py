@@ -32,30 +32,6 @@ Itemsets = Sequence[AbstractSet[str]]
 
 
 @dataclass(frozen=True)
-class ContingencyTable:
-    """Joint presence/absence counts of two techniques across technique-sets."""
-
-    n11: int
-    n10: int
-    n01: int
-    n00: int
-
-    @property
-    def n(self) -> int:
-        return self.n11 + self.n10 + self.n01 + self.n00
-
-    @property
-    def marginals(self) -> tuple[int, int, int, int]:
-        """(row A present, row A absent, col B present, col B absent)."""
-        return (
-            self.n11 + self.n10,
-            self.n01 + self.n00,
-            self.n11 + self.n01,
-            self.n10 + self.n00,
-        )
-
-
-@dataclass(frozen=True)
 class CandidatePair:
     tech_a: str
     tech_b: str
@@ -75,14 +51,6 @@ class CandidatePair:
     @property
     def confidence_ba(self) -> float:
         return self.cooccurrences / self.count_b
-
-    def table(self) -> ContingencyTable:
-        return ContingencyTable(
-            n11=self.cooccurrences,
-            n10=self.count_a - self.cooccurrences,
-            n01=self.count_b - self.cooccurrences,
-            n00=self.n - self.count_a - self.count_b + self.cooccurrences,
-        )
 
 
 @dataclass(frozen=True)
@@ -141,34 +109,33 @@ def mine_pairs(corpus: Itemsets, min_support: float) -> list[CandidatePair]:
     return pairs
 
 
-def _require_marginals(table: ContingencyTable) -> None:
-    if any(m == 0 for m in table.marginals):
-        raise UndefinedMeasureError(
-            f"degenerate marginal in table ({table.n11},{table.n10},{table.n01},{table.n00})"
-        )
+def _marginals(n11: int, n10: int, n01: int, n00: int) -> tuple[int, int, int, int]:
+    """(row A present, row A absent, col B present, col B absent) of a 2x2 table
+    with these cells; a zero one leaves phi and chi-square undefined."""
+    marginals = (n11 + n10, n01 + n00, n11 + n01, n10 + n00)
+    if 0 in marginals:
+        raise UndefinedMeasureError(f"degenerate marginal in table ({n11},{n10},{n01},{n00})")
+    return marginals
 
 
-def phi(table: ContingencyTable) -> float:
-    """Phi correlation coefficient of a 2x2 table.
+def phi(n11: int, n10: int, n01: int, n00: int) -> float:
+    """Phi correlation coefficient of the 2x2 table with these cells.
 
     The numerator n11*n00 - n10*n01 is computed in integer arithmetic, so
     exact independence yields exactly 0.0.
     """
-    _require_marginals(table)
-    a_present, a_absent, b_present, b_absent = table.marginals
-    numerator = table.n11 * table.n00 - table.n10 * table.n01
-    return numerator / math.sqrt(a_present * a_absent * b_present * b_absent)
+    a_present, a_absent, b_present, b_absent = _marginals(n11, n10, n01, n00)
+    return (n11 * n00 - n10 * n01) / math.sqrt(a_present * a_absent * b_present * b_absent)
 
 
-def chi_square(table: ContingencyTable, yates: bool = False) -> tuple[float, float]:
+def chi_square(n11: int, n10: int, n01: int, n00: int, yates: bool = False) -> tuple[float, float]:
     """Pearson chi-square statistic (1 dof) and its upper-tail p-value.
 
     Without the Yates continuity correction the statistic equals n * phi**2.
     """
-    _require_marginals(table)
-    n = table.n
-    a_present, a_absent, b_present, b_absent = table.marginals
-    observed = (table.n11, table.n10, table.n01, table.n00)
+    a_present, a_absent, b_present, b_absent = _marginals(n11, n10, n01, n00)
+    n = n11 + n10 + n01 + n00
+    observed = (n11, n10, n01, n00)
     expected = (
         a_present * b_present / n,
         a_present * b_absent / n,
@@ -208,15 +175,16 @@ def filter_pairs(
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     kept = []
     for candidate in candidates:
-        table = candidate.table()
+        co, count_a, count_b, n = candidate.cooccurrences, candidate.count_a, candidate.count_b, candidate.n
+        cells = (co, count_a - co, count_b - co, n - count_a - count_b + co)  # the pair's 2x2 table
         try:
-            phi_value = phi(table)
+            phi_value = phi(*cells)
         except UndefinedMeasureError as exc:
             logger.info("dropping pair (%s, %s): %s", candidate.tech_a, candidate.tech_b, exc)
             continue
         if phi_value < phi_min:  # most candidates stop here, before the chi-square test
             continue
-        statistic, p_value = chi_square(table, yates=yates)
+        statistic, p_value = chi_square(*cells, yates=yates)
         if p_value >= alpha:
             continue
         conf_ab, conf_ba = candidate.confidence_ab, candidate.confidence_ba
@@ -230,7 +198,7 @@ def filter_pairs(
                 phi=phi_value,
                 chi2=statistic,
                 p_value=p_value,
-                lift=candidate.cooccurrences * candidate.n / (candidate.count_a * candidate.count_b),
+                lift=co * n / (count_a * count_b),
                 strength=strength_bucket(phi_value),
                 direction="ba" if conf_ba > conf_ab else "ab",
                 relation_labels=frozenset(),

@@ -282,7 +282,7 @@ class TestPipeline:
         assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
         code = run_cli("graph", "--config", E2E / "config.cfg", "--output-dir", out, "--top-k", k)
         assert code == 1
-        assert "k must be >= 1" in caplog.text
+        assert f"--top-k must be >= 1, got {k}" in caplog.text
 
     def test_graph_dot_export(self, tmp_path):
         out = tmp_path / "out"
@@ -511,7 +511,85 @@ class TestWindowedDuplicateSearch:
             "--n-buckets", "0", "--output-dir", out,
         )
         assert code == 1
-        assert "n and s must be >= 1 (got n=0" in caplog.text
+        assert "--n-buckets must be >= 1, got 0" in caplog.text
+
+
+class TestEmptyInputs:
+    """An input that leaves a stage nothing to work on exits 1 naming its file."""
+
+    def test_manifest_without_included_records_names_the_manifest(self, tmp_path, caplog):
+        records = [{"citation_key": "r1", "include": False, "exclusion_reason": "no-date"}]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(records), encoding="utf-8")
+        assert run_cli("all", "--config", E2E / "config.cfg", "--manifest", manifest, "--output-dir", tmp_path) == 1
+        assert f"{manifest}: no included record, so the corpus would be empty" in caplog.text
+        assert not (tmp_path / "corpus.json").exists()
+
+    @pytest.mark.parametrize("command", ["prevalence", "mine", "eval"])
+    def test_empty_corpus_artifact_names_the_file_and_the_stage(self, tmp_path, caplog, command):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path)
+        assert run_cli("all", *common) == 0
+        (tmp_path / "corpus.json").write_text("[]\n", encoding="utf-8")
+        caplog.clear()
+        assert run_cli(command, *common) == 1
+        assert f"{tmp_path / 'corpus.json'}: malformed (no technique-sets); re-run `ttpminer corpus`" in caplog.text
+
+    def test_empty_unseen_manifest_names_the_file(self, tmp_path, caplog):
+        unseen = tmp_path / "unseen.json"
+        unseen.write_text("[]", encoding="utf-8")
+        assert run_cli("all", "--config", E2E / "config.cfg", "--unseen", unseen, "--output-dir", tmp_path) == 1
+        assert f"{unseen}: no unseen reports to evaluate against" in caplog.text
+
+
+class TestFlagValues:
+    """A flag value out of range exits 1 naming the flag, before any stage runs."""
+
+    @pytest.mark.parametrize("command, flag", [("corpus", "--n-buckets"), ("corpus", "--sample-size"),
+                                               ("graph", "--top-k")])
+    def test_value_below_one_names_the_flag(self, tmp_path, caplog, command, flag):
+        """Without --sample-pairs too: --n-buckets and --sample-size shape no sample then, but are still checked."""
+        assert run_cli(command, "--config", E2E / "config.cfg", flag, "0", "--output-dir", tmp_path) == 1
+        assert f"{flag} must be >= 1, got 0" in caplog.text
+        assert "artifact" not in caplog.text  # no stage read its upstream artifact
+        assert list(tmp_path.iterdir()) == []
+
+    def test_all_checks_the_options_before_ingest(self, tmp_path):
+        from dataclasses import replace
+
+        from ttpminer.cli import StageOptions, run
+
+        config = replace(validate_config(E2E / "config.cfg"), output_dir=tmp_path)
+        with pytest.raises(ConfigError, match="--n-buckets must be >= 1, got 0"):
+            run("all", config, StageOptions(n_buckets=0))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAnnotationRows:
+    """An annotation error names the annotation file, and its row where the row alone is at fault."""
+
+    def annotations(self, tmp_path, row: str):
+        path = tmp_path / "annotations.csv"
+        path.write_text((E2E / "annotations.csv").read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("row, column", [(",T1005,follow,ab", "tech_a"), ("T1005,,follow,ab", "tech_b")])
+    def test_blank_technique_names_file_and_row(self, tmp_path, caplog, row, column):
+        path = self.annotations(tmp_path, row)
+        code = run_cli("all", "--config", E2E / "config.cfg", "--annotations", path, "--output-dir", tmp_path / "out")
+        assert code == 1
+        assert f"{path} row 7: {column} must name a technique" in caplog.text
+
+    @pytest.mark.parametrize("row, needle", [
+        ("T1001,T1099,same_asset,none", "annotation references unknown pair (T1001, T1099)"),
+        ("T1001.001,T1005,require,none", "directed relation 'require' requires an orientation for (T1001.001, T1005)"),
+    ])
+    def test_graph_error_names_the_file(self, tmp_path, caplog, row, needle):
+        out = tmp_path / "out"
+        assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
+        path = self.annotations(tmp_path, row)
+        caplog.clear()
+        assert run_cli("graph", "--config", E2E / "config.cfg", "--annotations", path, "--output-dir", out) == 1
+        assert f"{path}: {needle}" in caplog.text
 
 
 class TestUpstreamArtifactBoundary:

@@ -17,7 +17,6 @@ from ttpminer.corpus_builder import (
     ReportRecord,
     TechniqueSet,
     corpus_from_json,
-    corpus_stats,
     corpus_to_json,
     estimate_tau,
     find_candidate_pairs,
@@ -410,28 +409,28 @@ class TestElbow:
         pairs = self.make_pairs(per_bucket=10, buckets=5)
         first = sample_buckets(pairs, n=5, s=3, seed=42)
         second = sample_buckets(pairs, n=5, s=3, seed=42)
-        assert [s.sampled_pairs for s in first] == [s.sampled_pairs for s in second]
-        assert all(len(s.sampled_pairs) == 3 for s in first)
+        assert first == second
+        assert all(len(keys) == 3 for keys in first.values())
 
     def test_five_buckets_of_twenty(self):
         pairs = self.make_pairs(per_bucket=25, buckets=5)
         samples = sample_buckets(pairs, n=5, s=20, seed=0)
-        assert [s.month_bucket for s in samples] == [1, 2, 3, 4, 5]
-        assert all(len(s.sampled_pairs) == 20 for s in samples)
+        assert list(samples) == [1, 2, 3, 4, 5]
+        assert all(len(keys) == 20 for keys in samples.values())
         pool = {p.key for p in pairs}
-        for sample in samples:
-            assert set(sample.sampled_pairs) <= pool
+        for keys in samples.values():
+            assert set(keys) <= pool
 
     def test_sampling_without_replacement(self):
         pairs = self.make_pairs(per_bucket=10, buckets=2)
-        for sample in sample_buckets(pairs, n=2, s=5, seed=1):
-            assert len(set(sample.sampled_pairs)) == len(sample.sampled_pairs)
+        for keys in sample_buckets(pairs, n=2, s=5, seed=1).values():
+            assert len(set(keys)) == len(keys)
 
     def test_short_bucket_emitted_whole(self, caplog):
         pairs = self.make_pairs(per_bucket=2, buckets=1)
         with caplog.at_level("WARNING"):
             samples = sample_buckets(pairs, n=1, s=20, seed=0)
-        assert len(samples[0].sampled_pairs) == 2
+        assert samples == {1: sorted(p.key for p in pairs)}
         assert "fewer than sample size" in caplog.text
 
     def test_invalid_parameters(self):
@@ -632,29 +631,28 @@ def test_merge_equals_components_by_search(reports, edges, tau):
 
 
 class TestStats:
-    def test_two_overlapping_sets(self):
-        from .conftest import make_set
+    """The corpus stage logs the technique-sets' total and distinct technique mentions."""
 
-        sets = [
-            make_set("a", ["T1", "T2"], "2020-01-01"),
-            make_set("b", ["T2", "T3"], "2020-02-01"),
-        ]
-        stats = corpus_stats(sets)
-        assert stats.total_mentions == 4
-        assert stats.distinct_techniques == 3
-        assert stats.median_techniques == 2
-        assert stats.mean_techniques == 2.0
+    def corpus_line(self, tmp_path, caplog, technique_ids) -> str:
+        from ttpminer.cli import main
 
-    def test_single_set(self):
-        from .conftest import make_set
+        from .conftest import FIXTURES
 
-        stats = corpus_stats([make_set("a", ["T1", "T2", "T3"], "2020-01-01")])
-        assert stats.total_mentions == 3
-        assert stats.distinct_techniques == 3
+        manifest = write_manifest(tmp_path, [manifest_entry(f"r{i}", "2020-01-01", ids)
+                                             for i, ids in enumerate(technique_ids)])
+        out = str(tmp_path / "out")
+        with caplog.at_level("INFO"):
+            assert main(["ingest", "--bundle", str(FIXTURES / "e2e" / "bundle.json"), "--output-dir", out]) == 0
+            assert main(["corpus", "--manifest", str(manifest), "--output-dir", out]) == 0
+        return next(r.getMessage() for r in caplog.records if r.getMessage().startswith("corpus: "))
 
-    def test_empty_corpus_is_error(self):
-        with pytest.raises(ParameterError):
-            corpus_stats([])
+    def test_two_overlapping_sets(self, tmp_path, caplog):
+        line = self.corpus_line(tmp_path, caplog, [["T1001", "T1002"], ["T1002", "T1003"]])
+        assert line == "corpus: 2 included citations -> 2 technique-sets (0 merged), 4 mentions, 3 distinct techniques"
+
+    def test_single_set(self, tmp_path, caplog):
+        line = self.corpus_line(tmp_path, caplog, [["T1001", "T1002", "T1003"]])
+        assert line == "corpus: 1 included citations -> 1 technique-sets (0 merged), 3 mentions, 3 distinct techniques"
 
 
 @settings(derandomize=True, max_examples=300)

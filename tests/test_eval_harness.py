@@ -16,7 +16,6 @@ from ttpminer.eval_harness import (
     ev_b,
     evaluate,
     load_unseen_manifest,
-    summary_to_dict,
     summary_to_text,
     top_mentioned,
 )
@@ -268,12 +267,11 @@ def test_evaluate_summary_round_trip():
     prevalent = ["T1", "T2"]
     pairs = [pair("T1", "T3", labels=["follow"])]
     unseen = [report("u1", ["T1", "T3"]), report("u2", ["T2"])]
-    summary = evaluate(prevalent, pairs, unseen, cutoff=date(2022, 8, 18))
-    doc = summary_to_dict(summary)
+    doc = evaluate(prevalent, pairs, unseen, cutoff=date(2022, 8, 18))
     assert doc["cutoff"] == "2022-08-18"
     assert doc["ev_a"]["prevalent_found_count"] == 2
     assert doc["ev_b"]["matched_pair_count"] == 1
-    text = summary_to_text(summary, len(prevalent), len(pairs))
+    text = summary_to_text(doc, len(prevalent), len(pairs))
     assert "EV-A" in text and "EV-B" in text
     assert "2 of 2" in text
 

@@ -1,10 +1,13 @@
 """Every artifact is the same bytes on each supported CPython, 3.10 to 3.13.
 
-Each ``python3.X`` on PATH that starts runs ``all`` on the e2e fixture in both
-output formats as a stdlib-only subprocess (``-S``, ``PYTHONPATH=src``); its
-output directory must equal, file for file and byte for byte, that of the
-interpreter running the tests. Interpreters that are absent or do not start
-are skipped, and the test prints which ones ran (``pytest -s``).
+For each version, the first interpreter that starts, of ``python3.X`` on PATH
+and then each pyenv install of it (``$(pyenv root)/versions/3.X.*``, which a
+pyenv shim for another global version does not reach), runs ``all`` on the e2e
+fixture in both output formats as a stdlib-only subprocess (``-S``,
+``PYTHONPATH=src``); its output directory must equal, file for file and byte
+for byte, that of the interpreter running the tests. Versions with no
+interpreter that starts are skipped, and the test prints which ones ran
+(``pytest -s``).
 """
 
 from __future__ import annotations
@@ -27,6 +30,22 @@ def _starts(executable: str | None) -> bool:
     return executable is not None and subprocess.run([executable, "-c", "pass"], capture_output=True).returncode == 0
 
 
+def _pyenv_root() -> Path | None:
+    if "PYENV_ROOT" in os.environ:
+        return Path(os.environ["PYENV_ROOT"])
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return None
+    done = subprocess.run([pyenv, "root"], capture_output=True, text=True)
+    return Path(done.stdout.strip()) if done.returncode == 0 else None
+
+
+def _interpreter(version: str, pyenv_root: Path | None) -> str | None:
+    """The first of ``python{version}`` on PATH and the pyenv installs of ``version`` that starts."""
+    installs = sorted(map(str, pyenv_root.glob(f"versions/{version}.*/bin/python3"))) if pyenv_root else []
+    return next(filter(_starts, [shutil.which(f"python{version}"), *installs]), None)
+
+
 def _artifacts(executable: str, out: Path, output_format: str) -> dict[str, bytes]:
     argv = ["-S", "-m", "ttpminer", "all", "--config", FIXTURES / "e2e" / "config.cfg",
             "--format", output_format, "--output-dir", out]
@@ -36,9 +55,11 @@ def _artifacts(executable: str, out: Path, output_format: str) -> dict[str, byte
 
 
 def test_artifacts_are_the_same_bytes_on_every_python(tmp_path):
-    found = {version: shutil.which(f"python{version}") for version in VERSIONS}
-    ran = [version for version, executable in found.items() if _starts(executable)]
-    print(f"ran: {', '.join(ran) or 'none'}; skipped: {', '.join(sorted(found.keys() - ran)) or 'none'}")
+    pyenv_root = _pyenv_root()
+    found = {version: _interpreter(version, pyenv_root) for version in VERSIONS}
+    ran = [version for version, executable in found.items() if executable is not None]
+    print(f"ran: {', '.join(f'{v} ({found[v]})' for v in ran) or 'none'}; "
+          f"skipped: {', '.join(sorted(found.keys() - ran)) or 'none'}")
     if not ran:
         pytest.skip("no python3.10 ... python3.13 on PATH starts")
     for output_format in ("csv", "json"):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import re
 from dataclasses import astuple
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from ttpminer.errors import ParameterError, UndefinedMeasureError
 from ttpminer.rule_miner import (
     CandidatePair,
-    ContingencyTable,
     attach_relation_labels,
     chi_square,
     filter_pairs,
@@ -61,9 +61,10 @@ class TestMinePairs:
             assert mined == oracles.enumerate_pair_stats(corpus, min_support)
 
     def test_worked_example_table(self, fig1_itemsets):
-        table = by_key(mine_pairs(fig1_itemsets, min_support=0.5))[("CS", "OB")].table()
-        assert (table.n11, table.n10, table.n01, table.n00) == (2, 1, 0, 1)
-        assert table.n == 4
+        c = by_key(mine_pairs(fig1_itemsets, min_support=0.5))[("CS", "OB")]
+        co, a, b = c.cooccurrences, c.count_a, c.count_b
+        assert (co, a - co, b - co, c.n - a - b + co) == (2, 1, 0, 1)
+        assert c.n == 4
 
     def test_disjoint_techniques_are_never_a_candidate(self):
         corpus = [frozenset({"A"}), frozenset({"B"})]
@@ -111,67 +112,65 @@ def test_kernel_matches_pair_enumeration(case):
 
 class TestPhi:
     def test_independent_table_is_exactly_zero(self):
-        assert phi(ContingencyTable(25, 25, 25, 25)) == 0.0
+        assert phi(25, 25, 25, 25) == 0.0
 
     def test_perfect_association(self):
-        assert phi(ContingencyTable(50, 0, 0, 50)) == 1.0
+        assert phi(50, 0, 0, 50) == 1.0
 
     def test_worked_example_value(self):
-        assert phi(ContingencyTable(2, 1, 0, 1)) == pytest.approx(2 / math.sqrt(12))
+        assert phi(2, 1, 0, 1) == pytest.approx(2 / math.sqrt(12))
 
     @pytest.mark.parametrize(
         "table",
         [
-            ContingencyTable(0, 0, 5, 5),
-            ContingencyTable(5, 5, 0, 0),
-            ContingencyTable(0, 5, 0, 5),
-            ContingencyTable(5, 0, 5, 0),
+            (0, 0, 5, 5),
+            (5, 5, 0, 0),
+            (0, 5, 0, 5),
+            (5, 0, 5, 0),
         ],
     )
     def test_zero_marginal_is_undefined(self, table):
-        with pytest.raises(UndefinedMeasureError):
-            phi(table)
+        message = re.escape("degenerate marginal in table ({},{},{},{})".format(*table))
+        with pytest.raises(UndefinedMeasureError, match=message):
+            phi(*table)
+        with pytest.raises(UndefinedMeasureError, match=message):
+            chi_square(*table)
 
     def test_symmetry_under_transpose(self):
         rng = random.Random(2)
         for _ in range(50):
-            table = ContingencyTable(
-                rng.randint(1, 20), rng.randint(1, 20), rng.randint(1, 20), rng.randint(1, 20)
-            )
-            transposed = ContingencyTable(table.n11, table.n01, table.n10, table.n00)
-            assert phi(table) == pytest.approx(phi(transposed), rel=1e-12)
-            assert chi_square(table)[0] == pytest.approx(chi_square(transposed)[0], rel=1e-12)
+            n11, n10, n01, n00 = (rng.randint(1, 20) for _ in range(4))
+            transposed = (n11, n01, n10, n00)
+            assert phi(n11, n10, n01, n00) == pytest.approx(phi(*transposed), rel=1e-12)
+            assert chi_square(n11, n10, n01, n00)[0] == pytest.approx(chi_square(*transposed)[0], rel=1e-12)
 
 
 class TestChiSquare:
     def test_independent_table(self):
-        statistic, p = chi_square(ContingencyTable(25, 25, 25, 25))
+        statistic, p = chi_square(25, 25, 25, 25)
         assert statistic == 0.0
         assert p == 1.0
 
     def test_worked_example_statistic(self):
-        statistic, _ = chi_square(ContingencyTable(2, 1, 0, 1))
+        statistic, _ = chi_square(2, 1, 0, 1)
         assert statistic == pytest.approx(4 * (2 / math.sqrt(12)) ** 2, rel=1e-9)
 
     def test_perfect_table(self):
-        statistic, p = chi_square(ContingencyTable(50, 0, 0, 50))
+        statistic, p = chi_square(50, 0, 0, 50)
         assert statistic == pytest.approx(100.0, rel=1e-12)
         assert p < 1e-20
 
     def test_identity_n_phi_squared(self):
         rng = random.Random(5)
         for _ in range(200):
-            table = ContingencyTable(
-                rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 40)
-            )
-            statistic, p = chi_square(table)
-            assert statistic == pytest.approx(table.n * phi(table) ** 2, rel=1e-9)
+            table = tuple(rng.randint(1, 40) for _ in range(4))
+            statistic, p = chi_square(*table)
+            assert statistic == pytest.approx(sum(table) * phi(*table) ** 2, rel=1e-9)
             assert p == pytest.approx(oracles.chi2_sf_1dof(statistic), rel=1e-9)
 
     def test_yates_correction_shrinks_statistic(self):
-        table = ContingencyTable(12, 3, 4, 11)
-        plain, _ = chi_square(table)
-        corrected, _ = chi_square(table, yates=True)
+        plain, _ = chi_square(12, 3, 4, 11)
+        corrected, _ = chi_square(12, 3, 4, 11, yates=True)
         assert corrected < plain
 
     def test_matches_scipy_contingency(self):
@@ -179,12 +178,10 @@ class TestChiSquare:
 
         rng = random.Random(8)
         for _ in range(50):
-            table = ContingencyTable(
-                rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 30)
-            )
-            observed = [[table.n11, table.n10], [table.n01, table.n00]]
+            n11, n10, n01, n00 = (rng.randint(1, 30) for _ in range(4))
+            observed = [[n11, n10], [n01, n00]]
             for yates in (False, True):
-                statistic, p = chi_square(table, yates=yates)
+                statistic, p = chi_square(n11, n10, n01, n00, yates=yates)
                 reference = chi2_contingency(observed, correction=yates)
                 assert statistic == pytest.approx(reference.statistic, rel=1e-9)
                 assert p == pytest.approx(reference.pvalue, rel=1e-9)
@@ -336,10 +333,10 @@ class TestPiatetskyProperties:
             if (a * b) % n != 0:
                 continue
             n11 = a * b // n
-            table = ContingencyTable(n11, a - n11, b - n11, n - a - b + n11)
-            if any(m <= 0 for m in table.marginals):
+            table = (n11, a - n11, b - n11, n - a - b + n11)
+            if any(m <= 0 for m in marginals(*table)):
                 continue
-            assert phi(table) == 0.0
+            assert phi(*table) == 0.0
             found += 1
 
     def test_property_2_increasing_in_joint_count(self):
@@ -352,10 +349,10 @@ class TestPiatetskyProperties:
             hi = min(a, b)
             values = []
             for n11 in range(lo, hi + 1):
-                table = ContingencyTable(n11, a - n11, b - n11, n - a - b + n11)
-                if any(m == 0 for m in table.marginals):
+                table = (n11, a - n11, b - n11, n - a - b + n11)
+                if any(m == 0 for m in marginals(*table)):
                     continue
-                values.append(phi(table))
+                values.append(phi(*table))
             for earlier, later in zip(values, values[1:]):
                 assert later > earlier
 
@@ -367,10 +364,10 @@ class TestPiatetskyProperties:
             a = rng.randint(n11, n - 1)
             values = []
             for b in range(n11, n - a + n11 + 1):
-                table = ContingencyTable(n11, a - n11, b - n11, n - a - b + n11)
-                if any(m == 0 for m in table.marginals):
+                table = (n11, a - n11, b - n11, n - a - b + n11)
+                if any(m == 0 for m in marginals(*table)):
                     continue
-                values.append(phi(table))
+                values.append(phi(*table))
             for earlier, later in zip(values, values[1:]):
                 assert later < earlier
 
