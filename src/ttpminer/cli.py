@@ -17,7 +17,8 @@ import argparse
 import gc
 import logging
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from importlib import import_module
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -112,7 +113,10 @@ def validate_config(path: Path | str) -> PipelineConfig:
             setattr(config, key, kind(value))
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: {key} must be {TYPE_NOUNS[kind]}, got {value!r}") from None
-    config.validate()
+    try:  # on the last value of each key
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return config
 
 
@@ -131,9 +135,6 @@ class StageOptions:
     conventional_normalization: bool = False
     parent_match: bool = False
     dot_path: Path | None = None
-    inputs: dict[str, Path] = field(default_factory=dict)
-    artifacts_written: list[Path] = field(default_factory=list)
-    produced: dict[str, object] = field(default_factory=dict)  # keys of _UPSTREAM, annotations
 
     def validate(self) -> None:
         for flag, value in (("--n-buckets", self.n_buckets), ("--sample-size", self.sample_size),
@@ -163,16 +164,14 @@ def _read_corpus(path: Path) -> list:
     return corpus
 
 
-# What a stage hands to later ones: the stage that writes it, artifact stem,
-# suffix (None for the tabular format) and loader. _hand_off writes and
-# _upstream reads the file named here. The loaders import their reader's
-# module when called.
+# The artifact each stage hands on: stem, suffix (None for the tabular format)
+# and loader, which imports its reader's module when called. RunState.hand_off
+# writes the file named here and RunState.upstream reads it back.
 _UPSTREAM = {
-    "catalog": ("ingest", "catalog", ".json",
-                lambda p: _module("stix_ingest").catalog_from_json(p.read_text("utf-8"))),
-    "corpus": ("corpus", "corpus", ".json", _read_corpus),
-    "prevalent": ("prevalence", "prevalent_techniques", None, lambda p: _module("artifacts").read_prevalent(p)),
-    "pairs": ("mine", "recurring_pairs", None, lambda p: _module("artifacts").read_pairs(p)),
+    "ingest": ("catalog", ".json", lambda p: _module("stix_ingest").catalog_from_json(p.read_text("utf-8"))),
+    "corpus": ("corpus", ".json", _read_corpus),
+    "prevalence": ("prevalent_techniques", None, lambda p: _module("artifacts").read_prevalent(p)),
+    "mine": ("recurring_pairs", None, lambda p: _module("artifacts").read_pairs(p)),
 }
 
 
@@ -181,55 +180,62 @@ def _module(name: str):
     return import_module(f".{name}", __package__)
 
 
-def _upstream(config: PipelineConfig, options: StageOptions, name: str, required: bool = True):
-    """The value an earlier stage of this run produced, else its artifact read back.
+class RunState:
+    """What one ``run`` reads, writes and hands from stage to stage; each run makes its own."""
 
-    Every artifact round-trips exactly, so both give the same value. A value
-    that is not ``required`` and has no artifact is None. An artifact that
-    cannot be decoded raises ArtifactError naming the file (and a missing field).
-    """
-    if name in options.produced:
-        return options.produced[name]
-    stage, stem, suffix, load = _UPSTREAM[name]
-    path = _artifact(config, stem, suffix)
-    if not required and not path.exists():
-        return None
-    path = _require_file(path, f"{stem.replace('_', ' ')} artifact")
-    try:
-        return load(path)
-    except (KeyError, ValueError, RecursionError) as exc:  # what the decoders raise; JSON errors too
-        problem = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed ({exc})"
-        raise ArtifactError(f"{path}: {problem}; re-run `ttpminer {stage}`") from exc
+    def __init__(self, config: PipelineConfig) -> None:
+        self.config = config
+        self.inputs: dict[str, Path] = {}  # role -> input file, for the run manifest
+        self.written: list[Path] = []
+        self.produced: dict[str, object] = {}  # stage -> the value it returned
+
+    def input(self, role: str, path: Path | None, noun: str) -> Path:
+        """The configured input file ``path``, checked to exist and recorded as ``role``."""
+        self.inputs[role] = _require_file(path, noun)
+        return path
+
+    def write(self, path: Path, writer, *args) -> None:
+        writer(path, *args)
+        self.written.append(path)
+        logger.info("wrote %s", path)
+
+    def hand_off(self, stage: str, writer, *args) -> None:
+        """Write ``stage``'s upstream artifact, where ``upstream`` reads it back."""
+        stem, suffix, _ = _UPSTREAM[stage]
+        self.write(_artifact(self.config, stem, suffix), writer, *args)
+
+    def upstream(self, stage: str, required: bool = True):
+        """The value ``stage`` returned earlier in this run, else its artifact read back.
+
+        Every artifact round-trips exactly, so both give the same value. A value
+        that is not ``required`` and has no artifact is None. An artifact that
+        cannot be decoded raises ArtifactError naming the file (and a missing field).
+        """
+        if stage in self.produced:
+            return self.produced[stage]
+        stem, suffix, load = _UPSTREAM[stage]
+        path = _artifact(self.config, stem, suffix)
+        if not required and not path.exists():
+            return None
+        path = _require_file(path, f"{stem.replace('_', ' ')} artifact")
+        try:
+            return load(path)
+        except (KeyError, ValueError, RecursionError) as exc:  # what the decoders raise; JSON errors too
+            problem = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed ({exc})"
+            raise ArtifactError(f"{path}: {problem}; re-run `ttpminer {stage}`") from exc
+
+    @cached_property
+    def annotations(self) -> list:
+        """The configured relation annotations, parsed once per run; [] without any."""
+        if self.config.annotation_path is None:
+            return []
+        path = self.input("annotations", self.config.annotation_path, "relation annotations")
+        return graph_analysis.load_annotations(path)
 
 
-def _annotations(config: PipelineConfig, options: StageOptions) -> list:
-    """The configured relation annotations, parsed once per run; [] without any."""
-    if config.annotation_path is None:
-        return []
-    if "annotations" not in options.produced:
-        path = _require_file(config.annotation_path, "relation annotations")
-        options.inputs["annotations"] = path
-        options.produced["annotations"] = graph_analysis.load_annotations(path)
-    return options.produced["annotations"]
-
-
-def _write(path: Path, writer, options: StageOptions) -> None:
-    writer(path)
-    options.artifacts_written.append(path)
-    logger.info("wrote %s", path)
-
-
-def _hand_off(config: PipelineConfig, options: StageOptions, name: str, value, writer) -> None:
-    """Keep ``value`` for the later stages of this run; write it where ``_upstream`` reads it."""
-    _, stem, suffix, _ = _UPSTREAM[name]
-    options.produced[name] = value
-    _write(_artifact(config, stem, suffix), writer, options)
-
-
-def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
+def stage_ingest(config: PipelineConfig, options: StageOptions, state: RunState) -> object:
     from . import stix_ingest
-    bundle_path = _require_file(config.bundle_path, "STIX bundle")
-    options.inputs["bundle"] = bundle_path
+    bundle_path = state.input("bundle", config.bundle_path, "STIX bundle")
     try:
         catalog = stix_ingest.parse_bundle(bundle_path.read_bytes())
     except TTPMinerError as exc:  # the bundle is not UTF-8 JSON, or has no objects
@@ -241,16 +247,14 @@ def stage_ingest(config: PipelineConfig, options: StageOptions) -> None:
         sum(t.is_subtechnique for t in catalog.techniques),
         len(catalog.citations),
     )
-    _hand_off(
-        config, options, "catalog", catalog, lambda p: atomic_write_text(p, stix_ingest.catalog_to_json(catalog))
-    )
+    state.hand_off("ingest", atomic_write_text, stix_ingest.catalog_to_json(catalog))
+    return catalog
 
 
-def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
+def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState) -> list:
     from . import corpus_builder
-    manifest_path = _require_file(config.manifest_path, "report manifest")
-    options.inputs["manifest"] = manifest_path
-    catalog = _upstream(config, options, "catalog")
+    manifest_path = state.input("manifest", config.manifest_path, "report manifest")
+    catalog = state.upstream("ingest")
     records = corpus_builder.load_manifest(manifest_path, catalog)
     included = corpus_builder.included_records(records)
     if not included:
@@ -258,10 +262,12 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
 
     tau = config.tau
     if options.elbow_labels is not None:
-        labels_path = _require_file(options.elbow_labels, "elbow labels")
-        options.inputs["elbow_labels"] = labels_path
+        labels_path = state.input("elbow_labels", options.elbow_labels, "elbow labels")
         fractions = corpus_builder.read_elbow_labels(labels_path)
-        tau = corpus_builder.estimate_tau(fractions)
+        try:
+            tau = corpus_builder.estimate_tau(fractions)
+        except ParameterError as exc:  # fewer than two buckets, or no drop between them
+            raise ManifestError(f"{labels_path}: {exc}") from None
         logger.info("estimated tau=%d month(s) from %d labeled buckets", tau, len(fractions))
 
     # A pair merges only within tau months, and lands in a sampled month
@@ -279,7 +285,7 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
         logger.info("sampled %s pairs per bucket for manual duplicate labeling",
                     "/".join(str(len(keys)) for keys in samples.values()))
         text = render_csv(corpus_builder.SAMPLE_COLUMNS, rows)
-        _write(options.sample_pairs, lambda p: atomic_write_text(p, text), options)
+        state.write(options.sample_pairs, atomic_write_text, text)
 
     sets = corpus_builder.merge_duplicates(included, pairs, tau)
     logger.info(
@@ -291,17 +297,16 @@ def stage_corpus(config: PipelineConfig, options: StageOptions) -> None:
         sum(len(ts.techniques) for ts in sets),
         len(frozenset().union(*(ts.techniques for ts in sets))),
     )
-    _hand_off(
-        config, options, "corpus", sets, lambda p: atomic_write_text(p, corpus_builder.corpus_to_json(sets))
-    )
+    state.hand_off("corpus", atomic_write_text, corpus_builder.corpus_to_json(sets))
+    return sets
 
 
-def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
+def stage_prevalence(config: PipelineConfig, options: StageOptions, state: RunState) -> list[str]:
     from . import artifacts, prevalence
-    corpus = _upstream(config, options, "corpus")
+    corpus = state.upstream("corpus")
     # Without the catalog universe, the catalog only supplies names and
     # tactics for the prevalent listing, when there is one.
-    catalog = _upstream(config, options, "catalog", required=options.universe == "catalog")
+    catalog = state.upstream("ingest", required=options.universe == "catalog")
     universe = catalog.technique_ids() if options.universe == "catalog" else None
     frequencies = prevalence.technique_frequency(corpus, universe=universe)
     bins = prevalence.percentile_bins(frequencies)
@@ -312,16 +317,14 @@ def stage_prevalence(config: PipelineConfig, options: StageOptions) -> None:
     matrix = prevalence.build_matrix(bins, trends, frequencies, len(corpus))
     prevalent = prevalence.prevalent_techniques(matrix)
     logger.info("prevalent techniques: %d of %d analyzed", len(prevalent), len(bins))
-    _write(_artifact(config, "prevalence_matrix"), lambda p: artifacts.write_matrix(p, matrix), options)
-    _hand_off(
-        config, options, "prevalent", prevalent,
-        lambda p: artifacts.write_prevalent(p, prevalent, matrix, catalog),
-    )
+    state.write(_artifact(config, "prevalence_matrix"), artifacts.write_matrix, matrix)
+    state.hand_off("prevalence", artifacts.write_prevalent, prevalent, matrix, catalog)
+    return prevalent
 
 
-def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
+def stage_mine(config: PipelineConfig, options: StageOptions, state: RunState) -> list:
     from . import artifacts, rule_miner
-    corpus = _upstream(config, options, "corpus")
+    corpus = state.upstream("corpus")
     itemsets = [ts.techniques for ts in corpus]
     candidates = rule_miner.mine_pairs(itemsets, config.min_support)
     pairs = rule_miner.filter_pairs(
@@ -329,16 +332,17 @@ def stage_mine(config: PipelineConfig, options: StageOptions) -> None:
     )
     if config.annotation_path is not None:
         pairs = rule_miner.attach_relation_labels(
-            pairs, graph_analysis.relation_label_map(_annotations(config, options))
+            pairs, graph_analysis.relation_label_map(state.annotations)
         )
     logger.info("mined %d candidate pairs, %d recurring pairs kept", len(candidates), len(pairs))
-    _hand_off(config, options, "pairs", pairs, lambda p: artifacts.write_pairs(p, pairs))
+    state.hand_off("mine", artifacts.write_pairs, pairs)
+    return pairs
 
 
-def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
+def stage_graph(config: PipelineConfig, options: StageOptions, state: RunState) -> None:
     from . import artifacts
-    pairs = _upstream(config, options, "pairs")
-    annotations = _annotations(config, options)
+    pairs = state.upstream("mine")
+    annotations = state.annotations
 
     if options.relation is not None:
         relations = [options.relation]
@@ -348,7 +352,8 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
     try:  # relation None is the all-pairs graph
         graphs = {r: graph_analysis.build_graph(pairs, annotations, relation=r) for r in [None, *relations]}
     except AnnotationError as exc:  # a row names no recurring pair, or a directed one no orientation
-        raise AnnotationError(f"{config.annotation_path}: {exc}") from None
+        pairs_path = _artifact(config, "recurring_pairs")
+        raise AnnotationError(f"{config.annotation_path}: {exc} (recurring pairs in {pairs_path})") from None
     rows: list[list] = []
     listings: list[tuple[str, dict]] = []  # (label, scores) per graph, for --top-k
     conventional = options.conventional_normalization
@@ -374,19 +379,18 @@ def stage_graph(config: PipelineConfig, options: StageOptions) -> None:
             for node in ranked:
                 print(f"  {node}\t{scores[node]}")
     rows.sort(key=lambda row: (row[1], row[0]))
-    _write(_artifact(config, "graph_centrality"), lambda p: artifacts.write_centrality(p, rows), options)
+    state.write(_artifact(config, "graph_centrality"), artifacts.write_centrality, rows)
     if options.dot_path is not None:
         target = graphs[options.relation]
-        _write(options.dot_path, lambda p: atomic_write_text(p, graph_analysis.to_dot(target)), options)
+        state.write(options.dot_path, atomic_write_text, graph_analysis.to_dot(target))
 
 
-def stage_eval(config: PipelineConfig, options: StageOptions) -> None:
+def stage_eval(config: PipelineConfig, options: StageOptions, state: RunState) -> None:
     from . import eval_harness
-    unseen_path = _require_file(config.unseen_manifest_path, "unseen manifest")
-    options.inputs["unseen_manifest"] = unseen_path
-    corpus = _upstream(config, options, "corpus")
-    prevalent = _upstream(config, options, "prevalent")
-    pairs = _upstream(config, options, "pairs")
+    unseen_path = state.input("unseen_manifest", config.unseen_manifest_path, "unseen manifest")
+    corpus = state.upstream("corpus")
+    prevalent = state.upstream("prevalence")
+    pairs = state.upstream("mine")
 
     cutoff = eval_harness.cutoff_date(corpus)
     unseen = eval_harness.load_unseen_manifest(unseen_path, cutoff=cutoff)
@@ -398,15 +402,9 @@ def stage_eval(config: PipelineConfig, options: StageOptions) -> None:
         doc["ev_b"]["valid_pair_count"],
         doc["ev_b"]["matched_pair_count"],
     )
-    _write(
-        _artifact(config, "evaluation", ".json"),
-        lambda p: atomic_write_text(p, canonical_json(doc)),
-        options,
-    )
+    state.write(_artifact(config, "evaluation", ".json"), atomic_write_text, canonical_json(doc))
     text = eval_harness.summary_to_text(doc, len(prevalent), len(pairs))
-    _write(
-        _artifact(config, "evaluation", ".txt"), lambda p: atomic_write_text(p, text), options
-    )
+    state.write(_artifact(config, "evaluation", ".txt"), atomic_write_text, text)
 
 
 _STAGES = {
@@ -419,10 +417,9 @@ _STAGES = {
 }
 
 
-def _write_run_manifest(command: str, config: PipelineConfig, options: StageOptions) -> None:
+def _write_run_manifest(command: str, config: PipelineConfig, options: StageOptions, state: RunState) -> None:
     # No timestamps and no output locations: the manifest itself is part of
-    # the byte-determinism contract. The options recorded are the StageOptions
-    # whose values are JSON scalars, so neither paths nor run state.
+    # the byte-determinism contract. Of the options, only JSON scalars (no paths).
     manifest = {
         "tool": "ttpminer",
         "tool_version": __version__,
@@ -434,9 +431,9 @@ def _write_run_manifest(command: str, config: PipelineConfig, options: StageOpti
                     if set(get_args(hint) or (hint,)) <= TYPE_NOUNS.keys()},
         "inputs": {
             role: {"path": path.as_posix(), "sha256": sha256_file(path)}
-            for role, path in sorted(options.inputs.items())
+            for role, path in sorted(state.inputs.items())
         },
-        "artifacts": sorted(p.name for p in options.artifacts_written),
+        "artifacts": sorted(p.name for p in state.written),
     }
     atomic_write_text(config.output_dir / "run_manifest.json", canonical_json(manifest))
 
@@ -452,10 +449,11 @@ def run(command: str, config: PipelineConfig, options: StageOptions | None = Non
     stages = list(_STAGES) if command == "all" else [command]
     if command == "all" and config.unseen_manifest_path is None:
         stages.remove("eval")
+    state = RunState(config)
     for stage in stages:
-        _STAGES[stage](config, options)
-    _write_run_manifest(command, config, options)
-    return options.artifacts_written
+        state.produced[stage] = _STAGES[stage](config, options, state)
+    _write_run_manifest(command, config, options, state)
+    return state.written
 
 
 # One row per flag: option strings, argparse keywords, commands that accept

@@ -149,19 +149,21 @@ def read_text(path: Path, error: type[Exception]) -> str:
 
 def csv_rows(path: Path, columns: set[str], error: type[Exception]) -> Iterator[dict[str, str]]:
     """Rows of the UTF-8 CSV ``path`` (missing cells read as ""); its header must name
-    ``columns``, and a row with more cells than the header raises ``error``.
+    ``columns``, and a row with more cells than the header, or a line that the ``csv``
+    module refuses (a cell over its ``field_size_limit``), raises ``error``.
     """
     rows = csv.DictReader(io.StringIO(read_text(path, error), newline=""), restval="")
-    if rows.fieldnames is None or not columns.issubset(rows.fieldnames):
-        raise error(f"{path}: expected columns {sorted(columns)}")
-
-    def checked() -> Iterator[dict[str, str]]:
+    i = None  # the last row read; None while the header is read
+    try:
+        if rows.fieldnames is None or not columns.issubset(rows.fieldnames):
+            raise error(f"{path}: expected columns {sorted(columns)}")
+        i = -1
         for i, row in enumerate(rows):
             if None in row:  # DictReader files the cells past the header under None
                 raise error(f"{path} row {i}: {len(row[None])} cell(s) more than the header")
             yield row
-
-    return checked()
+    except csv.Error as exc:
+        raise error(f"{path} {'header' if i is None else f'row {i + 1}'}: {exc}") from None
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

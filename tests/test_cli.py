@@ -45,6 +45,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="min_support"):
             validate_config(path)
 
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            ("min_support = 0\n", "min_support must be in (0, 1], got 0.0"),
+            ("min_support = 0.1\nmin_support = 0\n", "min_support must be in (0, 1], got 0.0"),
+            ("min_support = 0\nmin_support = 0.1\n", None),
+            ("phi_min = 1.5\n", "phi_min must be in [0, 1], got 1.5"),
+            ("trend_years = 0\n", "trend_years must be >= 1, got 0"),
+        ],
+    )
+    def test_range_error_names_the_config_file(self, tmp_path, caplog, lines, error):
+        """The last value of a key is the one checked, and an error names the file."""
+        path = tmp_path / "range.cfg"
+        path.write_text(lines, encoding="utf-8")
+        if error is None:
+            assert validate_config(path).min_support == 0.1
+            return
+        with pytest.raises(ConfigError) as raised:
+            validate_config(path)
+        assert str(raised.value) == f"{path}: {error}"
+        assert run_cli("ingest", "--config", path, "--output-dir", tmp_path / "out") == 1
+        assert f"{path}: {error}" in caplog.text
+
     def test_unknown_key_rejected_with_suggestion(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("minsupp = 0.1\n", encoding="utf-8")
@@ -346,6 +369,27 @@ class TestInMemoryHandoff:
         run("eval", config)
         assert calls == {"corpus_from_json": 1, "read_prevalent": 1, "read_pairs": 1}
 
+    @pytest.mark.parametrize("corpus_intact", [True, False])
+    def test_a_reused_options_object_carries_no_run_state(self, tmp_path, corpus_intact):
+        """A second ``run`` with the same StageOptions reads what its stage reads, from disk."""
+        from dataclasses import replace
+
+        from ttpminer.cli import StageOptions, run
+        from ttpminer.errors import ArtifactError
+
+        options = StageOptions()
+        config = replace(validate_config(E2E / "config.cfg"), output_dir=tmp_path)
+        run("all", config, options)
+        if not corpus_intact:
+            (tmp_path / "corpus.json").write_text("[]", encoding="utf-8")
+            with pytest.raises(ArtifactError, match="corpus.json"):
+                run("mine", config, options)
+            return
+        assert run("mine", config, options) == [tmp_path / "recurring_pairs.csv"]
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["artifacts"] == ["recurring_pairs.csv"]
+        assert list(manifest["inputs"]) == ["annotations"]
+
     def test_all_parses_the_annotations_once(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
@@ -612,6 +656,12 @@ class TestUpstreamArtifactBoundary:
              "strength,relation_labels\nT1001,T1005,ab,0.4,0.5,0.5,0.3,9,0.01,1.2,moderate,,extra\n",
              "row 0: 1 cell(s) more than the header"),
             ("graph", "recurring_pairs.csv", "tech_a,tech_b\nT1001,T1005\n", "expected columns"),
+            pytest.param(
+                "eval", "recurring_pairs.csv",
+                "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
+                f"strength,relation_labels\nT1001,T1005,ab,0.4,0.5,0.5,0.3,9,0.01,1.2,{'x' * 131_073},\n",
+                "row 0: field larger than field limit (131072)", id="recurring_pairs.csv-oversized-cell",
+            ),
             *(
                 pytest.param(command, artifact, DEEP_JSON, "malformed", id=f"{artifact}-deep")
                 for command, artifact in [("corpus", "catalog.json"), ("mine", "corpus.json"),
@@ -765,6 +815,12 @@ def with_extra_cell(name: str) -> bytes:
     return b"\n".join([header, first + b",oops", rest])
 
 
+def with_oversized_cell(name: str) -> bytes:
+    """The e2e input CSV ``name`` with its first data row's first cell over the csv field limit."""
+    header, first, rest = (E2E / name).read_bytes().split(b"\n", 2)
+    return b"\n".join([header, b"x" * 131_073 + first[first.index(b","):], rest])
+
+
 def with_published(name: str, value: str) -> bytes:
     """The e2e manifest ``name`` with ``value`` as the first record's publication date."""
     records = json.loads((E2E / name).read_bytes())
@@ -793,6 +849,12 @@ def with_spec_version(value) -> bytes:
         ("elbow_labels.csv", b"bucket,pair_key,is_duplicate\n1,a\n"),
         *(pytest.param(name, with_extra_cell(name), id=f"{name}-extra-cell")
           for name in ("annotations.csv", "elbow_labels.csv")),
+        *(pytest.param(name, with_oversized_cell(name), id=f"{name}-oversized-cell")
+          for name in ("annotations.csv", "elbow_labels.csv")),
+        pytest.param("elbow_labels.csv", b"bucket,pair_key,is_duplicate\n1,a,0\n1,b,0\n2,c,1\n2,d,1\n",
+                     id="elbow-labels-no-drop"),
+        pytest.param("elbow_labels.csv", b"bucket,pair_key,is_duplicate\n1,a,1\n1,b,0\n",
+                     id="elbow-labels-one-bucket"),
         pytest.param("manifest.json", with_published("manifest.json", "20200304"), id="manifest-basic-date"),
         pytest.param("unseen.json", with_published("unseen.json", "2023-W10-3"), id="unseen-week-date"),
         *(pytest.param(name, DEEP_JSON.encode(), id=f"{name}-deep")

@@ -1,9 +1,13 @@
-"""Fuzz the stage boundary: a stage fed an upstream artifact or a manifest with
-one value replaced exits 0 or 1 and never lets an exception escape ``cli.main``."""
+"""Fuzz the stage boundary: a stage fed an upstream artifact or an input file with
+one value replaced exits 0 or 1, never lets an exception escape ``cli.main``, and
+on exit 1 names the replaced file in its logged error."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import logging
 import shutil
 import tempfile
 from pathlib import Path
@@ -28,6 +32,21 @@ CONSUMERS = {
     "unseen.json": ("eval",),
 }
 
+# Each CSV input and CSV upstream artifact (of ``--format csv``), and the stage
+# commands that read it.
+CSV_CONSUMERS = {
+    "annotations.csv": ("mine", "graph"),
+    "elbow_labels.csv": ("corpus",),
+    "recurring_pairs.csv": ("graph", "eval"),
+    "prevalent_techniques.csv": ("eval",),
+}
+
+CELLS = (
+    st.text(max_size=12)
+    | st.sampled_from(["0", "1", "-1", "2", "1e309", "nan", "inf", "T1001", "T1005", "ab", "ba", "follow"])
+    | st.just("x" * 131_073)  # one character over the csv module's field_size_limit
+)
+
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -40,9 +59,11 @@ JSON_VALUES = st.recursive(
 )
 
 
-def stage_args(command: str, out: Path) -> list[str]:
+def stage_args(command: str, out: Path, output_format: str = "json") -> list[str]:
     """A stage run on the inputs and artifacts in ``out``, where the config file sits too."""
-    argv = [command, "--config", str(out / "config.cfg"), "--output-dir", str(out), "--format", "json"]
+    argv = [command, "--config", str(out / "config.cfg"), "--output-dir", str(out), "--format", output_format]
+    if command == "corpus" and output_format == "csv":
+        argv += ["--elbow-labels", str(out / "elbow_labels.csv")]
     return argv + ["--parent-match"] if command == "eval" else argv
 
 
@@ -54,8 +75,18 @@ def upstream(tmp_path_factory) -> dict[str, str]:
     for path in E2E.iterdir():
         shutil.copy(path, out)
     assert main(stage_args("all", out)) == 0
-    names = (*CONSUMERS, "config.cfg", "annotations.csv")
+    assert main(stage_args("all", out, "csv")) == 0
+    names = (*CONSUMERS, *CSV_CONSUMERS, "config.cfg")
     return {name: (out / name).read_text(encoding="utf-8") for name in names}
+
+
+def assert_exits_0_or_1_naming(caplog, path: Path, argv: list[str]) -> None:
+    """``main(argv)`` exits 0, or 1 with a logged error that names ``path``."""
+    caplog.clear()
+    code = main(argv)
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code in (0, 1)
+    assert code == 0 or str(path) in errors[-1], errors
 
 
 def paths_by_depth(doc) -> list[list[tuple]]:
@@ -73,7 +104,7 @@ def paths_by_depth(doc) -> list[list[tuple]]:
 
 
 @pytest.mark.parametrize("artifact", sorted(CONSUMERS))
-def test_one_replaced_value_exits_0_or_1(upstream, artifact):
+def test_one_replaced_value_exits_0_or_1(upstream, caplog, artifact):
     doc = json.loads(upstream[artifact])
     levels = paths_by_depth(doc)
 
@@ -96,6 +127,30 @@ def test_one_replaced_value_exits_0_or_1(upstream, artifact):
                 Path(out, name).write_text(text, encoding="utf-8")
             Path(out, artifact).write_text(json.dumps(mutated), encoding="utf-8")
             for command in CONSUMERS[artifact]:
-                assert main(stage_args(command, Path(out))) in (0, 1)
+                assert_exits_0_or_1_naming(caplog, Path(out, artifact), stage_args(command, Path(out)))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CONSUMERS))
+def test_one_replaced_csv_cell_exits_0_or_1_naming_the_file(upstream, caplog, name):
+    rows = list(csv.reader(io.StringIO(upstream[name], newline="")))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        row = data.draw(st.integers(0, len(rows) - 1), label="row")
+        column = data.draw(st.integers(0, len(rows[row]) - 1), label="column")
+        mutated = [list(cells) for cells in rows]
+        mutated[row][column] = data.draw(CELLS, label="cell")
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(mutated)
+        with tempfile.TemporaryDirectory() as out:
+            for other, content in upstream.items():
+                Path(out, other).write_text(content, encoding="utf-8")
+            path = Path(out, name)
+            path.write_text(text.getvalue(), encoding="utf-8")
+            for command in CSV_CONSUMERS[name]:
+                assert_exits_0_or_1_naming(caplog, path, stage_args(command, Path(out), "csv"))
 
     check()

@@ -90,6 +90,22 @@ class TestCsvRows:
         with pytest.raises(LookupError, match=f"^{re.escape(message)}$"):
             list(csv_rows(path, {"a"}, LookupError))
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (f"a,{'x' * 131_073}\n1,2\n", "header"),
+            (f"a,b\n{'x' * 131_073},2\n", "row 0"),
+            (f"a,b\n1,2\n3,{'x' * 131_073}\n", "row 1"),
+        ],
+        ids=["header", "row-0", "row-1"],
+    )
+    def test_cell_over_the_field_limit_names_file_and_row(self, tmp_path, text, where):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path} {where}: field larger than field limit (131072)"
+        with pytest.raises(LookupError, match=f"^{re.escape(message)}$"):
+            list(csv_rows(path, {"a"}, LookupError))
+
 
 def test_sha256_file_matches_hashlib(tmp_path):
     path = tmp_path / "blob.bin"
