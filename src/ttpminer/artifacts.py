@@ -10,9 +10,9 @@ the atomic, byte-deterministic helpers in :mod:`ttpminer.io_utils`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, get_type_hints
 
 from .errors import ArtifactError
 from .io_utils import atomic_write_text, canonical_json, csv_rows, decode, reader, render_csv
@@ -42,28 +42,37 @@ def _cell(value: object) -> object:
 def _write_records(path: Path, record_type: type, records: Iterable) -> None:
     """One row per record, one column per field of ``record_type`` in declaration
     order; a set cell is written sorted and ``;``-joined, a tuple cell ``;``-joined."""
-    header = [f.name for f in fields(record_type)]
-    _write_table(path, header, [[_cell(getattr(record, name)) for name in header] for record in records])
+    _write_table(path, record_type._fields, [[_cell(value) for value in record] for record in records])
 
 
 def _number(cell: str, name: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
+        if math.isfinite(value):  # float() also reads "nan" and "inf"
+            return value
     except ValueError:
-        raise ValueError(f"{name} must be a number, got {cell!r}") from None
+        pass
+    raise ValueError(f"{name} must be a number, got {cell!r}")
+
+
+class _Constant(str):
+    """A bare ``NaN``, ``Infinity`` or ``-Infinity`` in a JSON table, which
+    ``json.loads`` accepts. No field reads it, so the error names the field."""
+
+    __repr__ = str.__str__
 
 
 def _read_records(path: Path, record_type: type) -> list:
     """The ``record_type`` rows of a table that :func:`_write_records` wrote. CSV cells
     are text, so there the ``float`` fields are parsed as numbers; a ``frozenset[str]``
-    field is a ``;``-joined string in both formats."""
+    field is a ``;``-joined string in both formats. A ``float`` field must be finite."""
     hints = get_type_hints(record_type)
     if path.suffix != ".json":
         floats = {c for c, hint in hints.items() if hint is float}
         rows = csv_rows(path, set(hints), ArtifactError)
         rows = [{c: _number(v, c) if c in floats else v for c, v in row.items()} for row in rows]
     else:
-        rows = json.loads(path.read_text(encoding="utf-8"))
+        rows = json.loads(path.read_text(encoding="utf-8"), parse_constant=_Constant)
         if type(rows) is not list or any(type(row) is not dict for row in rows):
             raise ValueError("must be an array of objects")
     for c in [c for c, hint in hints.items() if hint == frozenset[str]]:
@@ -73,8 +82,7 @@ def _read_records(path: Path, record_type: type) -> list:
     return [decode(row, record_type) for row in rows]
 
 
-@dataclass(frozen=True)
-class PrevalentRow:
+class PrevalentRow(NamedTuple):
     """A ``prevalent_techniques`` row, as written."""
 
     id: str

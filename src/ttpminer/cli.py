@@ -17,11 +17,10 @@ import argparse
 import gc
 import logging
 import sys
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from importlib import import_module
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from . import __version__, graph_analysis  # argparse reads graph_analysis.RELATION_TYPES
 from .errors import AnnotationError, ArtifactError, ConfigError, ManifestError, ParameterError, TTPMinerError
@@ -42,8 +41,7 @@ _COMMAND_HELP = {
 COMMANDS = tuple(_COMMAND_HELP)
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """Shared pipeline configuration; defaults carry the published parameters."""
 
     bundle_path: Path | None = None
@@ -92,7 +90,7 @@ def validate_config(path: Path | str) -> PipelineConfig:
     """
     path = _require_file(Path(path), "config")
     value_types = _value_types()
-    config = PipelineConfig()
+    values = {}
     for lineno, raw_line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -106,22 +104,19 @@ def validate_config(path: Path | str) -> PipelineConfig:
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}{suggestion}")
         kind = value_types[key]
-        if kind is Path:
-            setattr(config, key, path.parent / value)  # an absolute value replaces the parent
-            continue
         try:
-            setattr(config, key, kind(value))
+            values[key] = path.parent / value if kind is Path else kind(value)  # an absolute path replaces the parent
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: {key} must be {TYPE_NOUNS[kind]}, got {value!r}") from None
-    try:  # on the last value of each key
+    config = PipelineConfig(**values)  # the last value of each key
+    try:
         config.validate()
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return config
 
 
-@dataclass
-class StageOptions:
+class StageOptions(NamedTuple):
     """Per-stage knobs that are not part of the shared configuration."""
 
     elbow_labels: Path | None = None
@@ -218,11 +213,14 @@ class RunState:
         if not required and not path.exists():
             return None
         path = _require_file(path, f"{stem.replace('_', ' ')} artifact")
+        hint = f"; re-run `ttpminer {stage}`"
         try:
             return load(path)
+        except ArtifactError as exc:  # a CSV table that csv_rows refused; it names the file
+            raise ArtifactError(f"{exc}{hint}") from exc
         except (KeyError, ValueError, RecursionError) as exc:  # what the decoders raise; JSON errors too
             problem = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed ({exc})"
-            raise ArtifactError(f"{path}: {problem}; re-run `ttpminer {stage}`") from exc
+            raise ArtifactError(f"{path}: {problem}{hint}") from exc
 
     @cached_property
     def annotations(self) -> list:
@@ -458,7 +456,7 @@ def run(command: str, config: PipelineConfig, options: StageOptions | None = Non
 
 # One row per flag: option strings, argparse keywords, commands that accept
 # it. Each dest names a PipelineConfig or StageOptions field (apart from
-# --config and --verbose). A flag left out sets nothing, so the dataclasses
+# --config and --verbose). A flag left out sets nothing, so the records
 # hold the only defaults.
 _OPTIONS = (
     (("--bundle",), dict(dest="bundle_path", type=Path, help="ATT&CK STIX bundle JSON path"),
@@ -526,11 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _settings(values: dict) -> tuple[PipelineConfig, StageOptions]:
-    """Config file, then the flags given; the rest keeps the dataclass defaults."""
+    """Config file, then the flags given; the rest keeps the record defaults."""
     config = validate_config(values.pop("config")) if "config" in values else PipelineConfig()
-    config_fields = {f.name for f in fields(PipelineConfig)}
-    config = replace(config, **{k: v for k, v in values.items() if k in config_fields})
-    options = StageOptions(**{k: v for k, v in values.items() if k not in config_fields})
+    config = config._replace(**{k: v for k, v in values.items() if k in PipelineConfig._fields})
+    options = StageOptions(**{k: v for k, v in values.items() if k not in PipelineConfig._fields})
     return config, options
 
 

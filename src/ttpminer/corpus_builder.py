@@ -15,11 +15,10 @@ import logging
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import date
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .errors import ManifestError, ParameterError
 from .io_utils import csv_rows, read_text, reader
@@ -66,8 +65,7 @@ def read_manifest_records(path: Path, record_type: type, stand_in: Callable[[dic
         raise
 
 
-@dataclass(frozen=True)
-class ReportRecord:
+class ReportRecord(NamedTuple):
     citation_key: str
     url: str  # an absent url reads as the citation_key
     include: bool
@@ -77,8 +75,7 @@ class ReportRecord:
     exclusion_reason: str | None = None
 
 
-@dataclass(frozen=True)
-class DuplicateCandidatePair:
+class DuplicateCandidatePair(NamedTuple):
     a: str
     b: str
     date_gap_days: int
@@ -88,8 +85,7 @@ class DuplicateCandidatePair:
         return f"{self.a}{PAIR_KEY_SEP}{self.b}"
 
 
-@dataclass(frozen=True)
-class TechniqueSet:
+class TechniqueSet(NamedTuple):
     """One unique cyberattack: the merged technique-sets of duplicate reports."""
 
     attack_id: str

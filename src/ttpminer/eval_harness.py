@@ -9,18 +9,17 @@ techniques mentioned somewhere) and actually co-present in a single report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus_builder import TechniqueSet, median, read_manifest_records
 from .errors import ManifestError, ParameterError
 from .rule_miner import RecurringPair
 
 
-@dataclass(frozen=True)
-class UnseenReport:
+class UnseenReport(NamedTuple):
     id: str
     published: date
     technique_ids: frozenset[str]
@@ -66,8 +65,7 @@ def parent_technique_id(technique_id: str) -> str:
     return technique_id.split(".", 1)[0]
 
 
-@dataclass(frozen=True)
-class EvAResult:
+class EvAResult(NamedTuple):
     prevalent_found_count: int
     prevalent_found_ids: tuple[str, ...]
     mean_prevalent_per_report: float
@@ -78,9 +76,7 @@ class EvAResult:
 
 def top_mentioned(unseen: Sequence[UnseenReport], k: int = 20) -> list[str]:
     """The k most-reported technique ids, ties broken by ascending id."""
-    counts: Counter[str] = Counter()
-    for report in unseen:
-        counts.update(report.technique_ids)
+    counts = Counter(chain.from_iterable(report.technique_ids for report in unseen))
     return sorted(counts, key=lambda tid: (-counts[tid], tid))[:k]
 
 
@@ -108,8 +104,7 @@ def ev_a(
     )
 
 
-@dataclass(frozen=True)
-class EvBResult:
+class EvBResult(NamedTuple):
     valid_pair_count: int
     matched_pair_count: int
     matched_pairs: tuple[tuple[str, str], ...]
@@ -173,8 +168,8 @@ def evaluate(
     return {
         "cutoff": cutoff.isoformat() if cutoff else None,
         "unseen_report_count": len(unseen),
-        "ev_a": vars(ev_a(prevalent, unseen, parent_match=parent_match)),
-        "ev_b": vars(ev_b(pairs, unseen)),
+        "ev_a": ev_a(prevalent, unseen, parent_match=parent_match)._asdict(),
+        "ev_b": ev_b(pairs, unseen)._asdict(),
     }
 
 

@@ -9,9 +9,8 @@ n - 1 normalization available behind a flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import AnnotationError, ParameterError
 from .io_utils import csv_rows
@@ -34,8 +33,7 @@ RELATION_TYPES: dict[str, bool] = {
 DIRECTIONS = ("ab", "ba", "none")
 
 
-@dataclass(frozen=True)
-class RelationAnnotation:
+class RelationAnnotation(NamedTuple):
     tech_a: str
     tech_b: str
     relation: str
@@ -46,8 +44,7 @@ class RelationAnnotation:
         return (min(self.tech_a, self.tech_b), max(self.tech_a, self.tech_b))
 
 
-@dataclass(frozen=True)
-class TechniqueGraph:
+class TechniqueGraph(NamedTuple):
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]  # undirected edges stored (min, max)
     directed: bool

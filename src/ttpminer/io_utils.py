@@ -14,7 +14,6 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import MISSING, fields, is_dataclass
 from datetime import date
 from functools import cache, lru_cache
 from pathlib import Path
@@ -58,23 +57,23 @@ def _parse_date(text: str) -> date:
 @cache
 def reader(hint: Any) -> Callable[[Any, str], Any]:
     """``read(value, name)``: the Python value of a decoded JSON field annotated
-    ``hint``, else ValueError naming the field. A dataclass is an object with
-    its fields and no others; a field with a default may be absent and reads
-    as it, and a missing one without raises KeyError. ``frozenset[str]`` is an
+    ``hint``, else ValueError naming the field. A record (a ``NamedTuple``) is an
+    object with its fields and no others; a field with a default may be absent and
+    reads as it, and a missing one without raises KeyError. ``frozenset[str]`` is an
     array of strings, ``date`` an ISO string, ``list[X]`` and ``dict[str, X]``
     an array and an object of X, ``X | None`` null or X, and a scalar has its
-    exact JSON type. A row with exactly a dataclass's fields is read by one function
-    built for it, as ``dataclasses`` builds ``__init__``, that types exact scalars
-    inline and fills the record's ``__dict__`` in field order, as ``__init__`` would.
+    exact JSON type. A row with exactly a record's fields is read by one function
+    built for it, as ``collections.namedtuple`` builds ``__new__``, that types exact
+    scalars inline and builds the tuple from the values in field order.
     """
     if hint == frozenset[str]:
         return _string_set
     if hint is date:
         return _iso_date
-    if is_dataclass(hint):
+    if hasattr(hint, "_field_defaults"):
         readers = {name: reader(h) for name, h in get_type_hints(hint).items()}
-        names, ordered = readers.keys(), tuple(readers.items())  # in the dataclass's field order
-        required = [field.name for field in fields(hint) if field.default is MISSING]
+        names, ordered = readers.keys(), tuple(readers.items())  # in the record's field order
+        required = [field for field in names if field not in hint._field_defaults]
 
         def record(row: Any, name: str) -> Any:
             if type(row) is dict and row.keys() == names:
@@ -89,13 +88,10 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
                 raise ValueError(f"unknown field {unknown[0]!r}")
             return hint(**{field: readers[field](value, field) for field, value in row.items()})
 
-        if hasattr(hint, "__post_init__"):
-            return record
         scalar = {i: read.types for i, read in enumerate(readers.values()) if hasattr(read, "types")}
-        env = {"hint": hint, "new": object.__new__, "record": record, **{f"t{i}": t for i, t in scalar.items()},
+        env = {"hint": hint, "new": tuple.__new__, "record": record, **{f"t{i}": t for i, t in scalar.items()},
                **{f"r{i}": read for i, read in enumerate(readers.values())}}
-        fills = "".join(f"\n            values[{field!r}] = " + (f"v{i}" if i in scalar else f"r{i}(v{i}, {field!r})")
-                        for i, field in enumerate(readers))
+        values = "".join(f"v{i}, " if i in scalar else f"r{i}(v{i}, {field!r}), " for i, field in enumerate(readers))
         exec(f"""def straight(row, name):
     if type(row) is dict and len(row) == {len(readers)}:
         try:
@@ -103,8 +99,7 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
         except KeyError:
             return record(row, name)
         if True{"".join(f" and type(v{i}) in t{i}" for i in scalar)}:
-            values = (made := new(hint)).__dict__{fills}
-            return made
+            return new(hint, ({values}))
     return record(row, name)  # any other row, or a scalar of another type
 """, env)
         return env["straight"]
@@ -135,7 +130,7 @@ def reader(hint: Any) -> Callable[[Any, str], Any]:
 
 
 def decode(row: Any, record_type: type) -> Any:
-    """The ``record_type`` dataclass held by the decoded JSON object ``row`` (see :func:`reader`)."""
+    """The ``record_type`` record held by the decoded JSON object ``row`` (see :func:`reader`)."""
     return reader(record_type)(row, record_type.__name__)
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_builder import TechniqueSet, median
 from .errors import ParameterError
@@ -34,15 +34,13 @@ BINS = (LOW, MEDIUM, HIGH)
 PREVALENT_CELLS = ((INCREASING, HIGH), (NO_TREND, HIGH), (INCREASING, MEDIUM))
 
 
-@dataclass(frozen=True)
-class YearlySeries:
+class YearlySeries(NamedTuple):
     technique_id: str
     years: tuple[int, ...]
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class TrendResult:
+class TrendResult(NamedTuple):
     technique_id: str
     s_statistic: int
     variance: float
@@ -51,8 +49,7 @@ class TrendResult:
     classification: str
 
 
-@dataclass(frozen=True)
-class MatrixCell:
+class MatrixCell(NamedTuple):
     """A ``prevalence_matrix`` row: one (trend, frequency bin) cell, its columns in order."""
 
     trend: str
@@ -63,8 +60,7 @@ class MatrixCell:
     technique_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PrevalenceMatrix:
+class PrevalenceMatrix(NamedTuple):
     cells: dict[tuple[str, str], MatrixCell]
     report_pct: dict[str, float]  # technique id -> percentage of sets mentioning it
 
@@ -79,10 +75,7 @@ def technique_frequency(
     """
     if not corpus:
         raise ParameterError("corpus is empty")
-    counts: Counter[str] = Counter()
-    for ts in corpus:
-        counts.update(ts.techniques)
-    frequencies = dict(counts)
+    frequencies = dict(Counter(chain.from_iterable(ts.techniques for ts in corpus)))
     if universe is not None:
         for tid in universe:
             frequencies.setdefault(tid, 0)
@@ -111,11 +104,12 @@ def yearly_series(
     """
     years = trend_window(corpus, trend_years)
     totals = Counter(ts.representative_date.year for ts in corpus)
-    mentions: dict[int, Counter[str]] = {year: Counter() for year in years}
+    sets: dict[int, list[frozenset[str]]] = {year: [] for year in years}
     for ts in corpus:
         year = ts.representative_date.year
-        if year in mentions:
-            mentions[year].update(ts.techniques)
+        if year in sets:
+            sets[year].append(ts.techniques)
+    mentions = {year: Counter(chain.from_iterable(techniques)) for year, techniques in sets.items()}
     return {
         tid: YearlySeries(
             technique_id=tid,

@@ -12,8 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 from .errors import ParameterError, UndefinedMeasureError
 
@@ -31,8 +30,7 @@ WEAK = "weak"
 Itemsets = Sequence[AbstractSet[str]]
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     tech_a: str
     tech_b: str
     cooccurrences: int
@@ -53,8 +51,7 @@ class CandidatePair:
         return self.cooccurrences / self.count_b
 
 
-@dataclass(frozen=True)
-class RecurringPair:
+class RecurringPair(NamedTuple):
     """A ``recurring_pairs`` row: a kept pair and its measures, its columns in order."""
 
     tech_a: str
@@ -212,6 +209,6 @@ def attach_relation_labels(
 ) -> list[RecurringPair]:
     """Return pairs with relation labels merged in, keyed by (tech_a, tech_b)."""
     return [
-        replace(pair, relation_labels=frozenset(labels.get(pair.key, frozenset())))
+        pair._replace(relation_labels=frozenset(labels.get(pair.key, frozenset())))
         for pair in pairs
     ]

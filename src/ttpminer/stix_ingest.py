@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from types import NoneType
-from typing import Any
+from typing import Any, NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import BundleParseError, BundleSchemaError
@@ -40,14 +39,12 @@ def normalize_citation_url(url: str) -> str:
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), path, parts.query, ""))
 
 
-@dataclass(frozen=True)
-class TacticRecord:
+class TacticRecord(NamedTuple):
     id: str
     name: str
 
 
-@dataclass(frozen=True)
-class TechniqueRecord:
+class TechniqueRecord(NamedTuple):
     id: str
     name: str
     tactic_ids: frozenset[str]
@@ -56,16 +53,14 @@ class TechniqueRecord:
     revoked_or_deprecated: bool
 
 
-@dataclass(frozen=True)
-class CitationEntry:
+class CitationEntry(NamedTuple):
     key: str
     source_name: str
     url: str
     date_text: str | None
 
 
-@dataclass
-class AttackCatalog:
+class AttackCatalog(NamedTuple):
     """Immutable-after-construction view of one ATT&CK STIX bundle.
 
     All lists are sorted by id/key; the maps cover every citation key (values
@@ -323,9 +318,9 @@ def catalog_to_json(catalog: AttackCatalog) -> str:
     """Canonical JSON for caching: UTF-8, sorted keys, LF line endings."""
     doc = {
         "spec_version": catalog.spec_version,
-        "tactics": [vars(t) for t in catalog.tactics],
-        "techniques": [{**vars(t), "tactic_ids": sorted(t.tactic_ids)} for t in catalog.techniques],
-        "citations": [vars(c) for c in catalog.citations],
+        "tactics": [t._asdict() for t in catalog.tactics],
+        "techniques": [{**t._asdict(), "tactic_ids": sorted(t.tactic_ids)} for t in catalog.techniques],
+        "citations": [c._asdict() for c in catalog.citations],
         "attribution": {k: sorted(v) for k, v in catalog.attribution.items()},
         "technique_citations": {k: sorted(v) for k, v in catalog.technique_citations.items()},
     }

@@ -356,12 +356,10 @@ class TestInMemoryHandoff:
         return calls
 
     def test_all_decodes_no_upstream_artifact(self, tmp_path, monkeypatch):
-        from dataclasses import replace
-
         from ttpminer.cli import run
 
         calls = self.count_reads(monkeypatch)
-        config = replace(validate_config(E2E / "config.cfg"), output_dir=tmp_path / "out")
+        config = validate_config(E2E / "config.cfg")._replace(output_dir=tmp_path / "out")
         written = run("all", config)
         assert (tmp_path / "out" / "evaluation.json") in written
         assert calls == {}
@@ -372,13 +370,11 @@ class TestInMemoryHandoff:
     @pytest.mark.parametrize("corpus_intact", [True, False])
     def test_a_reused_options_object_carries_no_run_state(self, tmp_path, corpus_intact):
         """A second ``run`` with the same StageOptions reads what its stage reads, from disk."""
-        from dataclasses import replace
-
         from ttpminer.cli import StageOptions, run
         from ttpminer.errors import ArtifactError
 
         options = StageOptions()
-        config = replace(validate_config(E2E / "config.cfg"), output_dir=tmp_path)
+        config = validate_config(E2E / "config.cfg")._replace(output_dir=tmp_path)
         run("all", config, options)
         if not corpus_intact:
             (tmp_path / "corpus.json").write_text("[]", encoding="utf-8")
@@ -391,8 +387,6 @@ class TestInMemoryHandoff:
         assert list(manifest["inputs"]) == ["annotations"]
 
     def test_all_parses_the_annotations_once(self, tmp_path, monkeypatch):
-        from dataclasses import replace
-
         from ttpminer import graph_analysis
         from ttpminer.cli import run
 
@@ -404,7 +398,7 @@ class TestInMemoryHandoff:
             return original(path)
 
         monkeypatch.setattr(graph_analysis, "load_annotations", counted)
-        config = replace(validate_config(E2E / "config.cfg"), output_dir=tmp_path / "out")
+        config = validate_config(E2E / "config.cfg")._replace(output_dir=tmp_path / "out")
         run("all", config)
         assert calls == [E2E / "annotations.csv"]
         # A stage run on its own reads the file and records it as an input.
@@ -598,11 +592,9 @@ class TestFlagValues:
         assert list(tmp_path.iterdir()) == []
 
     def test_all_checks_the_options_before_ingest(self, tmp_path):
-        from dataclasses import replace
-
         from ttpminer.cli import StageOptions, run
 
-        config = replace(validate_config(E2E / "config.cfg"), output_dir=tmp_path)
+        config = validate_config(E2E / "config.cfg")._replace(output_dir=tmp_path)
         with pytest.raises(ConfigError, match="--n-buckets must be >= 1, got 0"):
             run("all", config, StageOptions(n_buckets=0))
         assert list(tmp_path.iterdir()) == []
@@ -636,6 +628,9 @@ class TestAnnotationRows:
         assert f"{path}: {needle}" in caplog.text
 
 
+WRITER = {"catalog": "ingest", "corpus": "corpus", "prevalent_techniques": "prevalence", "recurring_pairs": "mine"}
+
+
 class TestUpstreamArtifactBoundary:
     @pytest.mark.parametrize(
         "command, artifact, content, needle",
@@ -656,6 +651,16 @@ class TestUpstreamArtifactBoundary:
              "strength,relation_labels\nT1001,T1005,ab,0.4,0.5,0.5,0.3,9,0.01,1.2,moderate,,extra\n",
              "row 0: 1 cell(s) more than the header"),
             ("graph", "recurring_pairs.csv", "tech_a,tech_b\nT1001,T1005\n", "expected columns"),
+            ("graph", "recurring_pairs.csv",
+             "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
+             "strength,relation_labels\nT1001,T1005,ab,nan,0.5,0.5,0.3,9,0.01,1.2,moderate,\n",
+             "malformed (support must be a number, got 'nan')"),
+            ("eval", "recurring_pairs.csv",
+             "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
+             "strength,relation_labels\nT1001,T1005,ab,0.4,0.5,0.5,inf,9,0.01,1.2,moderate,\n",
+             "malformed (phi must be a number, got 'inf')"),
+            ("eval", "prevalent_techniques.csv", "id,name,tactic,pct_reports,cell\nT1001,x,TA0001,-Infinity,x\n",
+             "malformed (pct_reports must be a number, got '-Infinity')"),
             pytest.param(
                 "eval", "recurring_pairs.csv",
                 "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
@@ -710,6 +715,7 @@ class TestUpstreamArtifactBoundary:
         assert run_cli(command, *common) == 1
         assert re.search(rf"{re.escape(str(path))}[: ].*{re.escape(needle)}", caplog.text)
         assert caplog.text.count(str(path)) == 1
+        assert f"; re-run `ttpminer {WRITER[path.stem]}`" in caplog.text
         assert "Traceback" not in caplog.text
 
     @pytest.mark.parametrize(
@@ -725,6 +731,14 @@ class TestUpstreamArtifactBoundary:
             ("eval", "prevalent_techniques.json", "pct_reports", "12.5",
              "malformed (pct_reports must be a number, got '12.5')"),
             ("eval", "prevalent_techniques.json", "bogus", 1, "malformed (unknown field 'bogus')"),
+            # json.dumps writes these floats as the bare NaN, Infinity and -Infinity that json.loads reads
+            ("graph", "recurring_pairs.json", "support", float("nan"),
+             "malformed (support must be a number, got NaN)"),
+            ("eval", "recurring_pairs.json", "phi", float("inf"), "malformed (phi must be a number, got Infinity)"),
+            ("eval", "prevalent_techniques.json", "pct_reports", float("-inf"),
+             "malformed (pct_reports must be a number, got -Infinity)"),
+            ("graph", "recurring_pairs.json", "tech_a", float("nan"),
+             "malformed (tech_a must be a string, got NaN)"),
         ],
     )
     def test_mistyped_json_field_exits_1_naming_file(
@@ -923,12 +937,15 @@ def run_probe(probe: str, *argv) -> str:
     return result.stdout
 
 
+STDLIB = ("difflib", "statistics", "dataclasses", "inspect")  # modules no command loads
+
+
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     probe = (
-        "import json, sys\n"
+        f"import json, sys\nSTDLIB = {STDLIB!r}\n"
         "from ttpminer.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "names = [m for m in sys.modules if m.startswith('ttpminer.') or m in ('difflib', 'statistics')]\n"
+        "names = [m for m in sys.modules if m.startswith('ttpminer.') or m in STDLIB]\n"
         "print(json.dumps(names))\n"
         "sys.exit(code)\n"
     )
@@ -947,7 +964,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert {"stix_ingest", "corpus_builder", "prevalence", "rule_miner", "graph_analysis", "eval_harness",
             "artifacts"} <= loaded["all"]
     for command, names in loaded.items():
-        assert not names & {"difflib", "statistics"}, command
+        assert not names & set(STDLIB), command
+    # Records are NamedTuples, so neither a command nor the bare import loads dataclasses.
+    bare = run_probe(f"import sys, ttpminer.cli\nprint([m for m in {STDLIB!r} if m in sys.modules])")
+    assert bare.strip() == "[]"
 
 
 def test_submodules_load_on_first_access():

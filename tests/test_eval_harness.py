@@ -288,7 +288,7 @@ TECHNIQUE_POOL = [f"T10{n:02d}{sub}" for n in range(12) for sub in ("", ".001", 
 )
 def test_ev_a_equals_the_pairwise_oracle(prevalent, reports, parent_match):
     unseen = [report(f"u{i}", techniques) for i, techniques in enumerate(reports)]
-    result = vars(ev_a(prevalent, unseen, parent_match=parent_match))
+    result = ev_a(prevalent, unseen, parent_match=parent_match)._asdict()
     expected = oracles.ev_a_fields(prevalent, reports, parent_match)
     assert result == expected
     assert {name: type(value) for name, value in result.items()} == {

@@ -4,7 +4,6 @@ import logging
 import math
 import random
 import re
-from dataclasses import astuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -106,7 +105,7 @@ def pair_seen_k_of_n_times(k_n):
 @example(([frozenset({"A"})] * 3, 1 / 3))
 def test_kernel_matches_pair_enumeration(case):
     corpus, min_support = case
-    mined = [astuple(c) for c in mine_pairs(corpus, min_support)]
+    mined = [tuple(c) for c in mine_pairs(corpus, min_support)]
     assert mined == oracles.enumerate_pair_counts(corpus, min_support)
 
 
