@@ -124,8 +124,17 @@ def write_pairs(path: Path, pairs: Sequence[RecurringPair]) -> None:
 
 
 def read_pairs(path: Path) -> list[RecurringPair]:
+    """The pairs as ``write_pairs`` wrote them: each once, with ``tech_a`` before ``tech_b``."""
     from .rule_miner import RecurringPair
-    return _read_records(path, RecurringPair)
+    pairs = _read_records(path, RecurringPair)
+    seen: set[tuple[str, str]] = set()
+    for i, pair in enumerate(pairs):
+        if pair.tech_a >= pair.tech_b:
+            raise ArtifactError(f"{path} row {i}: tech_a {pair.tech_a!r} must sort before tech_b {pair.tech_b!r}")
+        if pair.key in seen:
+            raise ArtifactError(f"{path} row {i}: repeats the pair ({pair.tech_a}, {pair.tech_b})")
+        seen.add(pair.key)
+    return pairs
 
 
 def write_centrality(path: Path, rows: list[list]) -> None:

@@ -141,8 +141,8 @@ class StageOptions(NamedTuple):
 def _require_file(path: Path | None, role: str) -> Path:
     if path is None:
         raise ConfigError(f"no {role} configured; pass the flag or set it in the config file")
-    if not path.exists():
-        raise ConfigError(f"missing {role} file: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{role} path is not a file: {path}" if path.exists() else f"missing {role} file: {path}")
     return path
 
 
@@ -341,17 +341,20 @@ def stage_graph(config: PipelineConfig, options: StageOptions, state: RunState) 
     from . import artifacts
     pairs = state.upstream("mine")
     annotations = state.annotations
+    pair_keys = {pair.key for pair in pairs}
+    for i, annotation in enumerate(annotations):  # load_annotations keeps one annotation per row
+        if annotation.pair_key not in pair_keys:
+            raise AnnotationError(
+                f"{config.annotation_path} row {i}: annotation references unknown pair ({annotation.tech_a}, "
+                f"{annotation.tech_b}) (recurring pairs in {_artifact(config, 'recurring_pairs')})"
+            )
 
     if options.relation is not None:
         relations = [options.relation]
     else:
         relations = sorted({a.relation for a in annotations})
-
-    try:  # relation None is the all-pairs graph
-        graphs = {r: graph_analysis.build_graph(pairs, annotations, relation=r) for r in [None, *relations]}
-    except AnnotationError as exc:  # a row names no recurring pair, or a directed one no orientation
-        pairs_path = _artifact(config, "recurring_pairs")
-        raise AnnotationError(f"{config.annotation_path}: {exc} (recurring pairs in {pairs_path})") from None
+    # relation None is the all-pairs graph
+    graphs = {r: graph_analysis.build_graph(pairs, annotations, relation=r) for r in [None, *relations]}
     rows: list[list] = []
     listings: list[tuple[str, dict]] = []  # (label, scores) per graph, for --top-k
     conventional = options.conventional_normalization

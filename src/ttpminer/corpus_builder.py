@@ -210,14 +210,14 @@ def read_elbow_labels(path: Path | str) -> list[float]:
     """
     path = Path(path)
     tallies: dict[int, list[bool]] = {}
-    for row in csv_rows(path, set(SAMPLE_COLUMNS), ManifestError):
+    for i, row in enumerate(csv_rows(path, set(SAMPLE_COLUMNS), ManifestError)):
         try:
             bucket = int(row["bucket"])
         except ValueError as exc:
-            raise ManifestError(f"{path}: bad bucket {row['bucket']!r}") from exc
+            raise ManifestError(f"{path} row {i}: bad bucket {row['bucket']!r}") from exc
         flag = row["is_duplicate"].strip().lower()
         if flag not in {"0", "1", "true", "false"}:
-            raise ManifestError(f"{path}: bad is_duplicate {row['is_duplicate']!r}")
+            raise ManifestError(f"{path} row {i}: bad is_duplicate {row['is_duplicate']!r}")
         tallies.setdefault(bucket, []).append(flag in {"1", "true"})
     if not tallies:
         raise ManifestError(f"{path}: no label rows")

@@ -65,15 +65,6 @@ def parent_technique_id(technique_id: str) -> str:
     return technique_id.split(".", 1)[0]
 
 
-class EvAResult(NamedTuple):
-    prevalent_found_count: int
-    prevalent_found_ids: tuple[str, ...]
-    mean_prevalent_per_report: float
-    median_prevalent_per_report: float
-    top20_overlap_count: int
-    top20_overlap_ids: tuple[str, ...]
-
-
 def top_mentioned(unseen: Sequence[UnseenReport], k: int = 20) -> list[str]:
     """The k most-reported technique ids, ties broken by ascending id."""
     counts = Counter(chain.from_iterable(report.technique_ids for report in unseen))
@@ -82,8 +73,8 @@ def top_mentioned(unseen: Sequence[UnseenReport], k: int = 20) -> list[str]:
 
 def ev_a(
     prevalent: Sequence[str], unseen: Sequence[UnseenReport], parent_match: bool = False
-) -> EvAResult:
-    """Coverage of the prevalent techniques in the unseen reports."""
+) -> dict:
+    """Coverage of the prevalent techniques in the unseen reports: ``evaluation.json``'s ``ev_a``."""
     if not unseen:
         raise ParameterError("unseen report set is empty")
     key = parent_technique_id if parent_match else str  # a mention matches a technique of equal key
@@ -94,28 +85,18 @@ def ev_a(
     found = tuple(tid for tid in prevalent if key(tid) in mentioned)
     top20 = set(map(key, top_mentioned(unseen, 20)))
     overlap = tuple(tid for tid in prevalent if key(tid) in top20)
-    return EvAResult(
-        prevalent_found_count=len(found),
-        prevalent_found_ids=found,
-        mean_prevalent_per_report=sum(per_report) / len(per_report),
-        median_prevalent_per_report=median(per_report),
-        top20_overlap_count=len(overlap),
-        top20_overlap_ids=overlap,
-    )
+    return {
+        "prevalent_found_count": len(found),
+        "prevalent_found_ids": found,
+        "mean_prevalent_per_report": sum(per_report) / len(per_report),
+        "median_prevalent_per_report": median(per_report),
+        "top20_overlap_count": len(overlap),
+        "top20_overlap_ids": overlap,
+    }
 
 
-class EvBResult(NamedTuple):
-    valid_pair_count: int
-    matched_pair_count: int
-    matched_pairs: tuple[tuple[str, str], ...]
-    reports_with_pair: int
-    mean_valid_pairs_per_report: float
-    mean_valid_pairs_per_matching_report: float
-    per_relation_matches: dict[str, int]
-
-
-def ev_b(pairs: Sequence[RecurringPair], unseen: Sequence[UnseenReport]) -> EvBResult:
-    """Occurrence of recurring pairs in the unseen reports.
+def ev_b(pairs: Sequence[RecurringPair], unseen: Sequence[UnseenReport]) -> dict:
+    """Occurrence of recurring pairs in the unseen reports: ``evaluation.json``'s ``ev_b``.
 
     Valid pairs have both techniques mentioned somewhere in the unseen set;
     matched pairs are valid pairs co-present in at least one single report.
@@ -128,48 +109,43 @@ def ev_b(pairs: Sequence[RecurringPair], unseen: Sequence[UnseenReport]) -> EvBR
     valid = [p for p in pairs if p.tech_a in universe and p.tech_b in universe]
 
     per_report_hits = []
-    matched: set[tuple[str, str]] = set()
+    matched: dict[tuple[str, str], RecurringPair] = {}
     for report in unseen:
         hits = [
             p for p in valid if p.tech_a in report.technique_ids and p.tech_b in report.technique_ids
         ]
         per_report_hits.append(len(hits))
-        matched.update(p.key for p in hits)
+        matched.update((p.key, p) for p in hits)
 
     matched_keys = tuple(sorted(matched))
-    by_key = {p.key: p for p in valid}
-    relation_counts: Counter[str] = Counter()
-    for key in matched_keys:
-        relation_counts.update(sorted(by_key[key].relation_labels))
+    relation_counts = Counter(name for p in matched.values() for name in p.relation_labels)
 
     reports_with_pair = sum(1 for hits in per_report_hits if hits > 0)
     total_hits = sum(per_report_hits)
-    return EvBResult(
-        valid_pair_count=len(valid),
-        matched_pair_count=len(matched_keys),
-        matched_pairs=matched_keys,
-        reports_with_pair=reports_with_pair,
-        mean_valid_pairs_per_report=total_hits / len(unseen),
-        mean_valid_pairs_per_matching_report=(
-            total_hits / reports_with_pair if reports_with_pair else 0.0
-        ),
-        per_relation_matches={name: relation_counts[name] for name in sorted(relation_counts)},
-    )
+    return {
+        "valid_pair_count": len(valid),
+        "matched_pair_count": len(matched_keys),
+        "matched_pairs": matched_keys,
+        "reports_with_pair": reports_with_pair,
+        "mean_valid_pairs_per_report": total_hits / len(unseen),
+        "mean_valid_pairs_per_matching_report": total_hits / reports_with_pair if reports_with_pair else 0.0,
+        "per_relation_matches": {name: relation_counts[name] for name in sorted(relation_counts)},
+    }
 
 
 def evaluate(
     prevalent: Sequence[str],
     pairs: Sequence[RecurringPair],
     unseen: Sequence[UnseenReport],
-    cutoff: date | None = None,
+    cutoff: date,
     parent_match: bool = False,
 ) -> dict:
-    """The ``evaluation.json`` document: EV-A and EV-B, each under its result's field names."""
+    """The ``evaluation.json`` document: the corpus cutoff, EV-A and EV-B."""
     return {
-        "cutoff": cutoff.isoformat() if cutoff else None,
+        "cutoff": cutoff.isoformat(),
         "unseen_report_count": len(unseen),
-        "ev_a": ev_a(prevalent, unseen, parent_match=parent_match)._asdict(),
-        "ev_b": ev_b(pairs, unseen)._asdict(),
+        "ev_a": ev_a(prevalent, unseen, parent_match=parent_match),
+        "ev_b": ev_b(pairs, unseen),
     }
 
 
@@ -177,8 +153,7 @@ def summary_to_text(doc: dict, prevalent_total: int, pair_total: int) -> str:
     """``evaluation.txt``: the ``evaluate`` document for a reader."""
     a, b = doc["ev_a"], doc["ev_b"]
     lines = [
-        f"Unseen reports: {doc['unseen_report_count']}"
-        + (f" (published after {doc['cutoff']})" if doc["cutoff"] else ""),
+        f"Unseen reports: {doc['unseen_report_count']} (published after {doc['cutoff']})",
         "",
         "EV-A: prevalent technique coverage",
         f"  found in at least one report: {a['prevalent_found_count']} of {prevalent_total}",

@@ -59,12 +59,17 @@ def load_annotations(path: Path | str) -> list[RelationAnnotation]:
         tech_a, tech_b, relation = row["tech_a"].strip(), row["tech_b"].strip(), row["relation"].strip()
         direction = row["direction"].strip() or "none"
         if not tech_a or not tech_b:
-            raise AnnotationError(f"{path} row {i}: {'tech_b' if tech_a else 'tech_a'} must name a technique")
-        if relation not in RELATION_TYPES:
-            raise AnnotationError(f"{path} row {i}: unknown relation {relation!r}")
-        if direction not in DIRECTIONS:
-            raise AnnotationError(f"{path} row {i}: direction must be one of {DIRECTIONS}")
-        annotations.append(RelationAnnotation(tech_a, tech_b, relation, direction))
+            problem = f"{'tech_b' if tech_a else 'tech_a'} must name a technique"
+        elif relation not in RELATION_TYPES:
+            problem = f"unknown relation {relation!r}"
+        elif direction not in DIRECTIONS:
+            problem = f"direction must be one of {DIRECTIONS}"
+        elif RELATION_TYPES[relation] and direction == "none":
+            problem = f"directed relation {relation!r} requires an orientation for ({tech_a}, {tech_b})"
+        else:
+            annotations.append(RelationAnnotation(tech_a, tech_b, relation, direction))
+            continue
+        raise AnnotationError(f"{path} row {i}: {problem}")
     return annotations
 
 
@@ -88,16 +93,9 @@ def build_graph(
     Without a relation filter this is the undirected graph joining the two
     techniques of every recurring pair (multi-label pairs collapse to a
     single edge). With a relation, edges come from the annotations carrying
-    that label; directed relations take their orientation from the
-    annotation's direction column.
+    that label; directed relations take their orientation (``ab`` or ``ba``)
+    from the annotation's direction column. Each annotation must name a pair.
     """
-    pair_keys = {pair.key for pair in pairs}
-    for annotation in annotations:
-        if annotation.pair_key not in pair_keys:
-            raise AnnotationError(
-                f"annotation references unknown pair ({annotation.tech_a}, {annotation.tech_b})"
-            )
-
     if relation is None:
         edges = frozenset(pair.key for pair in pairs)
         nodes = frozenset(t for edge in edges for t in edge)
@@ -110,25 +108,14 @@ def build_graph(
     for annotation in annotations:
         if annotation.relation != relation:
             continue
-        if directed:
-            if annotation.direction == "ab":
-                edges.add((annotation.tech_a, annotation.tech_b))
-            elif annotation.direction == "ba":
-                edges.add((annotation.tech_b, annotation.tech_a))
-            else:
-                raise AnnotationError(
-                    f"directed relation {relation!r} requires an orientation for "
-                    f"({annotation.tech_a}, {annotation.tech_b})"
-                )
-        else:
+        if not directed:
             edges.add(annotation.pair_key)
+        elif annotation.direction == "ab":
+            edges.add((annotation.tech_a, annotation.tech_b))
+        else:
+            edges.add((annotation.tech_b, annotation.tech_a))
     nodes = frozenset(t for edge in edges for t in edge)
     return TechniqueGraph(nodes=nodes, edges=frozenset(edges), directed=directed, relation=relation)
-
-
-def _normalizer(graph: TechniqueGraph, conventional: bool) -> float:
-    n = len(graph.nodes)
-    return float(n - 1) if conventional else float(n)
 
 
 def degree_centrality(graph: TechniqueGraph, conventional: bool = False) -> dict[str, float]:
@@ -140,7 +127,7 @@ def degree_centrality(graph: TechniqueGraph, conventional: bool = False) -> dict
         raise TypeError("degree_centrality requires an undirected graph")
     if not graph.nodes:
         return {}
-    denominator = _normalizer(graph, conventional)
+    denominator = len(graph.nodes) - 1 if conventional else len(graph.nodes)
     degrees = {node: 0 for node in graph.nodes}
     for u, v in graph.edges:
         degrees[u] += 1
@@ -156,7 +143,7 @@ def directed_centrality(
         raise TypeError("directed_centrality requires a directed graph")
     if not graph.nodes:
         return {}
-    denominator = _normalizer(graph, conventional)
+    denominator = len(graph.nodes) - 1 if conventional else len(graph.nodes)
     in_deg = {node: 0 for node in graph.nodes}
     out_deg = {node: 0 for node in graph.nodes}
     for u, v in graph.edges:

@@ -176,21 +176,12 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         raise
 
 
-def fmt_number(value: Any) -> str:
-    """Format a cell value for CSV output; floats use repr for determinism."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """The CSV text of ``header`` and ``rows``; ``csv.writer`` writes a float as its ``repr``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt_number(cell) for cell in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 

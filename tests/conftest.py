@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 from datetime import date
 from pathlib import Path
@@ -105,6 +107,31 @@ def bundle_bytes(objects: list[dict], spec_version: str = "2.1") -> bytes:
 
 
 # --- corpus helpers --------------------------------------------------------
+
+def edit_pair_rows(path: Path, edit: str) -> tuple[str, str]:
+    """Rewrite the recurring pairs table ``path`` (CSV or JSON) as no ``mine`` writes it:
+    ``"reverse"`` swaps tech_a and tech_b in row 0, ``"repeat"`` inserts a copy of row 1
+    as row 2. Returns the edited pair's (tech_a, tech_b) as ``mine`` wrote it."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        rows, a, b = json.loads(text), "tech_a", "tech_b"
+    else:
+        header, *rows = csv.reader(io.StringIO(text))
+        a, b = header.index("tech_a"), header.index("tech_b")
+    row = rows[0] if edit == "reverse" else rows[1]
+    key = row[a], row[b]
+    if edit == "reverse":
+        row[a], row[b] = row[b], row[a]
+    else:
+        rows.insert(2, row)
+    if path.suffix == ".json":
+        path.write_text(json.dumps(rows), encoding="utf-8")
+    else:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+        path.write_text(out.getvalue(), encoding="utf-8")
+    return key
+
 
 def make_set(attack_id: str, techniques, published: str, latest: str | None = None) -> TechniqueSet:
     return TechniqueSet(

@@ -9,6 +9,8 @@ from ttpminer.artifacts import read_pairs, read_prevalent, write_pairs
 from ttpminer.errors import ArtifactError
 from ttpminer.rule_miner import filter_pairs, mine_pairs
 
+from .conftest import edit_pair_rows
+
 
 @pytest.fixture
 def sample_pairs():
@@ -49,6 +51,18 @@ def test_read_pairs_missing_columns(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text("tech_a,tech_b\nT1,T2\n", encoding="utf-8")
     with pytest.raises(ArtifactError, match="expected columns"):
+        read_pairs(path)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("edit", ["reverse", "repeat"])
+def test_read_pairs_rejects_a_reversed_or_repeated_row(tmp_path, sample_pairs, suffix, edit):
+    path = tmp_path / f"pairs{suffix}"
+    write_pairs(path, sample_pairs)
+    a, b = edit_pair_rows(path, edit)
+    problem = f"row 0: tech_a {b!r} must sort before tech_b {a!r}" if edit == "reverse" else \
+        f"row 2: repeats the pair ({a}, {b})"
+    with pytest.raises(ArtifactError, match=f"^{re.escape(f'{path} {problem}')}$"):
         read_pairs(path)
 
 

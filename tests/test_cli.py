@@ -9,7 +9,7 @@ import pytest
 from ttpminer.cli import PipelineConfig, main, validate_config
 from ttpminer.errors import ConfigError
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, edit_pair_rows
 
 E2E = FIXTURES / "e2e"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past the JSON decoder's depth limit
@@ -625,7 +625,72 @@ class TestAnnotationRows:
         path = self.annotations(tmp_path, row)
         caplog.clear()
         assert run_cli("graph", "--config", E2E / "config.cfg", "--annotations", path, "--output-dir", out) == 1
-        assert f"{path}: {needle}" in caplog.text
+        assert f"{path} row 7: {needle}" in caplog.text
+
+    def test_unknown_pair_is_rejected_before_any_graph_is_built(self, tmp_path, caplog, monkeypatch):
+        from ttpminer import graph_analysis
+
+        out = tmp_path / "out"
+        assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out) == 0
+        path = self.annotations(tmp_path, "T1001,T1099,same_asset,none")
+        built = []
+        monkeypatch.setattr(graph_analysis, "build_graph", lambda *args, **kwargs: built.append(args))
+        caplog.clear()
+        assert run_cli("graph", "--config", E2E / "config.cfg", "--annotations", path, "--output-dir", out) == 1
+        assert built == []
+        message = (f"{path} row 7: annotation references unknown pair (T1001, T1099) "
+                   f"(recurring pairs in {out / 'recurring_pairs.csv'})")
+        assert caplog.records[-1].getMessage() == message
+
+
+class TestRowsAndRoles:
+    """A bad row names its file and row; an input path that is no file names its role."""
+
+    @pytest.mark.parametrize("row, problem", [
+        ("x,a||b,1", "bad bucket 'x'"),
+        ("1,a||b,maybe", "bad is_duplicate 'maybe'"),
+    ])
+    def test_elbow_label_error_names_file_and_row(self, tmp_path, caplog, row, problem):
+        path = tmp_path / "elbow_labels.csv"
+        rows = (E2E / "elbow_labels.csv").read_text(encoding="utf-8")
+        path.write_text(rows + row + "\n", encoding="utf-8")
+        argv = ("all", "--config", E2E / "config.cfg", "--elbow-labels", path, "--output-dir", tmp_path / "out")
+        assert run_cli(*argv) == 1
+        assert caplog.records[-1].getMessage() == f"{path} row {rows.count(chr(10)) - 1}: {problem}"
+
+    @pytest.mark.parametrize("command", ["graph", "eval"])
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("edit", ["reverse", "repeat"])
+    def test_reversed_or_repeated_pair_row_names_the_pairs_file_and_row(
+        self, tmp_path, caplog, command, output_format, edit
+    ):
+        argv = ("--config", E2E / "config.cfg", "--output-dir", tmp_path, "--format", output_format)
+        assert run_cli("all", *argv) == 0
+        path = tmp_path / f"recurring_pairs.{output_format}"
+        a, b = edit_pair_rows(path, edit)
+        caplog.clear()
+        assert run_cli(command, *argv) == 1
+        problem = f"row 0: tech_a {b!r} must sort before tech_b {a!r}" if edit == "reverse" else \
+            f"row 2: repeats the pair ({a}, {b})"
+        assert caplog.records[-1].getMessage() == f"{path} {problem}; re-run `ttpminer mine`"
+
+    @pytest.mark.parametrize("flag, role", [
+        ("--config", "config"),
+        ("--bundle", "STIX bundle"),
+        ("--manifest", "report manifest"),
+        ("--unseen", "unseen manifest"),
+        ("--annotations", "relation annotations"),
+        ("--elbow-labels", "elbow labels"),
+    ])
+    def test_a_directory_given_as_an_input_file_names_the_role_and_path(self, tmp_path, caplog, flag, role):
+        argv = ("all", "--config", E2E / "config.cfg", "--output-dir", tmp_path / "out", flag, tmp_path)
+        assert run_cli(*argv) == 1
+        assert caplog.records[-1].getMessage() == f"{role} path is not a file: {tmp_path}"
+
+    def test_a_directory_in_place_of_an_upstream_artifact_names_it(self, tmp_path, caplog):
+        (tmp_path / "corpus.json").mkdir()
+        assert run_cli("mine", "--config", E2E / "config.cfg", "--output-dir", tmp_path) == 1
+        assert caplog.records[-1].getMessage() == f"corpus artifact path is not a file: {tmp_path / 'corpus.json'}"
 
 
 WRITER = {"catalog": "ingest", "corpus": "corpus", "prevalent_techniques": "prevalence", "recurring_pairs": "mine"}

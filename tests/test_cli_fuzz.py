@@ -1,6 +1,7 @@
 """Fuzz the stage boundary: a stage fed an upstream artifact or an input file with
 one value replaced exits 0 or 1, never lets an exception escape ``cli.main``, and
-on exit 1 names the replaced file in its logged error."""
+on exit 1 names the replaced file in its logged error (or, for a config line, the
+path that line sets)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import csv
 import io
 import json
 import logging
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -22,8 +24,9 @@ from .conftest import FIXTURES
 
 E2E = FIXTURES / "e2e"
 
-# Each upstream artifact and input manifest, and the stage commands that read it.
+# Each upstream artifact and JSON input file, and the stage commands that read it.
 CONSUMERS = {
+    "bundle.json": ("ingest",),
     "catalog.json": ("corpus", "prevalence"),
     "corpus.json": ("prevalence", "mine", "eval"),
     "recurring_pairs.json": ("graph", "eval"),
@@ -56,6 +59,17 @@ JSON_VALUES = st.recursive(
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=4), children, max_size=4),
     max_leaves=8,
+)
+
+
+# A config value: any one-line text, an integer, or a value near a key's range or
+# naming a file of the run directory (or the directory itself).
+CONFIG_VALUES = (
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+    | st.integers().map(str)
+    | st.sampled_from(["0", "1", "-1", "0.5", "1e309", "nan", "inf", "", ".", "/", "csv", "json", "missing.json",
+                       "bundle.json", "manifest.json", "unseen.json", "annotations.csv", "elbow_labels.csv",
+                       "config.cfg", "catalog.json", "corpus.json"])
 )
 
 
@@ -152,5 +166,34 @@ def test_one_replaced_csv_cell_exits_0_or_1_naming_the_file(upstream, caplog, na
             path.write_text(text.getvalue(), encoding="utf-8")
             for command in CSV_CONSUMERS[name]:
                 assert_exits_0_or_1_naming(caplog, path, stage_args(command, Path(out), "csv"))
+
+    check()
+
+
+def test_one_replaced_config_value_exits_0_or_1_naming_the_file_or_its_path(upstream, caplog):
+    # The e2e config plus the two keys it leaves at their defaults. ``--output-dir``
+    # stays on the command line, so a replaced output_dir writes nowhere else.
+    lines = [*upstream["config.cfg"].splitlines(), "output_dir = out", "output_format = csv"]
+    settable = [i for i, line in enumerate(lines) if "=" in line and not line.startswith("#")]
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        i = data.draw(st.sampled_from(settable), label="line")
+        key = lines[i].partition("=")[0].strip()
+        value = data.draw(CONFIG_VALUES, label="value")
+        mutated = [*lines[:i], f"{key} = {value}", *lines[i + 1:]]
+        with tempfile.TemporaryDirectory() as out:
+            for name, text in upstream.items():
+                Path(out, name).write_text(text, encoding="utf-8")
+            config = Path(out, "config.cfg")
+            config.write_text("\n".join(mutated) + "\n", encoding="utf-8")
+            caplog.clear()
+            code = main(["all", "--config", str(config), "--output-dir", out])
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert code in (0, 1)
+            if code == 1:  # the config file, or the path the line sets, as a whole path
+                named = (str(config), str(Path(out, value.strip())))
+                assert any(re.search(f"{re.escape(name)}(?=$|[: ])", errors[-1]) for name in named), errors
 
     check()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -483,6 +484,13 @@ class TestElbow:
         path = tmp_path / "labels.csv"
         path.write_text("bucket,pair_key,is_duplicate\n2,a||b,1\n", encoding="utf-8")
         with pytest.raises(ManifestError, match="contiguous"):
+            read_elbow_labels(path)
+
+    @pytest.mark.parametrize("row, problem", [("x,c||d,1", "bad bucket 'x'"), ("1,c||d,no", "bad is_duplicate 'no'")])
+    def test_read_elbow_labels_names_file_and_row(self, tmp_path, row, problem):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"bucket,pair_key,is_duplicate\n1,a||b,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match=f"^{re.escape(f'{path} row 1: {problem}')}$"):
             read_elbow_labels(path)
 
 

@@ -151,30 +151,30 @@ class TestEvA:
             report("u3", ["Y"]),
         ]
         result = ev_a(prevalent, unseen)
-        assert result.prevalent_found_count == 2
-        assert result.prevalent_found_ids == ("T1", "T2")
-        assert result.mean_prevalent_per_report == pytest.approx(1.0)
-        assert result.median_prevalent_per_report == 1
+        assert result["prevalent_found_count"] == 2
+        assert result["prevalent_found_ids"] == ("T1", "T2")
+        assert result["mean_prevalent_per_report"] == pytest.approx(1.0)
+        assert result["median_prevalent_per_report"] == 1
 
     def test_no_prevalent_technique_found(self):
         result = ev_a(["T1"], [report("u1", ["X"]), report("u2", ["Y"])])
-        assert result.prevalent_found_count == 0
-        assert result.mean_prevalent_per_report == 0.0
+        assert result["prevalent_found_count"] == 0
+        assert result["mean_prevalent_per_report"] == 0.0
 
     def test_parent_match_relaxation(self):
         prevalent = ["T1204.002"]
         unseen = [report("u1", ["T1204"])]
         strict = ev_a(prevalent, unseen)
-        assert strict.prevalent_found_count == 0
+        assert strict["prevalent_found_count"] == 0
         relaxed = ev_a(prevalent, unseen, parent_match=True)
-        assert relaxed.prevalent_found_count == 1
-        assert relaxed.mean_prevalent_per_report == 1.0
+        assert relaxed["prevalent_found_count"] == 1
+        assert relaxed["mean_prevalent_per_report"] == 1.0
 
     def test_top20_overlap(self):
         unseen = [report(f"u{i}", ["T1", "T2"] if i < 5 else ["T3"]) for i in range(8)]
         result = ev_a(["T1", "T9"], unseen)
-        assert result.top20_overlap_count == 1
-        assert result.top20_overlap_ids == ("T1",)
+        assert result["top20_overlap_count"] == 1
+        assert result["top20_overlap_ids"] == ("T1",)
 
     def test_top_mentioned_tie_break(self):
         unseen = [report("u1", ["B", "A"]), report("u2", ["A", "B", "C"])]
@@ -182,9 +182,9 @@ class TestEvA:
 
     def test_empty_inputs_rejected(self):
         result = ev_a([], [report("u1", ["T1"])])
-        assert (result.prevalent_found_count, result.prevalent_found_ids) == (0, ())
-        assert (result.mean_prevalent_per_report, result.median_prevalent_per_report) == (0.0, 0)
-        assert (result.top20_overlap_count, result.top20_overlap_ids) == (0, ())
+        assert (result["prevalent_found_count"], result["prevalent_found_ids"]) == (0, ())
+        assert (result["mean_prevalent_per_report"], result["median_prevalent_per_report"]) == (0.0, 0)
+        assert (result["top20_overlap_count"], result["top20_overlap_ids"]) == (0, ())
         with pytest.raises(ParameterError):
             ev_a(["T1"], [])
 
@@ -198,17 +198,17 @@ class TestEvB:
             report("u3", ["C"]),  # A and C never co-present
         ]
         result = ev_b(pairs, unseen)
-        assert result.valid_pair_count == 2  # (A,B) and (A,C); Z unseen anywhere
-        assert result.matched_pair_count == 1
-        assert result.matched_pairs == (("A", "B"),)
-        assert result.reports_with_pair == 1
-        assert result.mean_valid_pairs_per_report == pytest.approx(1 / 3)
-        assert result.mean_valid_pairs_per_matching_report == pytest.approx(1.0)
+        assert result["valid_pair_count"] == 2  # (A,B) and (A,C); Z unseen anywhere
+        assert result["matched_pair_count"] == 1
+        assert result["matched_pairs"] == (("A", "B"),)
+        assert result["reports_with_pair"] == 1
+        assert result["mean_valid_pairs_per_report"] == pytest.approx(1 / 3)
+        assert result["mean_valid_pairs_per_matching_report"] == pytest.approx(1.0)
 
     def test_pair_with_unmentioned_technique_not_valid(self):
         result = ev_b([pair("A", "Z")], [report("u1", ["A", "B"])])
-        assert result.valid_pair_count == 0
-        assert result.matched_pair_count == 0
+        assert result["valid_pair_count"] == 0
+        assert result["matched_pair_count"] == 0
 
     def test_per_relation_counts_attribute_every_label(self):
         pairs = [
@@ -217,7 +217,7 @@ class TestEvB:
         ]
         unseen = [report("u1", ["A", "B", "C"])]
         result = ev_b(pairs, unseen)
-        assert result.per_relation_matches == {"follow": 2, "same_asset": 1}
+        assert result["per_relation_matches"] == {"follow": 2, "same_asset": 1}
 
     def test_matched_pairs_by_per_pair_scan_oracle(self):
         rng = random.Random(19)
@@ -243,7 +243,7 @@ class TestEvB:
                     p.tech_a in r.technique_ids and p.tech_b in r.technique_ids for r in unseen
                 )
             )
-            assert list(result.matched_pairs) == expected_matched
+            assert list(result["matched_pairs"]) == expected_matched
 
     def test_monotone_under_added_reports(self):
         rng = random.Random(29)
@@ -257,9 +257,9 @@ class TestEvB:
             unseen.append(report(f"u{i}", rng.sample(techniques, rng.randint(1, 5))))
             current_a = ev_a(prevalent, unseen)
             current_b = ev_b(pairs, unseen)
-            assert current_a.prevalent_found_count >= previous_a.prevalent_found_count
-            assert current_b.valid_pair_count >= previous_b.valid_pair_count
-            assert current_b.matched_pair_count >= previous_b.matched_pair_count
+            assert current_a["prevalent_found_count"] >= previous_a["prevalent_found_count"]
+            assert current_b["valid_pair_count"] >= previous_b["valid_pair_count"]
+            assert current_b["matched_pair_count"] >= previous_b["matched_pair_count"]
             previous_a, previous_b = current_a, current_b
 
 
@@ -288,7 +288,7 @@ TECHNIQUE_POOL = [f"T10{n:02d}{sub}" for n in range(12) for sub in ("", ".001", 
 )
 def test_ev_a_equals_the_pairwise_oracle(prevalent, reports, parent_match):
     unseen = [report(f"u{i}", techniques) for i, techniques in enumerate(reports)]
-    result = ev_a(prevalent, unseen, parent_match=parent_match)._asdict()
+    result = ev_a(prevalent, unseen, parent_match=parent_match)
     expected = oracles.ev_a_fields(prevalent, reports, parent_match)
     assert result == expected
     assert {name: type(value) for name, value in result.items()} == {

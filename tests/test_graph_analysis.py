@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -95,16 +96,6 @@ class TestBuildGraph:
         graph = build_graph(worked_example_pairs, [], relation="follow")
         assert graph.edges == frozenset()
         assert graph.nodes == frozenset()
-
-    def test_unknown_pair_annotation_rejected(self, worked_example_pairs):
-        bad = [RelationAnnotation("T1", "T9", "follow", "ab")]
-        with pytest.raises(AnnotationError, match="unknown pair"):
-            build_graph(worked_example_pairs, bad, relation="follow")
-
-    def test_directed_relation_without_orientation_rejected(self, worked_example_pairs):
-        bad = [RelationAnnotation("T1", "T2", "follow", "none")]
-        with pytest.raises(AnnotationError, match="orientation"):
-            build_graph(worked_example_pairs, bad, relation="follow")
 
     def test_unknown_relation_rejected(self, worked_example_pairs):
         with pytest.raises(ParameterError):
@@ -269,6 +260,17 @@ class TestAnnotations:
         path = tmp_path / "annotations.csv"
         path.write_text("tech_a,tech_b,relation,direction\nT1,T2,follow,up\n", encoding="utf-8")
         with pytest.raises(AnnotationError, match="direction"):
+            load_annotations(path)
+
+    @pytest.mark.parametrize("relation, direction", [("follow", "none"), ("require", "")])
+    def test_directed_relation_without_orientation_names_file_and_row(self, tmp_path, relation, direction):
+        path = tmp_path / "annotations.csv"
+        path.write_text(
+            f"tech_a,tech_b,relation,direction\nT1,T2,same_asset,none\nT1,T2,{relation},{direction}\n",
+            encoding="utf-8",
+        )
+        message = f"{path} row 1: directed relation {relation!r} requires an orientation for (T1, T2)"
+        with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
             load_annotations(path)
 
     def test_missing_columns_rejected(self, tmp_path):

@@ -17,7 +17,6 @@ from ttpminer.io_utils import (
     canonical_json,
     csv_rows,
     decode,
-    fmt_number,
     reader,
     render_csv,
     sha256_file,
@@ -57,19 +56,11 @@ def test_atomic_write_failure_leaves_no_temp(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "value,expected",
-    [
-        (0.5, "0.5"),
-        (1 / 3, repr(1 / 3)),
-        (7, "7"),
-        (True, "true"),
-        (False, "false"),
-        ("x;y", "x;y"),
-    ],
-)
-def test_fmt_number(value, expected):
-    assert fmt_number(value) == expected
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(), max_size=4), max_size=4))
+def test_render_csv_writes_a_float_as_its_repr_and_an_int_as_its_str(rows):
+    lines = render_csv(("a",), rows).split("\n")
+    assert lines == ["a", *(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows), ""]
 
 
 def test_render_csv_quotes_and_terminates_lf():
