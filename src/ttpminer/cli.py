@@ -69,8 +69,8 @@ class PipelineConfig(NamedTuple):
                 raise ConfigError(f"{name} must be in (0, 1), got {value}")
         if self.tau < 1:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if self.trend_years < 1:
-            raise ConfigError(f"trend_years must be >= 1, got {self.trend_years}")
+        if self.trend_years < 2:  # a trend test needs two years
+            raise ConfigError(f"trend_years must be >= 2, got {self.trend_years}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
 
@@ -116,6 +116,9 @@ def validate_config(path: Path | str) -> PipelineConfig:
     return config
 
 
+UNIVERSES = ("catalog", "corpus")  # the techniques the prevalence stage bins
+
+
 class StageOptions(NamedTuple):
     """Per-stage knobs that are not part of the shared configuration."""
 
@@ -136,6 +139,11 @@ class StageOptions(NamedTuple):
                             ("--top-k", self.top_k)):
             if value is not None and value < 1:
                 raise ConfigError(f"{flag} must be >= 1, got {value}")
+        if self.universe not in UNIVERSES:
+            raise ConfigError(f"--universe must be one of {UNIVERSES}, got {self.universe!r}")
+        if self.relation is not None and self.relation not in graph_analysis.RELATION_TYPES:
+            raise ConfigError(f"--relation must be one of {tuple(graph_analysis.RELATION_TYPES)}, "
+                              f"got {self.relation!r}")
 
 
 def _require_file(path: Path | None, role: str) -> Path:
@@ -152,10 +160,14 @@ def _artifact(config: PipelineConfig, stem: str, suffix: str | None = None) -> P
 
 
 def _read_corpus(path: Path) -> list:
-    """The corpus artifact; an empty one is corrupt, as the corpus stage never writes it."""
+    """The corpus artifact. The corpus stage never writes an empty one, nor a
+    technique-set of fewer than two techniques, so either is corrupt."""
     corpus = _module("corpus_builder").corpus_from_json(path.read_text("utf-8"))
     if not corpus:
         raise ValueError("no technique-sets")
+    short = next((ts for ts in corpus if len(ts.techniques) < 2), None)
+    if short is not None:
+        raise ValueError(f"technique-set {short.attack_id!r} has fewer than two techniques")
     return corpus
 
 
@@ -302,6 +314,12 @@ def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState)
 def stage_prevalence(config: PipelineConfig, options: StageOptions, state: RunState) -> list[str]:
     from . import artifacts, prevalence
     corpus = state.upstream("corpus")
+    window = prevalence.trend_window(corpus, config.trend_years)
+    if len(window) < 2:  # trend_years >= 2, so every technique-set falls in this one year
+        source, error = ((config.manifest_path, ManifestError) if "corpus" in state.produced
+                         else (_artifact(config, "corpus", ".json"), ArtifactError))
+        raise error(f"{source}: every technique-set falls in {window[0]}, so the trend window "
+                    f"(trend_years = {config.trend_years}) holds one year; a trend test needs two")
     # Without the catalog universe, the catalog only supplies names and
     # tactics for the prevalent listing, when there is one.
     catalog = state.upstream("ingest", required=options.universe == "catalog")
@@ -346,7 +364,9 @@ def stage_graph(config: PipelineConfig, options: StageOptions, state: RunState) 
         if annotation.pair_key not in pair_keys:
             raise AnnotationError(
                 f"{config.annotation_path} row {i}: annotation references unknown pair ({annotation.tech_a}, "
-                f"{annotation.tech_b}) (recurring pairs in {_artifact(config, 'recurring_pairs')})"
+                f"{annotation.tech_b}), not among the {len(pairs)} recurring pairs in "
+                f"{_artifact(config, 'recurring_pairs')} (this run's min_support = {config.min_support}, "
+                f"phi_min = {config.phi_min}, alpha_rules = {config.alpha_rules})"
             )
 
     if options.relation is not None:
@@ -481,7 +501,7 @@ _OPTIONS = (
      ("prevalence",)),
     (("--alpha-trend",), dict(type=float, help="trend significance level"), ("all",)),
     (("--trend-years",), dict(type=int, help="trailing trend window in years"), ("prevalence", "all")),
-    (("--universe",), dict(choices=("catalog", "corpus"), help="bin all cataloged techniques (with "
+    (("--universe",), dict(choices=UNIVERSES, help="bin all cataloged techniques (with "
                            "zeros) or mentioned ones only (default: catalog)"), ("prevalence", "all")),
     (("--min-support",), dict(type=float, help="minimum pair support"), ("mine", "all")),
     (("--phi-min",), dict(type=float, help="minimum phi correlation"), ("mine", "all")),

@@ -139,7 +139,7 @@ def included_records(records: list[ReportRecord]) -> list[ReportRecord]:
 def find_candidate_pairs(
     records: list[ReportRecord], max_gap_days: int | None = None
 ) -> list[DuplicateCandidatePair]:
-    """Unordered report pairs attributing at least one common group/malware.
+    """Unordered pairs of the included, dated ``records`` attributing at least one common group/malware.
 
     With ``max_gap_days``, only the pairs published at most that many days
     apart: each attribution group is sorted by date and swept forward from
@@ -148,10 +148,6 @@ def find_candidate_pairs(
     squared. Pairs come in the sweep's deterministic order (groups of two or more
     by name, then by date); a pair sharing several attributions is listed once, in its first.
     """
-    for record in records:
-        if not record.include or record.published is None:
-            raise ParameterError(f"record {record.citation_key} is not included and dated")
-
     by_attribution: dict[str, list[ReportRecord]] = {}
     for record in records:
         for attributed in record.attribution:
@@ -185,8 +181,6 @@ def sample_buckets(pairs: list[DuplicateCandidatePair], n: int, s: int, seed: in
     given seed. A bucket with fewer than ``s`` pairs is emitted whole with a
     warning; duplicate fractions are left unfilled for the manual labeling pass.
     """
-    if n < 1 or s < 1:
-        raise ParameterError(f"n and s must be >= 1 (got n={n}, s={s})")
     buckets: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
     for pair in pairs:
         bucket = month_bucket(pair.date_gap_days)
@@ -234,9 +228,6 @@ def estimate_tau(fractions: list[float]) -> int:
     """
     if len(fractions) < 2:
         raise ParameterError("need at least two duplicate fractions")
-    for r in fractions:
-        if not 0.0 <= r <= 1.0:
-            raise ParameterError(f"duplicate fraction {r} outside [0, 1]")
     drops = [fractions[i] - fractions[i + 1] for i in range(len(fractions) - 1)]
     best = max(drops)
     if best <= 0.0:
@@ -254,8 +245,6 @@ def merge_duplicates(
     months (tau * 30 days); every connected component of included citations
     becomes one technique-set with the union of member techniques, whatever the pair order.
     """
-    if tau < 1:
-        raise ParameterError(f"tau must be >= 1 (got {tau})")
     by_key = {r.citation_key: r for r in records if r.include}
     max_gap = tau * DAYS_PER_MONTH
     parent: dict[str, str] = {}  # a union-find forest over the citations some edge touches

@@ -32,7 +32,7 @@ class ArtifactError(TTPMinerError):
 
 
 class ParameterError(TTPMinerError):
-    """An operation was called with out-of-range parameters."""
+    """An unknown command, or elbow labels with no detectable elbow; ``cli.run`` checks every other setting."""
 
 
 class UndefinedMeasureError(TTPMinerError):

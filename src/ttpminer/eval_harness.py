@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .corpus_builder import TechniqueSet, median, read_manifest_records
-from .errors import ManifestError, ParameterError
+from .errors import ManifestError
 from .rule_miner import RecurringPair
 
 
@@ -27,8 +27,6 @@ class UnseenReport(NamedTuple):
 
 def cutoff_date(corpus: Sequence[TechniqueSet]) -> date:
     """Latest publication date across all member citations of the corpus."""
-    if not corpus:
-        raise ParameterError("corpus is empty")
     return max(ts.latest_date for ts in corpus)
 
 
@@ -75,8 +73,6 @@ def ev_a(
     prevalent: Sequence[str], unseen: Sequence[UnseenReport], parent_match: bool = False
 ) -> dict:
     """Coverage of the prevalent techniques in the unseen reports: ``evaluation.json``'s ``ev_a``."""
-    if not unseen:
-        raise ParameterError("unseen report set is empty")
     key = parent_technique_id if parent_match else str  # a mention matches a technique of equal key
     prevalent_keys = Counter(map(key, prevalent))  # a duplicate prevalent id counts each time
     report_keys = [set(map(key, report.technique_ids)) for report in unseen]
@@ -103,8 +99,6 @@ def ev_b(pairs: Sequence[RecurringPair], unseen: Sequence[UnseenReport]) -> dict
     The per-report mean of co-present valid pairs is reported over all
     reports and over the reports containing at least one pair.
     """
-    if not unseen:
-        raise ParameterError("unseen report set is empty")
     universe = frozenset().union(*(report.technique_ids for report in unseen))
     valid = [p for p in pairs if p.tech_a in universe and p.tech_b in universe]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .errors import AnnotationError, ParameterError
+from .errors import AnnotationError
 from .io_utils import csv_rows
 
 if TYPE_CHECKING:  # annotations only: `ttpminer ingest` loads no rule_miner
@@ -101,8 +101,6 @@ def build_graph(
         nodes = frozenset(t for edge in edges for t in edge)
         return TechniqueGraph(nodes=nodes, edges=edges, directed=False, relation=None)
 
-    if relation not in RELATION_TYPES:
-        raise ParameterError(f"unknown relation {relation!r}")
     directed = RELATION_TYPES[relation]
     edges = set()
     for annotation in annotations:
@@ -123,8 +121,6 @@ def degree_centrality(graph: TechniqueGraph, conventional: bool = False) -> dict
 
     ``conventional=True`` divides by node count - 1 instead.
     """
-    if graph.directed:
-        raise TypeError("degree_centrality requires an undirected graph")
     if not graph.nodes:
         return {}
     denominator = len(graph.nodes) - 1 if conventional else len(graph.nodes)
@@ -139,8 +135,6 @@ def directed_centrality(
     graph: TechniqueGraph, conventional: bool = False
 ) -> dict[str, tuple[float, float]]:
     """In- and out-degree centrality of a directed graph, same normalization."""
-    if not graph.directed:
-        raise TypeError("directed_centrality requires a directed graph")
     if not graph.nodes:
         return {}
     denominator = len(graph.nodes) - 1 if conventional else len(graph.nodes)
@@ -157,8 +151,6 @@ def directed_centrality(
 
 def partner_count(graph: TechniqueGraph) -> dict[str, int]:
     """Number of distinct partner techniques per node (all-pairs graph)."""
-    if graph.directed:
-        raise TypeError("partner_count requires an undirected graph")
     partners: dict[str, set[str]] = {node: set() for node in graph.nodes}
     for u, v in graph.edges:
         partners[u].add(v)
@@ -168,8 +160,6 @@ def partner_count(graph: TechniqueGraph) -> dict[str, int]:
 
 def top_k(scores: Mapping[str, float], k: int) -> list[str]:
     """Top-k ids by descending score, ties broken by ascending id."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
     ranked = sorted(scores, key=lambda node: (-scores[node], node))
     return ranked[:k]
 

@@ -16,7 +16,6 @@ from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_builder import TechniqueSet, median
-from .errors import ParameterError
 
 logger = logging.getLogger(__name__)
 
@@ -73,8 +72,6 @@ def technique_frequency(
     With a ``universe`` (e.g. all cataloged technique ids), techniques absent
     from every set are included with count 0.
     """
-    if not corpus:
-        raise ParameterError("corpus is empty")
     frequencies = dict(Counter(chain.from_iterable(ts.techniques for ts in corpus)))
     if universe is not None:
         for tid in universe:
@@ -84,11 +81,7 @@ def technique_frequency(
 
 def trend_window(corpus: Sequence[TechniqueSet], trend_years: int = 5) -> tuple[int, ...]:
     """The last ``trend_years`` calendar years present in the corpus, ascending."""
-    if trend_years < 1:
-        raise ParameterError(f"trend_years must be >= 1 (got {trend_years})")
     years = sorted({ts.representative_date.year for ts in corpus})
-    if not years:
-        raise ParameterError("corpus is empty")
     return tuple(years[-trend_years:])
 
 
@@ -127,14 +120,10 @@ def mann_kendall(series: YearlySeries, alpha: float = 0.05) -> TrendResult:
     [n(n-1)(2n+5) - sum_t t(t-1)(2t+5)] / 18 over tie-group sizes t. The
     Z score uses the +/-1 continuity shift and classification is two-sided
     at ``alpha``. Series shorter than four points classify as no_trend (the
-    test has no power there); shorter than two is an error.
+    test has no power there).
     """
     x = series.values
     n = len(x)
-    if n < 2:
-        raise ParameterError(f"{series.technique_id}: need at least two points, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
 
     s = 0
     for i in range(n - 1):
@@ -173,8 +162,6 @@ def mann_kendall(series: YearlySeries, alpha: float = 0.05) -> TrendResult:
 
 def nearest_rank_percentile(values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile: the value at rank ceil(pct/100 * N), 1-based."""
-    if not values:
-        raise ParameterError("no values")
     ordered = sorted(values)
     rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
     return ordered[rank - 1]
@@ -188,8 +175,6 @@ def percentile_bins(frequencies: Mapping[str, int]) -> dict[str, str]:
     low otherwise. Tied values always share a bin, so a boundary value
     falls in the lower bin.
     """
-    if not frequencies:
-        raise ParameterError("no frequencies")
     values = list(frequencies.values())
     p67 = nearest_rank_percentile(values, 67)
     p33 = nearest_rank_percentile(values, 33)
@@ -223,10 +208,7 @@ def build_matrix(
         (trend, fbin): [] for trend in TRENDS for fbin in BINS
     }
     for tid in sorted(bins):
-        trend = trends.get(tid)
-        if trend is None:
-            raise ParameterError(f"technique {tid} has a frequency bin but no trend result")
-        members[(trend.classification, bins[tid])].append(tid)
+        members[(trends[tid].classification, bins[tid])].append(tid)
 
     total_mentions = sum(frequencies[tid] for tid in bins)
     cells = {}

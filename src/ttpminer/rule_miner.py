@@ -14,7 +14,7 @@ import math
 from collections import defaultdict
 from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
-from .errors import ParameterError, UndefinedMeasureError
+from .errors import UndefinedMeasureError
 
 logger = logging.getLogger(__name__)
 
@@ -82,10 +82,6 @@ def mine_pairs(corpus: Itemsets, min_support: float) -> list[CandidatePair]:
     pair never occurs more often than either member, so only techniques whose
     own support reaches ``min_support`` are paired (the Apriori bound).
     """
-    if not 0.0 < min_support <= 1.0:
-        raise ParameterError(f"min_support must be in (0, 1], got {min_support}")
-    if not corpus:
-        raise ParameterError("corpus is empty")
     n = len(corpus)
     rows: defaultdict[str, bytearray] = defaultdict(lambda: bytearray((n + 7) // 8))
     for i, itemset in enumerate(corpus):
@@ -166,10 +162,6 @@ def filter_pairs(
     none) are dropped with a logged reason. The canonical direction is the
     orientation with the higher confidence, ties broken by technique id order.
     """
-    if not 0.0 <= phi_min <= 1.0:
-        raise ParameterError(f"phi_min must be in [0, 1], got {phi_min}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     kept = []
     for candidate in candidates:
         co, count_a, count_b, n = candidate.cooccurrences, candidate.count_a, candidate.count_b, candidate.n

@@ -52,7 +52,8 @@ class TestConfig:
             ("min_support = 0.1\nmin_support = 0\n", "min_support must be in (0, 1], got 0.0"),
             ("min_support = 0\nmin_support = 0.1\n", None),
             ("phi_min = 1.5\n", "phi_min must be in [0, 1], got 1.5"),
-            ("trend_years = 0\n", "trend_years must be >= 1, got 0"),
+            ("trend_years = 0\n", "trend_years must be >= 2, got 0"),
+            ("trend_years = 1\n", "trend_years must be >= 2, got 1"),
         ],
     )
     def test_range_error_names_the_config_file(self, tmp_path, caplog, lines, error):
@@ -591,13 +592,64 @@ class TestFlagValues:
         assert "artifact" not in caplog.text  # no stage read its upstream artifact
         assert list(tmp_path.iterdir()) == []
 
-    def test_all_checks_the_options_before_ingest(self, tmp_path):
+
+class TestBoundary:
+    """Each setting is checked where it enters: ``run`` rejects a value out of range
+    before any stage runs, and the stage kernels trust what it lets through."""
+
+    @pytest.mark.parametrize(
+        "field, value, needle",
+        [
+            ("min_support", 0.0, "min_support must be in (0, 1], got 0.0"),
+            ("min_support", 1.5, "min_support must be in (0, 1], got 1.5"),
+            ("phi_min", -0.1, "phi_min must be in [0, 1], got -0.1"),
+            ("phi_min", 1.5, "phi_min must be in [0, 1], got 1.5"),
+            ("alpha_rules", 0.0, "alpha_rules must be in (0, 1), got 0.0"),
+            ("alpha_rules", 1.0, "alpha_rules must be in (0, 1), got 1.0"),
+            ("alpha_trend", 0.0, "alpha_trend must be in (0, 1), got 0.0"),
+            ("alpha_trend", 1.0, "alpha_trend must be in (0, 1), got 1.0"),
+            ("tau", 0, "tau must be >= 1, got 0"),
+            ("trend_years", 1, "trend_years must be >= 2, got 1"),
+            ("output_format", "xml", "output_format must be csv or json, got 'xml'"),
+            ("n_buckets", 0, "--n-buckets must be >= 1, got 0"),
+            ("sample_size", 0, "--sample-size must be >= 1, got 0"),
+            ("top_k", 0, "--top-k must be >= 1, got 0"),
+            ("universe", "bogus", "--universe must be one of ('catalog', 'corpus'), got 'bogus'"),
+            ("relation", "causes", "--relation must be one of ('same_asset', 'follow', 'implementation_overlap', "
+                                   "'happens_together', 'require', 'alternative', 'same_platform'), got 'causes'"),
+        ],
+    )
+    def test_value_out_of_range_names_its_key_and_writes_nothing(self, tmp_path, field, value, needle):
         from ttpminer.cli import StageOptions, run
 
         config = validate_config(E2E / "config.cfg")._replace(output_dir=tmp_path)
-        with pytest.raises(ConfigError, match="--n-buckets must be >= 1, got 0"):
-            run("all", config, StageOptions(n_buckets=0))
+        options = StageOptions()
+        if field in PipelineConfig._fields:
+            config = config._replace(**{field: value})
+        else:
+            options = options._replace(**{field: value})
+        with pytest.raises(ConfigError) as raised:
+            run("all", config, options)
+        assert str(raised.value) == needle
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_year_corpus_names_the_years_trend_years_and_its_source(self, tmp_path, caplog):
+        """Every included date in 2020: ``all`` names the manifest, ``prevalence`` alone corpus.json."""
+        records = json.loads((E2E / "manifest.json").read_text(encoding="utf-8"))
+        for record in records:
+            if record.get("published"):
+                record["published"] = "2020" + record["published"][4:]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(records), encoding="utf-8")
+        out = tmp_path / "out"
+        common = ("--config", E2E / "config.cfg", "--output-dir", out)
+        problem = "every technique-set falls in 2020, so the trend window (trend_years = 5) holds one year"
+        assert run_cli("all", *common, "--manifest", manifest) == 1
+        assert f"{manifest}: {problem}" in caplog.text
+        assert not (out / "prevalence_matrix.csv").exists()
+        caplog.clear()
+        assert run_cli("prevalence", *common) == 1
+        assert f"{out / 'corpus.json'}: {problem}" in caplog.text
 
 
 class TestAnnotationRows:
@@ -638,9 +690,20 @@ class TestAnnotationRows:
         caplog.clear()
         assert run_cli("graph", "--config", E2E / "config.cfg", "--annotations", path, "--output-dir", out) == 1
         assert built == []
-        message = (f"{path} row 7: annotation references unknown pair (T1001, T1099) "
-                   f"(recurring pairs in {out / 'recurring_pairs.csv'})")
+        message = (f"{path} row 7: annotation references unknown pair (T1001, T1099), not among the 15 recurring "
+                   f"pairs in {out / 'recurring_pairs.csv'} (this run's min_support = 0.005, phi_min = 0.2, "
+                   "alpha_rules = 0.05)")
         assert caplog.records[-1].getMessage() == message
+
+    def test_annotation_on_a_dropped_pair_names_the_mining_thresholds(self, tmp_path, caplog):
+        """phi_min = 1 keeps one of the e2e candidates, so an annotated pair is missing."""
+        out = tmp_path / "out"
+        assert run_cli("all", "--config", E2E / "config.cfg", "--phi-min", "1", "--output-dir", out) == 1
+        assert (
+            f"{E2E / 'annotations.csv'} row 2: annotation references unknown pair (T1001.001, T1005), "
+            f"not among the 1 recurring pairs in {out / 'recurring_pairs.csv'} "
+            "(this run's min_support = 0.005, phi_min = 1.0, alpha_rules = 0.05)"
+        ) in caplog.text
 
 
 class TestRowsAndRoles:
@@ -752,6 +815,10 @@ class TestUpstreamArtifactBoundary:
              '[{"attack_id": 7, "member_citations": ["a"], "techniques": ["T1059"], '
              '"representative_date": "2020-01-01", "latest_date": "2020-01-01"}]',
              "malformed (attack_id must be a string, got 7)"),
+            ("prevalence", "corpus.json",
+             '[{"attack_id": "x", "member_citations": ["a"], "techniques": [], '
+             '"representative_date": "2020-01-01", "latest_date": "2020-01-01"}]',
+             "malformed (technique-set 'x' has fewer than two techniques)"),
             ("prevalence", "catalog.json",
              '{"spec_version": "2.1", "tactics": [], "techniques": [{"id": "T1059", "name": 5, '
              '"tactic_ids": ["TA0001"], "is_subtechnique": false, "parent_id": null, '

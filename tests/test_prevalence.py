@@ -6,7 +6,6 @@ from itertools import product
 
 import pytest
 
-from ttpminer.errors import ParameterError
 from ttpminer.prevalence import (
     HIGH,
     INCREASING,
@@ -49,10 +48,6 @@ class TestFrequency:
     def test_two_identical_sets(self):
         corpus = [make_set("a", ["T1"], "2020-01-01"), make_set("b", ["T1"], "2020-01-02")]
         assert technique_frequency(corpus)["T1"] == 2
-
-    def test_empty_corpus_is_error(self):
-        with pytest.raises(ParameterError):
-            technique_frequency([])
 
 
 class TestYearlySeries:
@@ -106,10 +101,6 @@ class TestMannKendall:
             result = mann_kendall(series([0.1, 0.2, 0.3]))
         assert result.classification == NO_TREND
         assert "too short" in caplog.text
-
-    def test_below_two_points_is_error(self):
-        with pytest.raises(ParameterError):
-            mann_kendall(series([0.1]))
 
     def test_s_matches_bruteforce_enumeration(self):
         for values in product((0, 1, 2), repeat=5):
@@ -224,13 +215,6 @@ class TestMatrix:
         assert cell.count == 1
         assert cell.mention_share == pytest.approx(1.0)
         assert cell.median_pct == pytest.approx(100.0)
-
-    def test_missing_trend_is_error_naming_technique(self):
-        corpus = [make_set("a", ["T1", "T2"], "2020-01-01")]
-        bins = {"T1": LOW, "T2": LOW}
-        trends = {"T1": mann_kendall(series([1.0, 1.0], tid="T1"))}
-        with pytest.raises(ParameterError, match="T2"):
-            build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
 
 
 class TestPrevalent:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ttpminer.errors import ParameterError, UndefinedMeasureError
+from ttpminer.errors import UndefinedMeasureError
 from ttpminer.rule_miner import (
     CandidatePair,
     attach_relation_labels,
@@ -37,12 +37,6 @@ class TestMinePairs:
 
     def test_min_support_one_with_no_universal_pair(self, fig1_itemsets):
         assert mine_pairs(fig1_itemsets, min_support=1.0) == []
-
-    def test_invalid_parameters(self, fig1_itemsets):
-        with pytest.raises(ParameterError):
-            mine_pairs(fig1_itemsets, min_support=0.0)
-        with pytest.raises(ParameterError):
-            mine_pairs([], min_support=0.5)
 
     def test_matches_bruteforce_enumeration(self):
         rng = random.Random(17)
@@ -255,12 +249,6 @@ class TestFilterPairs:
     def test_lift_is_confidence_over_base_rate(self):
         pair = filter_pairs([candidate(8, 2, 2, 8)])[0]
         assert pair.lift == pytest.approx((8 / 10) / (10 / 20))
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            filter_pairs([], phi_min=1.5)
-        with pytest.raises(ParameterError):
-            filter_pairs([], alpha=0.0)
 
 
 @st.composite
