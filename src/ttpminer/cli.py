@@ -8,7 +8,8 @@ in memory; run on its own, it reads them back from the artifact files in
 the output directory. Both give the same values, so fixed inputs,
 configuration and seed give byte-identical artifacts either way.
 
-Exit codes: 0 success, 1 validation/configuration error, 2 I/O error.
+Exit codes: 0 success, 1 validation/configuration error, 2 I/O error or a
+command line argparse rejects (an unknown flag, or ``--tau x``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
-from . import __version__, graph_analysis  # argparse reads graph_analysis.RELATION_TYPES
+from . import __version__
 from .errors import AnnotationError, ArtifactError, ConfigError, ManifestError, ParameterError, TTPMinerError
 from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, read_text, render_csv, sha256_file
 
@@ -141,9 +142,10 @@ class StageOptions(NamedTuple):
                 raise ConfigError(f"{flag} must be >= 1, got {value}")
         if self.universe not in UNIVERSES:
             raise ConfigError(f"--universe must be one of {UNIVERSES}, got {self.universe!r}")
-        if self.relation is not None and self.relation not in graph_analysis.RELATION_TYPES:
-            raise ConfigError(f"--relation must be one of {tuple(graph_analysis.RELATION_TYPES)}, "
-                              f"got {self.relation!r}")
+        if self.relation is not None:
+            relations = _module("graph_analysis").RELATION_TYPES
+            if self.relation not in relations:
+                raise ConfigError(f"--relation must be one of {tuple(relations)}, got {self.relation!r}")
 
 
 def _require_file(path: Path | None, role: str) -> Path:
@@ -240,7 +242,7 @@ class RunState:
         if self.config.annotation_path is None:
             return []
         path = self.input("annotations", self.config.annotation_path, "relation annotations")
-        return graph_analysis.load_annotations(path)
+        return _module("graph_analysis").load_annotations(path)
 
 
 def stage_ingest(config: PipelineConfig, options: StageOptions, state: RunState) -> object:
@@ -291,6 +293,11 @@ def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState)
         samples = corpus_builder.sample_buckets(
             pairs, n=options.n_buckets, s=options.sample_size, seed=config.seed
         )
+        short = ", ".join(f"{i} ({len(keys)} pairs)" for i, keys in samples.items()
+                          if len(keys) < options.sample_size)
+        if short:
+            logger.warning("month buckets holding fewer than --sample-size %d pairs, emitted whole: %s",
+                           options.sample_size, short)
         rows = [[bucket, key, ""] for bucket, keys in samples.items() for key in keys]
         logger.info("sampled %s pairs per bucket for manual duplicate labeling",
                     "/".join(str(len(keys)) for keys in samples.values()))
@@ -314,19 +321,24 @@ def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState)
 def stage_prevalence(config: PipelineConfig, options: StageOptions, state: RunState) -> list[str]:
     from . import artifacts, prevalence
     corpus = state.upstream("corpus")
-    window = prevalence.trend_window(corpus, config.trend_years)
+    tally = prevalence.year_tally(corpus)
+    window = tuple(tally)[-config.trend_years:]
     if len(window) < 2:  # trend_years >= 2, so every technique-set falls in this one year
         source, error = ((config.manifest_path, ManifestError) if "corpus" in state.produced
                          else (_artifact(config, "corpus", ".json"), ArtifactError))
         raise error(f"{source}: every technique-set falls in {window[0]}, so the trend window "
                     f"(trend_years = {config.trend_years}) holds one year; a trend test needs two")
+    if len(window) < prevalence.MIN_TREND_POINTS:
+        logger.warning("the trend window (trend_years = %d) holds %d years (%s), fewer than the %d a "
+                       "trend call needs, so every technique classifies %s", config.trend_years, len(window),
+                       ", ".join(map(str, window)), prevalence.MIN_TREND_POINTS, prevalence.NO_TREND)
     # Without the catalog universe, the catalog only supplies names and
     # tactics for the prevalent listing, when there is one.
     catalog = state.upstream("ingest", required=options.universe == "catalog")
     universe = catalog.technique_ids() if options.universe == "catalog" else None
-    frequencies = prevalence.technique_frequency(corpus, universe=universe)
+    frequencies = prevalence.technique_frequency(tally, universe=universe)
     bins = prevalence.percentile_bins(frequencies)
-    series = prevalence.yearly_series(corpus, bins.keys(), trend_years=config.trend_years)
+    series = prevalence.yearly_series(tally, bins.keys(), window)
     trends = {
         tid: prevalence.mann_kendall(series[tid], alpha=config.alpha_trend) for tid in series
     }
@@ -348,7 +360,7 @@ def stage_mine(config: PipelineConfig, options: StageOptions, state: RunState) -
     )
     if config.annotation_path is not None:
         pairs = rule_miner.attach_relation_labels(
-            pairs, graph_analysis.relation_label_map(state.annotations)
+            pairs, _module("graph_analysis").relation_label_map(state.annotations)
         )
     logger.info("mined %d candidate pairs, %d recurring pairs kept", len(candidates), len(pairs))
     state.hand_off("mine", artifacts.write_pairs, pairs)
@@ -356,7 +368,7 @@ def stage_mine(config: PipelineConfig, options: StageOptions, state: RunState) -
 
 
 def stage_graph(config: PipelineConfig, options: StageOptions, state: RunState) -> None:
-    from . import artifacts
+    from . import artifacts, graph_analysis
     pairs = state.upstream("mine")
     annotations = state.annotations
     pair_keys = {pair.key for pair in pairs}
@@ -501,8 +513,8 @@ _OPTIONS = (
      ("prevalence",)),
     (("--alpha-trend",), dict(type=float, help="trend significance level"), ("all",)),
     (("--trend-years",), dict(type=int, help="trailing trend window in years"), ("prevalence", "all")),
-    (("--universe",), dict(choices=UNIVERSES, help="bin all cataloged techniques (with "
-                           "zeros) or mentioned ones only (default: catalog)"), ("prevalence", "all")),
+    (("--universe",), dict(help="techniques to bin: catalog (every cataloged one, with zeros) or "
+                           "corpus (the mentioned ones only; default: catalog)"), ("prevalence", "all")),
     (("--min-support",), dict(type=float, help="minimum pair support"), ("mine", "all")),
     (("--phi-min",), dict(type=float, help="minimum phi correlation"), ("mine", "all")),
     (("--alpha",), dict(dest="alpha_rules", type=float, help="chi-square significance level"),
@@ -510,8 +522,7 @@ _OPTIONS = (
     (("--alpha-rules",), dict(type=float, help="chi-square significance level"), ("all",)),
     (("--yates",), dict(action="store_true", help="apply the Yates continuity correction"),
      ("mine", "all")),
-    (("--relation",), dict(choices=sorted(graph_analysis.RELATION_TYPES),
-                           help="restrict to one relation type"), ("graph",)),
+    (("--relation",), dict(help="restrict to one relation type"), ("graph",)),
     (("--top-k",), dict(type=int, help="print the top-k techniques per graph to stdout"), ("graph",)),
     (("--conventional-normalization",), dict(action="store_true",
                                              help="normalize centrality by node count - 1"),
@@ -521,8 +532,8 @@ _OPTIONS = (
      ("eval", "all")),
     (("--config",), dict(type=Path, help="pipeline config file (key = value lines)"), COMMANDS),
     (("--output-dir",), dict(type=Path, help="artifact directory (default: out)"), COMMANDS),
-    (("--format",), dict(dest="output_format", choices=("csv", "json"),
-                         help="tabular artifact format (default: csv)"), COMMANDS),
+    (("--format",), dict(dest="output_format", help="tabular artifact format: csv or json (default: csv)"),
+     COMMANDS),
     (("--seed",), dict(type=int, help="seed for all randomized steps"), COMMANDS),
     (("-v", "--verbose"), dict(action="store_true", help="debug logging"), COMMANDS),
 )

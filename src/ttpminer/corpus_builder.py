@@ -11,7 +11,6 @@ its member reports' techniques, standing for one unique cyberattack.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import random
 from bisect import bisect_right
@@ -25,8 +24,6 @@ from .io_utils import csv_rows, read_text, reader
 
 if TYPE_CHECKING:
     from .stix_ingest import AttackCatalog
-
-logger = logging.getLogger(__name__)
 
 DAYS_PER_MONTH = 30  # the dedup time unit: one month is exactly 30 days
 
@@ -178,8 +175,8 @@ def sample_buckets(pairs: list[DuplicateCandidatePair], n: int, s: int, seed: in
     """Draw ``s`` pairs without replacement from each of the first ``n`` month buckets.
 
     Returns each bucket's sorted pair keys, by bucket. Deterministic for a
-    given seed. A bucket with fewer than ``s`` pairs is emitted whole with a
-    warning; duplicate fractions are left unfilled for the manual labeling pass.
+    given seed. A bucket with fewer than ``s`` pairs is emitted whole;
+    duplicate fractions are left unfilled for the manual labeling pass.
     """
     buckets: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
     for pair in pairs:
@@ -189,9 +186,7 @@ def sample_buckets(pairs: list[DuplicateCandidatePair], n: int, s: int, seed: in
 
     for i, keys in buckets.items():
         keys.sort()
-        if len(keys) < s:
-            logger.warning("bucket %d has only %d pair(s), fewer than sample size %d; emitting all", i, len(keys), s)
-        else:
+        if len(keys) >= s:
             buckets[i] = sorted(random.Random(seed * 1_000_003 + i).sample(keys, s))
     return buckets
 

@@ -9,15 +9,12 @@ medium/increasing cells define the prevalent techniques.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_builder import TechniqueSet, median
-
-logger = logging.getLogger(__name__)
 
 INCREASING = "increasing"
 NO_TREND = "no_trend"
@@ -31,6 +28,10 @@ BINS = (LOW, MEDIUM, HIGH)
 
 # Cells whose techniques count as prevalent: high & not fading, or rising fast.
 PREVALENT_CELLS = ((INCREASING, HIGH), (NO_TREND, HIGH), (INCREASING, MEDIUM))
+
+MIN_TREND_POINTS = 4  # a shorter series classifies as no_trend
+
+YearTally = Mapping[int, tuple[int, Counter[str]]]  # year -> (technique-sets, sets mentioning each technique)
 
 
 class YearlySeries(NamedTuple):
@@ -64,53 +65,38 @@ class PrevalenceMatrix(NamedTuple):
     report_pct: dict[str, float]  # technique id -> percentage of sets mentioning it
 
 
-def technique_frequency(
-    corpus: Sequence[TechniqueSet], universe: Iterable[str] | None = None
-) -> dict[str, int]:
-    """Count how many technique-sets mention each technique.
+def year_tally(corpus: Iterable[TechniqueSet]) -> YearTally:
+    """Per representative year (a merged set's earliest member date), ascending:
+    the number of technique-sets and how many of them mention each technique."""
+    by_year: dict[int, list[frozenset[str]]] = {}
+    for ts in corpus:
+        by_year.setdefault(ts.representative_date.year, []).append(ts.techniques)
+    return {year: (len(sets), Counter(chain.from_iterable(sets))) for year, sets in sorted(by_year.items())}
+
+
+def technique_frequency(tally: YearTally, universe: Iterable[str] | None = None) -> dict[str, int]:
+    """Count how many technique-sets of the :func:`year_tally` mention each technique.
 
     With a ``universe`` (e.g. all cataloged technique ids), techniques absent
     from every set are included with count 0.
     """
-    frequencies = dict(Counter(chain.from_iterable(ts.techniques for ts in corpus)))
+    frequencies: Counter[str] = Counter()
+    for _, mentions in tally.values():
+        frequencies.update(mentions)
     if universe is not None:
         for tid in universe:
             frequencies.setdefault(tid, 0)
-    return frequencies
-
-
-def trend_window(corpus: Sequence[TechniqueSet], trend_years: int = 5) -> tuple[int, ...]:
-    """The last ``trend_years`` calendar years present in the corpus, ascending."""
-    years = sorted({ts.representative_date.year for ts in corpus})
-    return tuple(years[-trend_years:])
+    return dict(frequencies)
 
 
 def yearly_series(
-    corpus: Sequence[TechniqueSet],
-    technique_ids: Iterable[str],
-    trend_years: int = 5,
+    tally: YearTally, technique_ids: Iterable[str], years: tuple[int, ...]
 ) -> dict[str, YearlySeries]:
-    """Per-technique yearly report share over the trailing trend window.
-
-    A merged technique-set counts toward the year of its representative
-    (earliest member) date; shares divide by the number of sets that year.
-    """
-    years = trend_window(corpus, trend_years)
-    totals = Counter(ts.representative_date.year for ts in corpus)
-    sets: dict[int, list[frozenset[str]]] = {year: [] for year in years}
-    for ts in corpus:
-        year = ts.representative_date.year
-        if year in sets:
-            sets[year].append(ts.techniques)
-    mentions = {year: Counter(chain.from_iterable(techniques)) for year, techniques in sets.items()}
-    return {
-        tid: YearlySeries(
-            technique_id=tid,
-            years=years,
-            values=tuple(mentions[y][tid] / totals[y] for y in years),
-        )
-        for tid in sorted(technique_ids)
-    }
+    """Per-technique report share in each of ``years``, keys of the :func:`year_tally`:
+    the sets mentioning the technique that year over all sets that year."""
+    columns = [tally[year] for year in years]
+    return {tid: YearlySeries(tid, years, tuple(mentions[tid] / total for total, mentions in columns))
+            for tid in sorted(technique_ids)}
 
 
 def mann_kendall(series: YearlySeries, alpha: float = 0.05) -> TrendResult:
@@ -119,8 +105,8 @@ def mann_kendall(series: YearlySeries, alpha: float = 0.05) -> TrendResult:
     S sums sign(x_j - x_i) over all i < j. Var(S) applies the tie correction
     [n(n-1)(2n+5) - sum_t t(t-1)(2t+5)] / 18 over tie-group sizes t. The
     Z score uses the +/-1 continuity shift and classification is two-sided
-    at ``alpha``. Series shorter than four points classify as no_trend (the
-    test has no power there).
+    at ``alpha``. Series shorter than ``MIN_TREND_POINTS`` classify as no_trend
+    (the test has no power there).
     """
     x = series.values
     n = len(x)
@@ -141,8 +127,7 @@ def mann_kendall(series: YearlySeries, alpha: float = 0.05) -> TrendResult:
         z = 0.0
     p = math.erfc(abs(z) / math.sqrt(2.0))  # two-sided normal tail
 
-    if n < 4:
-        logger.warning("%s: series of length %d is too short for a trend call", series.technique_id, n)
+    if n < MIN_TREND_POINTS:
         classification = NO_TREND
     elif p < alpha and z > 0:
         classification = INCREASING

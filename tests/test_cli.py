@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +22,6 @@ def run_cli(*argv: str) -> int:
 
 
 def read_matrix_total(out) -> int:
-    import csv
-
     with open(out / "prevalence_matrix.csv", newline="") as handle:
         return sum(int(row["count"]) for row in csv.DictReader(handle))
 
@@ -75,11 +75,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="min_support"):
             validate_config(path)
 
-    def test_type_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", ["soon", "2  # a trailing comment is part of the value"])
+    def test_type_mismatch_rejected(self, tmp_path, value):
         path = tmp_path / "bad.cfg"
-        path.write_text("tau = soon\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="tau must be an integer"):
+        path.write_text(f"tau = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as raised:
             validate_config(path)
+        assert str(raised.value) == f"{path}:1: tau must be an integer, got {value!r}"
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         path = tmp_path / "paths.cfg"
@@ -96,6 +98,17 @@ class TestConfig:
         path = tmp_path / "ok.cfg"
         path.write_text("# a comment\n\nseed = 9\n", encoding="utf-8")
         assert validate_config(path).seed == 9
+
+    def test_readme_example_parses(self, tmp_path):
+        """The README's ``ini`` block, next to empty stand-ins for the files it names."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(block, encoding="utf-8")
+        names = ("enterprise-attack.json", "reports.json", "unseen.json", "annotations.csv")
+        for name in names:
+            (tmp_path / name).write_text("", encoding="utf-8")
+        assert validate_config(path) == PipelineConfig(*(tmp_path / name for name in names))
 
 
 class TestPipeline:
@@ -273,6 +286,20 @@ class TestPipeline:
         lines = template.read_text().splitlines()
         assert lines[0] == "bucket,pair_key,is_duplicate"
         assert all(line.endswith(",") for line in lines[1:])  # is_duplicate left blank
+
+    def test_short_sample_buckets_are_listed_in_one_warning(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--bundle", E2E / "bundle.json", "--output-dir", out) == 0
+        caplog.clear()
+        code = run_cli(
+            "corpus", "--manifest", E2E / "manifest.json", "--sample-pairs", tmp_path / "t.csv",
+            "--sample-size", "50", "--output-dir", out,
+        )
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "month buckets holding fewer than --sample-size 50 pairs, emitted whole: "
+            "1 (2 pairs), 2 (2 pairs), 3 (0 pairs), 4 (0 pairs), 5 (0 pairs)"
+        ]
 
     def test_io_error_exits_2(self, tmp_path, caplog):
         blocker = tmp_path / "not_a_dir"
@@ -652,6 +679,19 @@ class TestBoundary:
         assert f"{out / 'corpus.json'}: {problem}" in caplog.text
 
 
+    def test_short_trend_window_is_reported_once(self, tmp_path, caplog):
+        """A three-year window is too short for any trend call: one warning, all no_trend."""
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            assert run_cli("all", "--config", E2E / "config.cfg", "--output-dir", out, "--trend-years", "3") == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "the trend window (trend_years = 3) holds 3 years (2020, 2021, 2022), fewer than the 4 a "
+            "trend call needs, so every technique classifies no_trend"
+        ]
+        with open(out / "prevalence_matrix.csv", newline="") as handle:
+            assert {row["trend"] for row in csv.DictReader(handle) if int(row["count"])} == {"no_trend"}
+
+
 class TestAnnotationRows:
     """An annotation error names the annotation file, and its row where the row alone is at fault."""
 
@@ -1024,42 +1064,11 @@ def test_malformed_input_file_exits_1_naming_file(tmp_path, caplog, name, conten
     assert "Traceback" not in caplog.text
 
 
-def test_importing_the_cli_loads_no_scipy():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, ttpminer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
-
-
-def test_importing_the_package_loads_no_submodule():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, ttpminer; print(sorted(m for m in sys.modules if m.startswith('ttpminer.')))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
-
-
 def run_probe(probe: str, *argv) -> str:
     """The stdout of ``python -c probe argv...`` with this checkout's ``src`` on the path."""
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -1067,6 +1076,16 @@ def run_probe(probe: str, *argv) -> str:
         [sys.executable, "-c", probe, *map(str, argv)], env=env, capture_output=True, text=True, check=True
     )
     return result.stdout
+
+
+def test_importing_the_cli_loads_no_scipy():
+    probe = "import sys, ttpminer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_probe(probe).strip() == "[]"
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = "import sys, ttpminer; print(sorted(m for m in sys.modules if m.startswith('ttpminer.')))"
+    assert run_probe(probe).strip() == "[]"
 
 
 STDLIB = ("difflib", "statistics", "dataclasses", "inspect")  # modules no command loads
@@ -1085,13 +1104,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for command in ("all", "ingest", "corpus", "prevalence", "mine", "graph", "eval"):
         stdout = run_probe(probe, command, "--config", E2E / "config.cfg", "--output-dir", tmp_path / "out")
         loaded[command] = {name.removeprefix("ttpminer.") for name in json.loads(stdout)}
-    # argparse reads graph_analysis.RELATION_TYPES for the --relation choices
-    base = {"cli", "errors", "io_utils", "graph_analysis"}
+    # mine reads the configured annotations with graph_analysis, to label its pairs
+    base = {"cli", "errors", "io_utils"}
     assert loaded["ingest"] == base | {"stix_ingest"}
     assert loaded["corpus"] == base | {"stix_ingest", "corpus_builder"}
     assert loaded["prevalence"] == base | {"stix_ingest", "corpus_builder", "prevalence", "artifacts"}
-    assert loaded["mine"] == base | {"corpus_builder", "rule_miner", "artifacts"}
-    assert loaded["graph"] == base | {"rule_miner", "artifacts"}
+    assert loaded["mine"] == base | {"corpus_builder", "rule_miner", "artifacts", "graph_analysis"}
+    assert loaded["graph"] == base | {"rule_miner", "artifacts", "graph_analysis"}
     assert loaded["eval"] == base | {"corpus_builder", "rule_miner", "artifacts", "eval_harness"}
     assert {"stix_ingest", "corpus_builder", "prevalence", "rule_miner", "graph_analysis", "eval_harness",
             "artifacts"} <= loaded["all"]
@@ -1218,3 +1237,33 @@ class TestCommandLineSurface:
     def test_all_rejects_flags_it_never_took(self, flag):
         with pytest.raises(SystemExit):
             self.settings("all", flag, "1")
+
+    @pytest.mark.parametrize("argv", [("corpus", "--tau", "x"), ("corpus", "--no-such-flag"), ()])
+    def test_a_command_line_argparse_rejects_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            run_cli(*argv)
+        assert raised.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ttpminer")
+
+    @pytest.mark.parametrize(
+        "command, flag, value, needle",
+        [
+            ("ingest", "--format", "xml", "output_format must be csv or json, got 'xml'"),
+            ("prevalence", "--universe", "bogus", "--universe must be one of ('catalog', 'corpus'), got 'bogus'"),
+            ("graph", "--relation", "causes", "--relation must be one of ('same_asset', "),
+        ],
+    )
+    def test_a_value_outside_the_allowed_ones_exits_1(self, tmp_path, caplog, command, flag, value, needle):
+        assert run_cli(command, flag, value, "--output-dir", tmp_path) == 1
+        assert needle in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_names_the_allowed_values(self):
+        import argparse
+
+        from ttpminer.cli import _build_parser
+
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        helps = {s: a.help for a in sub.choices["all"]._actions for s in a.option_strings}
+        assert "csv or json" in helps["--format"]
+        assert "catalog" in helps["--universe"] and "corpus" in helps["--universe"]

@@ -5,6 +5,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ttpminer.prevalence import (
     HIGH,
@@ -19,7 +21,7 @@ from ttpminer.prevalence import (
     percentile_bins,
     prevalent_techniques,
     technique_frequency,
-    trend_window,
+    year_tally,
     yearly_series,
 )
 
@@ -38,33 +40,69 @@ class TestFrequency:
             make_set("b", ["T1"], "2020-02-01"),
             make_set("c", ["T2", "T3"], "2021-01-01"),
         ]
-        assert technique_frequency(corpus) == {"T1": 2, "T2": 2, "T3": 1}
+        assert technique_frequency(year_tally(corpus)) == {"T1": 2, "T2": 2, "T3": 1}
 
     def test_universe_fills_zeros(self):
         corpus = [make_set("a", ["T1"], "2020-01-01")]
-        freq = technique_frequency(corpus, universe=["T1", "T2"])
+        freq = technique_frequency(year_tally(corpus), universe=["T1", "T2"])
         assert freq == {"T1": 1, "T2": 0}
 
     def test_two_identical_sets(self):
         corpus = [make_set("a", ["T1"], "2020-01-01"), make_set("b", ["T1"], "2020-01-02")]
-        assert technique_frequency(corpus)["T1"] == 2
+        assert technique_frequency(year_tally(corpus))["T1"] == 2
 
 
 class TestYearlySeries:
-    def test_window_is_last_years_present(self):
-        corpus = [make_set(str(y), ["T1", "T2"], f"{y}-06-01") for y in range(2008, 2023)]
-        assert trend_window(corpus, 5) == (2018, 2019, 2020, 2021, 2022)
-
     def test_shares_divide_by_yearly_totals(self):
         corpus = [
             make_set("a", ["T1", "T2"], "2021-01-01"),
             make_set("b", ["T1"], "2021-06-01"),
             make_set("c", ["T2"], "2022-01-01"),
         ]
-        result = yearly_series(corpus, ["T1", "T2"], trend_years=2)
+        result = yearly_series(year_tally(corpus), ["T1", "T2"], (2021, 2022))
         assert result["T1"].years == (2021, 2022)
         assert result["T1"].values == (1.0, 0.0)
         assert result["T2"].values == (0.5, 1.0)
+
+
+MENTIONED = ("T1", "T2", "T3", "T4")
+UNMENTIONED = ("U1", "U2")  # universe ids no drawn set mentions
+
+
+@st.composite
+def tallied_corpora(draw):
+    """A corpus over a few years (some holding a single set) and a trailing window
+    of ``k`` years, often longer than the years the corpus spans."""
+    rows = draw(st.lists(
+        st.tuples(st.integers(2015, 2022), st.frozensets(st.sampled_from(MENTIONED), min_size=1)),
+        min_size=1, max_size=25,
+    ))
+    corpus = [make_set(f"s{i}", techniques, f"{year}-0{i % 9 + 1}-01") for i, (year, techniques) in enumerate(rows)]
+    return corpus, draw(st.integers(1, 10))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tallied_corpora())
+@example(([make_set("a", ["T1", "T2"], "2019-01-01"), make_set("b", ["T2"], "2021-05-01"),
+           make_set("c", ["T1", "T3"], "2021-07-01")], 8))
+def test_tally_matches_a_brute_force_count(drawn):
+    corpus, k = drawn
+    universe = MENTIONED + UNMENTIONED
+    tally = year_tally(corpus)
+
+    assert technique_frequency(tally, universe) == {
+        tid: sum(tid in ts.techniques for ts in corpus) for tid in universe
+    }
+    years = tuple(sorted({ts.representative_date.year for ts in corpus})[-k:])
+    assert tuple(tally)[-k:] == years
+    expected = {}
+    for tid in sorted(universe):
+        shares = []
+        for year in years:
+            in_year = [ts for ts in corpus if ts.representative_date.year == year]
+            shares.append(sum(tid in ts.techniques for ts in in_year) / len(in_year))
+        expected[tid] = YearlySeries(tid, years, tuple(shares))
+    assert yearly_series(tally, universe, years) == expected
 
 
 class TestMannKendall:
@@ -96,11 +134,12 @@ class TestMannKendall:
         assert result.p_value == pytest.approx(2 * oracles.normal_sf(abs(expected_z)), rel=1e-9)
         assert result.classification == NO_TREND
 
-    def test_short_series_warns_and_reports_no_trend(self, caplog):
-        with caplog.at_level("WARNING"):
+    def test_short_series_reports_no_trend_without_logging(self, caplog):
+        """The prevalence stage reports a short window once per run; the kernel stays silent."""
+        with caplog.at_level("DEBUG"):
             result = mann_kendall(series([0.1, 0.2, 0.3]))
         assert result.classification == NO_TREND
-        assert "too short" in caplog.text
+        assert caplog.records == []
 
     def test_s_matches_bruteforce_enumeration(self):
         for values in product((0, 1, 2), repeat=5):
@@ -180,12 +219,10 @@ class TestMatrix:
 
     def test_every_technique_in_exactly_one_cell(self):
         corpus = self.trended_corpus()
-        frequencies = technique_frequency(corpus)
+        tally = year_tally(corpus)
+        frequencies = technique_frequency(tally)
         bins = percentile_bins(frequencies)
-        trends = {
-            tid: mann_kendall(s)
-            for tid, s in yearly_series(corpus, bins.keys(), trend_years=5).items()
-        }
+        trends = {tid: mann_kendall(s) for tid, s in yearly_series(tally, bins.keys(), tuple(tally)).items()}
         matrix = build_matrix(bins, trends, frequencies, len(corpus))
         counts = sum(cell.count for cell in matrix.cells.values())
         assert counts == len(bins)
@@ -195,12 +232,10 @@ class TestMatrix:
 
     def test_rising_technique_lands_in_increasing_row(self):
         corpus = self.trended_corpus()
-        frequencies = technique_frequency(corpus)
+        tally = year_tally(corpus)
+        frequencies = technique_frequency(tally)
         bins = percentile_bins(frequencies)
-        trends = {
-            tid: mann_kendall(s)
-            for tid, s in yearly_series(corpus, bins.keys(), trend_years=5).items()
-        }
+        trends = {tid: mann_kendall(s) for tid, s in yearly_series(tally, bins.keys(), tuple(tally)).items()}
         assert trends["T1"].classification == INCREASING
         matrix = build_matrix(bins, trends, frequencies, len(corpus))
         cell = matrix.cells[(INCREASING, bins["T1"])]
@@ -210,7 +245,7 @@ class TestMatrix:
         corpus = [make_set("a", ["T1"], "2020-01-01")]
         bins = {"T1": LOW}
         trends = {"T1": mann_kendall(series([1.0, 1.0], tid="T1"))}
-        matrix = build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
+        matrix = build_matrix(bins, trends, technique_frequency(year_tally(corpus)), len(corpus))
         cell = matrix.cells[(NO_TREND, LOW)]
         assert cell.count == 1
         assert cell.mention_share == pytest.approx(1.0)
@@ -232,14 +267,14 @@ class TestPrevalent:
             "T2": mann_kendall(series(rising, tid="T2")),
             "T3": mann_kendall(series(flat, tid="T3")),
         }
-        matrix = build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
+        matrix = build_matrix(bins, trends, technique_frequency(year_tally(corpus)), len(corpus))
         assert prevalent_techniques(matrix) == ["T1", "T2"]
 
     def test_empty_qualifying_cells_give_empty_list(self):
         corpus = [make_set("a", ["T1"], "2020-01-01")]
         bins = {"T1": LOW}
         trends = {"T1": mann_kendall(series([0.2] * 5, tid="T1"))}
-        matrix = build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
+        matrix = build_matrix(bins, trends, technique_frequency(year_tally(corpus)), len(corpus))
         assert prevalent_techniques(matrix) == []
 
     def test_only_medium_increasing_populated(self):
@@ -249,5 +284,5 @@ class TestPrevalent:
             "X1": mann_kendall(series([0.0, 0.25, 0.5, 0.75, 1.0], tid="X1")),
             "X2": mann_kendall(series([0.5] * 5, tid="X2")),
         }
-        matrix = build_matrix(bins, trends, technique_frequency(corpus), len(corpus))
+        matrix = build_matrix(bins, trends, technique_frequency(year_tally(corpus)), len(corpus))
         assert prevalent_techniques(matrix) == ["X1"]
