@@ -97,10 +97,9 @@ def write_matrix(path: Path, matrix: PrevalenceMatrix) -> None:
     _write_records(path, MatrixCell, matrix.cells.values())  # build_matrix fills TRENDS x BINS in order
 
 
-def write_prevalent(
-    path: Path, prevalent: Sequence[str], matrix: PrevalenceMatrix, catalog: AttackCatalog | None
-) -> None:
-    by_id = catalog.technique_by_id() if catalog is not None else {}
+def write_prevalent(path: Path, prevalent: Sequence[str], matrix: PrevalenceMatrix, catalog: AttackCatalog) -> None:
+    """The prevalent techniques, each named from ``catalog``, which must hold it."""
+    by_id = catalog.technique_by_id()
     cell_of = {
         tid: f"{cell.bin}/{cell.trend}"
         for cell in matrix.cells.values()
@@ -108,14 +107,21 @@ def write_prevalent(
     }
     rows = []
     for tid in prevalent:
-        record = by_id.get(tid)
-        name, tactic = (record.name, ";".join(sorted(record.tactic_ids))) if record else ("", "")
-        rows.append(PrevalentRow(tid, name, tactic, matrix.report_pct[tid], cell_of[tid]))
+        record = by_id[tid]
+        tactic = ";".join(sorted(record.tactic_ids))
+        rows.append(PrevalentRow(tid, record.name, tactic, matrix.report_pct[tid], cell_of[tid]))
     _write_records(path, PrevalentRow, rows)
 
 
 def read_prevalent(path: Path) -> list[str]:
-    return [row.id for row in _read_records(path, PrevalentRow)]
+    """The prevalent technique ids as ``write_prevalent`` wrote them, each once."""
+    ids = [row.id for row in _read_records(path, PrevalentRow)]
+    seen: set[str] = set()
+    for i, tid in enumerate(ids):
+        if tid in seen:
+            raise ArtifactError(f"{path} row {i}: repeats the id {tid}")
+        seen.add(tid)
+    return ids
 
 
 def write_pairs(path: Path, pairs: Sequence[RecurringPair]) -> None:

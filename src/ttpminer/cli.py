@@ -213,20 +213,16 @@ class RunState:
         stem, suffix, _ = _UPSTREAM[stage]
         self.write(_artifact(self.config, stem, suffix), writer, *args)
 
-    def upstream(self, stage: str, required: bool = True):
+    def upstream(self, stage: str):
         """The value ``stage`` returned earlier in this run, else its artifact read back.
 
-        Every artifact round-trips exactly, so both give the same value. A value
-        that is not ``required`` and has no artifact is None. An artifact that
-        cannot be decoded raises ArtifactError naming the file (and a missing field).
+        Every artifact round-trips exactly, so both give the same value. An artifact
+        that cannot be decoded raises ArtifactError naming the file (and a missing field).
         """
         if stage in self.produced:
             return self.produced[stage]
         stem, suffix, load = _UPSTREAM[stage]
-        path = _artifact(self.config, stem, suffix)
-        if not required and not path.exists():
-            return None
-        path = _require_file(path, f"{stem.replace('_', ' ')} artifact")
+        path = _require_file(_artifact(self.config, stem, suffix), f"{stem.replace('_', ' ')} artifact")
         hint = f"; re-run `ttpminer {stage}`"
         try:
             return load(path)
@@ -332,11 +328,13 @@ def stage_prevalence(config: PipelineConfig, options: StageOptions, state: RunSt
         logger.warning("the trend window (trend_years = %d) holds %d years (%s), fewer than the %d a "
                        "trend call needs, so every technique classifies %s", config.trend_years, len(window),
                        ", ".join(map(str, window)), prevalence.MIN_TREND_POINTS, prevalence.NO_TREND)
-    # Without the catalog universe, the catalog only supplies names and
-    # tactics for the prevalent listing, when there is one.
-    catalog = state.upstream("ingest", required=options.universe == "catalog")
-    universe = catalog.technique_ids() if options.universe == "catalog" else None
-    frequencies = prevalence.technique_frequency(tally, universe=universe)
+    catalog = state.upstream("ingest")
+    known = catalog.technique_ids()
+    frequencies = prevalence.technique_frequency(tally, universe=known if options.universe == "catalog" else None)
+    unknown = next((tid for tid in frequencies if tid not in known), None)
+    if unknown is not None:  # the corpus stage checks every technique against the catalog
+        raise ArtifactError(f"{_artifact(config, 'corpus', '.json')}: technique {unknown} is not in "
+                            f"{_artifact(config, 'catalog', '.json')}; re-run `ttpminer corpus`")
     bins = prevalence.percentile_bins(frequencies)
     series = prevalence.yearly_series(tally, bins.keys(), window)
     trends = {
@@ -354,14 +352,16 @@ def stage_mine(config: PipelineConfig, options: StageOptions, state: RunState) -
     from . import artifacts, rule_miner
     corpus = state.upstream("corpus")
     itemsets = [ts.techniques for ts in corpus]
+    everywhere = frozenset.intersection(*itemsets)
+    if everywhere:
+        logger.info("present in every technique-set, so their pairs have no phi and are dropped: %s",
+                    ", ".join(sorted(everywhere)))
     candidates = rule_miner.mine_pairs(itemsets, config.min_support)
+    annotations = state.annotations
+    labels = _module("graph_analysis").relation_label_map(annotations) if annotations else {}
     pairs = rule_miner.filter_pairs(
-        candidates, phi_min=config.phi_min, alpha=config.alpha_rules, yates=options.yates
+        candidates, phi_min=config.phi_min, alpha=config.alpha_rules, yates=options.yates, labels=labels
     )
-    if config.annotation_path is not None:
-        pairs = rule_miner.attach_relation_labels(
-            pairs, _module("graph_analysis").relation_label_map(state.annotations)
-        )
     logger.info("mined %d candidate pairs, %d recurring pairs kept", len(candidates), len(pairs))
     state.hand_off("mine", artifacts.write_pairs, pairs)
     return pairs

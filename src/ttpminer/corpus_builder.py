@@ -46,20 +46,17 @@ def read_manifest_records(path: Path, record_type: type, stand_in: Callable[[dic
     if not isinstance(doc, list):
         raise ManifestError(f"{path}: manifest must be a JSON array of records")
     read, name = reader(record_type), record_type.__name__
-    try:
-        for raw in doc:
-            stand_in(raw)
-        return [read(raw, name) for raw in doc]
-    except (AttributeError, TypeError, KeyError, ValueError):  # a record that is no object, or a bad field
-        for i, raw in enumerate(doc):  # again, to name the first record that fails
-            if not isinstance(raw, dict):
-                raise ManifestError(f"{path} record {i}: must be a JSON object, got {raw!r}") from None
-            try:
-                read(raw, name)
-            except (KeyError, ValueError) as exc:
-                problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise ManifestError(f"{path} record {i}: {problem}") from None
-        raise
+    records = []
+    for i, raw in enumerate(doc):
+        if type(raw) is not dict:
+            raise ManifestError(f"{path} record {i}: must be a JSON object, got {raw!r}")
+        stand_in(raw)
+        try:
+            records.append(read(raw, name))
+        except (KeyError, ValueError) as exc:
+            problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ManifestError(f"{path} record {i}: {problem}") from None
+    return records
 
 
 class ReportRecord(NamedTuple):

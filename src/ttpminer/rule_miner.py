@@ -9,14 +9,11 @@ thresholds are the recurring pairs.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import defaultdict
 from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 from .errors import UndefinedMeasureError
-
-logger = logging.getLogger(__name__)
 
 # phi thresholds for the correlation-strength buckets; weak starts at the
 # mining threshold itself.
@@ -155,22 +152,22 @@ def filter_pairs(
     phi_min: float = 0.20,
     alpha: float = 0.05,
     yates: bool = False,
+    labels: Mapping[tuple[str, str], frozenset[str]] = {},
 ) -> list[RecurringPair]:
-    """Keep candidates with phi >= ``phi_min`` and chi-square p < ``alpha``.
+    """Keep candidates with phi >= ``phi_min`` and chi-square p < ``alpha``, each
+    with its ``labels`` (relation names keyed by (tech_a, tech_b)).
 
-    Pairs with a degenerate marginal (a technique present in every set or in
-    none) are dropped with a logged reason. The canonical direction is the
-    orientation with the higher confidence, ties broken by technique id order.
+    A pair with a degenerate marginal (a technique present in every set or in
+    none) has no phi and is dropped. The canonical direction is the orientation
+    with the higher confidence, ties broken by technique id order.
     """
     kept = []
     for candidate in candidates:
         co, count_a, count_b, n = candidate.cooccurrences, candidate.count_a, candidate.count_b, candidate.n
-        cells = (co, count_a - co, count_b - co, n - count_a - count_b + co)  # the pair's 2x2 table
-        try:
-            phi_value = phi(*cells)
-        except UndefinedMeasureError as exc:
-            logger.info("dropping pair (%s, %s): %s", candidate.tech_a, candidate.tech_b, exc)
+        if count_a in (0, n) or count_b in (0, n):  # a zero marginal: phi(*cells) would raise
             continue
+        cells = (co, count_a - co, count_b - co, n - count_a - count_b + co)  # the pair's 2x2 table
+        phi_value = phi(*cells)
         if phi_value < phi_min:  # most candidates stop here, before the chi-square test
             continue
         statistic, p_value = chi_square(*cells, yates=yates)
@@ -190,17 +187,7 @@ def filter_pairs(
                 lift=co * n / (count_a * count_b),
                 strength=strength_bucket(phi_value),
                 direction="ba" if conf_ba > conf_ab else "ab",
-                relation_labels=frozenset(),
+                relation_labels=labels.get((candidate.tech_a, candidate.tech_b), frozenset()),
             )
         )
     return kept
-
-
-def attach_relation_labels(
-    pairs: Sequence[RecurringPair], labels: Mapping[tuple[str, str], AbstractSet[str]]
-) -> list[RecurringPair]:
-    """Return pairs with relation labels merged in, keyed by (tech_a, tech_b)."""
-    return [
-        pair._replace(relation_labels=frozenset(labels.get(pair.key, frozenset())))
-        for pair in pairs
-    ]

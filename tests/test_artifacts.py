@@ -97,3 +97,13 @@ def test_read_prevalent_csv(tmp_path):
     path.write_text("id,name,tactic,pct_reports,cell\nT1059,Command,TA0002,many,high/rising\n", encoding="utf-8")
     with pytest.raises(ValueError, match="pct_reports must be a number, got 'many'"):
         read_prevalent(path)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_read_prevalent_rejects_a_repeated_id(tmp_path, suffix):
+    path = tmp_path / f"prevalent_techniques{suffix}"
+    rows = [PREVALENT_ROW, {**PREVALENT_ROW, "id": "T1003"}, PREVALENT_ROW]
+    lines = [",".join(PREVALENT_ROW), *(",".join(map(str, row.values())) for row in rows)]
+    path.write_text(json.dumps(rows) if suffix == ".json" else "\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArtifactError, match=f"^{re.escape(f'{path} row 2: repeats the id T1059')}$"):
+        read_prevalent(path)

@@ -966,6 +966,71 @@ class TestUpstreamArtifactBoundary:
         assert "Traceback" not in caplog.text
 
 
+class TestStaleUpstream:
+    """An upstream artifact that no longer matches the one it was made from names both files."""
+
+    @pytest.mark.parametrize("universe", ["catalog", "corpus"])
+    def test_a_catalog_missing_a_corpus_technique_exits_1(self, tmp_path, caplog, universe):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path)
+        assert run_cli("all", *common) == 0
+        path = tmp_path / "catalog.json"
+        catalog = json.loads(path.read_text(encoding="utf-8"))
+        catalog["techniques"] = [t for t in catalog["techniques"] if t["id"] != "T1009"]
+        path.write_text(json.dumps(catalog), encoding="utf-8")
+        caplog.clear()
+        assert run_cli("prevalence", *common, "--universe", universe) == 1
+        assert caplog.records[-1].getMessage() == (
+            f"{tmp_path / 'corpus.json'}: technique T1009 is not in {path}; re-run `ttpminer corpus`"
+        )
+
+    def test_the_corpus_universe_needs_the_catalog_too(self, tmp_path, caplog):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path)
+        assert run_cli("all", *common) == 0
+        (tmp_path / "catalog.json").unlink()
+        caplog.clear()
+        assert run_cli("prevalence", *common, "--universe", "corpus") == 1
+        assert caplog.records[-1].getMessage() == f"missing catalog artifact file: {tmp_path / 'catalog.json'}"
+
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_a_repeated_prevalent_id_exits_1_naming_the_row(self, tmp_path, caplog, output_format):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path, "--format", output_format)
+        assert run_cli("all", *common) == 0
+        path = tmp_path / f"prevalent_techniques.{output_format}"
+        if output_format == "json":
+            rows = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps([*rows, rows[2]]), encoding="utf-8")
+            repeated, index = rows[2]["id"], len(rows)
+        else:
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join([*lines, lines[3]]), encoding="utf-8")
+            repeated, index = lines[3].split(",")[0], len(lines) - 1
+        caplog.clear()
+        assert run_cli("eval", *common) == 1
+        assert caplog.records[-1].getMessage() == (
+            f"{path} row {index}: repeats the id {repeated}; re-run `ttpminer prevalence`"
+        )
+
+
+def test_a_technique_in_every_set_is_named_in_one_line(tmp_path, caplog):
+    """Its pairs have no phi: mine names the technique once, not each dropped pair."""
+    records = json.loads((E2E / "manifest.json").read_text(encoding="utf-8"))
+    for record in records:
+        if record["include"]:
+            record["technique_ids"].append("T1012")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(records), encoding="utf-8")
+    common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path / "out")
+    expected = ["present in every technique-set, so their pairs have no phi and are dropped: T1012"]
+    for argv in (("all", *common, "--manifest", manifest), ("mine", *common)):
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            assert run_cli(*argv) == 0
+        assert [r.getMessage() for r in caplog.records if "T1012" in r.getMessage()] == expected, argv[0]
+        assert "dropping pair" not in caplog.text
+    with open(tmp_path / "out" / "recurring_pairs.csv", newline="") as handle:
+        assert all("T1012" not in (row["tech_a"], row["tech_b"]) for row in csv.DictReader(handle))
+
+
 class TestCollectorState:
     """``main`` runs with the cyclic collector off and gives it back as it found it."""
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import logging
 import math
 import random
 import re
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from ttpminer.errors import UndefinedMeasureError
 from ttpminer.rule_miner import (
     CandidatePair,
-    attach_relation_labels,
     chi_square,
     filter_pairs,
     mine_pairs,
@@ -227,12 +225,12 @@ class TestFilterPairs:
         # phi = 1.0 but n = 2: chi2 = 2, p ~ 0.157
         assert filter_pairs([candidate(1, 0, 0, 1)]) == []
 
-    def test_degenerate_marginal_dropped_with_log(self, caplog):
-        # technique A appears in every set
-        with caplog.at_level("INFO"):
-            kept = filter_pairs([candidate(5, 5, 0, 0)])
-        assert kept == []
-        assert "degenerate marginal" in caplog.text
+    # A in every set, A in none, B in every set, B in none: each has no phi
+    @pytest.mark.parametrize("table", [(5, 5, 0, 0), (0, 0, 5, 5), (5, 0, 5, 0), (0, 5, 0, 5)])
+    def test_degenerate_marginal_dropped(self, table):
+        with pytest.raises(UndefinedMeasureError):
+            phi(*table)
+        assert filter_pairs([candidate(*table)], phi_min=0.0, alpha=0.999) == []
 
     def test_direction_is_higher_confidence_orientation(self):
         # conf a->b = 8/10, conf b->a = 8/16
@@ -265,7 +263,10 @@ def candidates_and_thresholds(draw):
     phi_min = draw(st.one_of(choices))
     p_values = [oracles.chi2_sf_1dof(oracles.pearson_chi2(*c)) for c in cells if all(m > 0 for m in marginals(*c))]
     alpha = draw(st.sampled_from([0.001, 0.05, 0.5, 0.999] + [p for p in p_values if 0.0 < p < 1.0]))
-    return candidates, cells, phi_min, alpha, draw(st.booleans())
+    keys = [(c.tech_a, c.tech_b) for c in candidates]
+    names = st.frozensets(st.sampled_from(["follow", "same_asset", "share_tactic"]), min_size=1)
+    labels = draw(st.dictionaries(st.sampled_from(keys), names) if keys else st.just({}))
+    return candidates, cells, phi_min, alpha, draw(st.booleans()), labels
 
 
 def marginals(n11, n10, n01, n00):
@@ -275,38 +276,27 @@ def marginals(n11, n10, n01, n00):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(candidates_and_thresholds())
 @example(
-    ([candidate(5, 5, 0, 0), candidate(8, 2, 2, 8, a="C", b="D")], [(5, 5, 0, 0), (8, 2, 2, 8)], 0.6, 0.05, False)
+    ([candidate(5, 5, 0, 0), candidate(8, 2, 2, 8, a="C", b="D")], [(5, 5, 0, 0), (8, 2, 2, 8)], 0.6, 0.05, False,
+     {("A", "B"): frozenset({"follow"}), ("C", "D"): frozenset({"same_asset"})})
 )
-@example(([candidate(8, 2, 2, 8)], [(8, 2, 2, 8)], 0.6, 0.05, True))
-@example(([candidate(10, 0, 0, 10)], [(10, 0, 0, 10)], 1.0, 0.05, False))
+@example(([candidate(0, 0, 5, 5)], [(0, 0, 5, 5)], 0.0, 0.999, False, {("A", "B"): frozenset({"follow"})}))
+@example(([candidate(8, 2, 2, 8)], [(8, 2, 2, 8)], 0.6, 0.05, True, {}))
+@example(([candidate(10, 0, 0, 10)], [(10, 0, 0, 10)], 1.0, 0.05, False, {}))
 def test_filter_pairs_matches_the_oracles(case):
-    candidates, cells, phi_min, alpha, yates = case
-    expected, dropped = [], []
+    candidates, cells, phi_min, alpha, yates, labels = case
+    expected = []
     for c, (n11, n10, n01, n00) in zip(candidates, cells):
-        if 0 in marginals(n11, n10, n01, n00):
-            dropped.append(f"dropping pair ({c.tech_a}, {c.tech_b}): "
-                           f"degenerate marginal in table ({n11},{n10},{n01},{n00})")
+        if 0 in marginals(n11, n10, n01, n00):  # no phi
             continue
         phi_value = oracles.phi_from_cells(n11, n10, n01, n00)
         chi2 = oracles.pearson_chi2(n11, n10, n01, n00, yates=yates)
         p_value = oracles.chi2_sf_1dof(chi2)
         if phi_value >= phi_min and p_value < alpha:
-            expected.append((c.tech_a, c.tech_b, phi_value, chi2, p_value))
+            key = (c.tech_a, c.tech_b)
+            expected.append((*key, phi_value, chi2, p_value, labels.get(key, frozenset())))
 
-    messages = []
-    handler = logging.Handler()
-    handler.emit = lambda record: messages.append(record.getMessage())
-    logger = logging.getLogger("ttpminer.rule_miner")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.INFO)
-    try:
-        kept = filter_pairs(candidates, phi_min=phi_min, alpha=alpha, yates=yates)
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-    assert [(p.tech_a, p.tech_b, p.phi, p.chi2, p.p_value) for p in kept] == expected
-    assert messages == dropped
+    kept = filter_pairs(candidates, phi_min=phi_min, alpha=alpha, yates=yates, labels=labels)
+    assert [(p.tech_a, p.tech_b, p.phi, p.chi2, p.p_value, p.relation_labels) for p in kept] == expected
 
 
 class TestPiatetskyProperties:
@@ -377,10 +367,11 @@ class TestProbabilityIncrease:
         assert independent == []  # p-value is 1.0: never significant
 
 
-def test_attach_relation_labels(fig1_itemsets):
+def test_filter_pairs_labels_the_pairs_it_keeps(fig1_itemsets):
     # PH occurs in every itemset, so PH pairs drop as degenerate; CS/OB/UE remain.
-    pairs = filter_pairs(mine_pairs(fig1_itemsets, 0.5), phi_min=0.0, alpha=0.99)
-    labeled = attach_relation_labels(pairs, {("CS", "OB"): {"follow", "same_asset"}})
-    by_pair = {p.key: p for p in labeled}
+    labels = {("CS", "OB"): frozenset({"follow", "same_asset"}), ("PH", "UE"): frozenset({"follow"})}
+    pairs = filter_pairs(mine_pairs(fig1_itemsets, 0.5), phi_min=0.0, alpha=0.99, labels=labels)
+    by_pair = {p.key: p for p in pairs}
     assert by_pair[("CS", "OB")].relation_labels == frozenset({"follow", "same_asset"})
     assert by_pair[("CS", "UE")].relation_labels == frozenset()
+    assert ("PH", "UE") not in by_pair
