@@ -162,14 +162,24 @@ def _artifact(config: PipelineConfig, stem: str, suffix: str | None = None) -> P
 
 
 def _read_corpus(path: Path) -> list:
-    """The corpus artifact. The corpus stage never writes an empty one, nor a
-    technique-set of fewer than two techniques, so either is corrupt."""
+    """The corpus artifact. The corpus stage never writes an empty one, a
+    technique-set of fewer than two techniques, one attack_id twice, nor a
+    citation under two technique-sets, so each is corrupt."""
     corpus = _module("corpus_builder").corpus_from_json(path.read_text("utf-8"))
     if not corpus:
         raise ValueError("no technique-sets")
-    short = next((ts for ts in corpus if len(ts.techniques) < 2), None)
-    if short is not None:
-        raise ValueError(f"technique-set {short.attack_id!r} has fewer than two techniques")
+    attack_ids: set[str] = set()
+    owners: dict[str, str] = {}  # citation -> attack_id of the technique-set listing it
+    for ts in corpus:
+        if len(ts.techniques) < 2:
+            raise ValueError(f"technique-set {ts.attack_id!r} has fewer than two techniques")
+        if ts.attack_id in attack_ids:
+            raise ValueError(f"attack_id {ts.attack_id!r} names two technique-sets")
+        attack_ids.add(ts.attack_id)
+        for citation in ts.member_citations:
+            if owners.setdefault(citation, ts.attack_id) != ts.attack_id:
+                raise ValueError(f"citation {citation!r} is listed under technique-sets "
+                                 f"{owners[citation]!r} and {ts.attack_id!r}")
     return corpus
 
 
@@ -192,8 +202,9 @@ def _module(name: str):
 class RunState:
     """What one ``run`` reads, writes and hands from stage to stage; each run makes its own."""
 
-    def __init__(self, config: PipelineConfig) -> None:
+    def __init__(self, config: PipelineConfig, config_path: Path | None) -> None:
         self.config = config
+        self.config_path = config_path  # the file config was read from, named where a setting is blamed
         self.inputs: dict[str, Path] = {}  # role -> input file, for the run manifest
         self.written: list[Path] = []
         self.produced: dict[str, object] = {}  # stage -> the value it returned
@@ -378,31 +389,29 @@ def stage_graph(config: PipelineConfig, options: StageOptions, state: RunState) 
                 f"{config.annotation_path} row {i}: annotation references unknown pair ({annotation.tech_a}, "
                 f"{annotation.tech_b}), not among the {len(pairs)} recurring pairs in "
                 f"{_artifact(config, 'recurring_pairs')} (this run's min_support = {config.min_support}, "
-                f"phi_min = {config.phi_min}, alpha_rules = {config.alpha_rules})"
+                f"phi_min = {config.phi_min}, alpha_rules = {config.alpha_rules}"
+                f"{'' if state.config_path is None else f', from {state.config_path} and the command line'})"
             )
 
-    if options.relation is not None:
-        relations = [options.relation]
-    else:
-        relations = sorted({a.relation for a in annotations})
+    relations = [options.relation] if options.relation is not None else sorted({a.relation for a in annotations})
     # relation None is the all-pairs graph
     graphs = {r: graph_analysis.build_graph(pairs, annotations, relation=r) for r in [None, *relations]}
     rows: list[list] = []
     listings: list[tuple[str, dict]] = []  # (label, scores) per graph, for --top-k
     conventional = options.conventional_normalization
-    for relation, graph in graphs.items():
+    for relation, edges in graphs.items():
         if relation is None:
-            etas = graph_analysis.partner_count(graph)
-            deltas = graph_analysis.degree_centrality(graph, conventional=conventional)
-            rows += [[n, "all_pairs", deltas[n], "", "", etas[n]] for n in sorted(graph.nodes)]
+            etas = graph_analysis.partner_count(edges)
+            deltas = graph_analysis.degree_centrality(edges, conventional=conventional)
+            rows += [[n, "all_pairs", deltas[n], "", "", eta] for n, eta in etas.items()]
             listings.append(("all_pairs (eta)", etas))
-        elif graph.directed:
-            scores = graph_analysis.directed_centrality(graph, conventional=conventional)
-            rows += [[n, relation, "", *scores[n], ""] for n in sorted(graph.nodes)]
+        elif graph_analysis.RELATION_TYPES[relation]:
+            scores = graph_analysis.directed_centrality(edges, conventional=conventional)
+            rows += [[n, relation, "", *score, ""] for n, score in scores.items()]
             listings.append((f"{relation} (delta_out)", {n: s[1] for n, s in scores.items()}))
         else:
-            scores = graph_analysis.degree_centrality(graph, conventional=conventional)
-            rows += [[n, relation, scores[n], "", "", ""] for n in sorted(graph.nodes)]
+            scores = graph_analysis.degree_centrality(edges, conventional=conventional)
+            rows += [[n, relation, score, "", "", ""] for n, score in scores.items()]
             listings.append((f"{relation} (delta)", scores))
 
     if options.top_k is not None:
@@ -414,8 +423,8 @@ def stage_graph(config: PipelineConfig, options: StageOptions, state: RunState) 
     rows.sort(key=lambda row: (row[1], row[0]))
     state.write(_artifact(config, "graph_centrality"), artifacts.write_centrality, rows)
     if options.dot_path is not None:
-        target = graphs[options.relation]
-        state.write(options.dot_path, atomic_write_text, graph_analysis.to_dot(target))
+        dot = graph_analysis.to_dot(graphs[options.relation], options.relation)
+        state.write(options.dot_path, atomic_write_text, dot)
 
 
 def stage_eval(config: PipelineConfig, options: StageOptions, state: RunState) -> None:
@@ -471,8 +480,13 @@ def _write_run_manifest(command: str, config: PipelineConfig, options: StageOpti
     atomic_write_text(config.output_dir / "run_manifest.json", canonical_json(manifest))
 
 
-def run(command: str, config: PipelineConfig, options: StageOptions | None = None) -> list[Path]:
-    """Run one subcommand (or ``all``); returns the artifact paths written."""
+def run(
+    command: str, config: PipelineConfig, options: StageOptions | None = None, config_path: Path | None = None
+) -> list[Path]:
+    """Run one subcommand (or ``all``); returns the artifact paths written.
+
+    ``config_path`` is the config file ``config`` was read from, if any.
+    """
     if command not in COMMANDS:
         raise ParameterError(f"unknown command {command!r}")
     config.validate()
@@ -482,7 +496,7 @@ def run(command: str, config: PipelineConfig, options: StageOptions | None = Non
     stages = list(_STAGES) if command == "all" else [command]
     if command == "all" and config.unseen_manifest_path is None:
         stages.remove("eval")
-    state = RunState(config)
+    state = RunState(config, config_path)
     for stage in stages:
         state.produced[stage] = _STAGES[stage](config, options, state)
     _write_run_manifest(command, config, options, state)
@@ -576,8 +590,9 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # a run builds no reference cycles: reference counting frees it all
     try:
+        config_path = values.get("config")
         config, options = _settings(values)
-        run(command, config, options)
+        run(command, config, options, config_path)
     except TTPMinerError as exc:
         logger.error("%s", exc)
         return 1

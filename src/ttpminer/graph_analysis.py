@@ -2,15 +2,17 @@
 
 Recurring pairs plus human-coded relation annotations yield one graph per
 relation type (directed for follow/require, undirected otherwise) and an
-all-pairs undirected graph. Centrality follows the worked-example
-normalization: degree divided by the node count, with the conventional
-n - 1 normalization available behind a flag.
+all-pairs undirected graph, each held as its edge set. Centrality follows
+the worked-example normalization: degree divided by the node count (the
+techniques some edge of the graph joins), with the conventional n - 1
+normalization available behind a flag.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, NamedTuple, Sequence
 
 from .errors import AnnotationError
 from .io_utils import csv_rows
@@ -42,13 +44,6 @@ class RelationAnnotation(NamedTuple):
     @property
     def pair_key(self) -> tuple[str, str]:
         return (min(self.tech_a, self.tech_b), max(self.tech_a, self.tech_b))
-
-
-class TechniqueGraph(NamedTuple):
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]  # undirected edges stored (min, max)
-    directed: bool
-    relation: str | None = None
 
 
 def load_annotations(path: Path | str) -> list[RelationAnnotation]:
@@ -87,75 +82,53 @@ def build_graph(
     pairs: Sequence[RecurringPair],
     annotations: Sequence[RelationAnnotation] = (),
     relation: str | None = None,
-) -> TechniqueGraph:
-    """Build the technique graph for one relation, or the all-pairs graph.
+) -> frozenset[tuple[str, str]]:
+    """The edge set of one relation's technique graph, or of the all-pairs graph.
 
-    Without a relation filter this is the undirected graph joining the two
-    techniques of every recurring pair (multi-label pairs collapse to a
-    single edge). With a relation, edges come from the annotations carrying
-    that label; directed relations take their orientation (``ab`` or ``ba``)
-    from the annotation's direction column. Each annotation must name a pair.
+    Without a relation filter these are the undirected edges joining the two
+    techniques of every recurring pair (multi-label pairs collapse to a single
+    edge). With a relation, edges come from the annotations carrying that
+    label; directed relations take their orientation (``ab`` or ``ba``) from
+    the annotation's direction column. An undirected edge is stored (min, max).
+    A graph's nodes are the techniques its edges join.
     """
     if relation is None:
-        edges = frozenset(pair.key for pair in pairs)
-        nodes = frozenset(t for edge in edges for t in edge)
-        return TechniqueGraph(nodes=nodes, edges=edges, directed=False, relation=None)
-
+        return frozenset(pair.key for pair in pairs)
     directed = RELATION_TYPES[relation]
-    edges = set()
-    for annotation in annotations:
-        if annotation.relation != relation:
-            continue
-        if not directed:
-            edges.add(annotation.pair_key)
-        elif annotation.direction == "ab":
-            edges.add((annotation.tech_a, annotation.tech_b))
-        else:
-            edges.add((annotation.tech_b, annotation.tech_a))
-    nodes = frozenset(t for edge in edges for t in edge)
-    return TechniqueGraph(nodes=nodes, edges=frozenset(edges), directed=directed, relation=relation)
+    return frozenset(
+        annotation.pair_key if not directed
+        else (annotation.tech_a, annotation.tech_b) if annotation.direction == "ab"
+        else (annotation.tech_b, annotation.tech_a)
+        for annotation in annotations
+        if annotation.relation == relation
+    )
 
 
-def degree_centrality(graph: TechniqueGraph, conventional: bool = False) -> dict[str, float]:
+def degree_centrality(edges: Collection[tuple[str, str]], conventional: bool = False) -> dict[str, float]:
     """Degree centrality of an undirected graph: degree / node count.
 
     ``conventional=True`` divides by node count - 1 instead.
     """
-    if not graph.nodes:
-        return {}
-    denominator = len(graph.nodes) - 1 if conventional else len(graph.nodes)
-    degrees = {node: 0 for node in graph.nodes}
-    for u, v in graph.edges:
-        degrees[u] += 1
-        degrees[v] += 1
+    degrees = Counter(t for edge in edges for t in edge)
+    denominator = len(degrees) - 1 if conventional else len(degrees)
     return {node: degrees[node] / denominator for node in sorted(degrees)}
 
 
 def directed_centrality(
-    graph: TechniqueGraph, conventional: bool = False
+    edges: Collection[tuple[str, str]], conventional: bool = False
 ) -> dict[str, tuple[float, float]]:
     """In- and out-degree centrality of a directed graph, same normalization."""
-    if not graph.nodes:
-        return {}
-    denominator = len(graph.nodes) - 1 if conventional else len(graph.nodes)
-    in_deg = {node: 0 for node in graph.nodes}
-    out_deg = {node: 0 for node in graph.nodes}
-    for u, v in graph.edges:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    return {
-        node: (in_deg[node] / denominator, out_deg[node] / denominator)
-        for node in sorted(graph.nodes)
-    }
+    out_deg = Counter(u for u, _ in edges)
+    in_deg = Counter(v for _, v in edges)
+    nodes = sorted(out_deg.keys() | in_deg.keys())
+    denominator = len(nodes) - 1 if conventional else len(nodes)
+    return {node: (in_deg[node] / denominator, out_deg[node] / denominator) for node in nodes}
 
 
-def partner_count(graph: TechniqueGraph) -> dict[str, int]:
+def partner_count(edges: Collection[tuple[str, str]]) -> dict[str, int]:
     """Number of distinct partner techniques per node (all-pairs graph)."""
-    partners: dict[str, set[str]] = {node: set() for node in graph.nodes}
-    for u, v in graph.edges:
-        partners[u].add(v)
-        partners[v].add(u)
-    return {node: len(partners[node]) for node in sorted(partners)}
+    partners = Counter(t for pair in {frozenset(edge) for edge in edges} for t in pair)
+    return {node: partners[node] for node in sorted(partners)}
 
 
 def top_k(scores: Mapping[str, float], k: int) -> list[str]:
@@ -164,15 +137,11 @@ def top_k(scores: Mapping[str, float], k: int) -> list[str]:
     return ranked[:k]
 
 
-def to_dot(graph: TechniqueGraph) -> str:
-    """DOT rendering of the graph for external visualization tools."""
-    kind = "digraph" if graph.directed else "graph"
-    arrow = "->" if graph.directed else "--"
-    name = graph.relation or "all_pairs"
-    lines = [f'{kind} "{name}" {{']
-    for node in sorted(graph.nodes):
-        lines.append(f'  "{node}";')
-    for u, v in sorted(graph.edges):
-        lines.append(f'  "{u}" {arrow} "{v}";')
+def to_dot(edges: Collection[tuple[str, str]], relation: str | None) -> str:
+    """DOT rendering of one relation's graph (None: all pairs) for external visualization tools."""
+    kind, arrow = ("digraph", "->") if relation is not None and RELATION_TYPES[relation] else ("graph", "--")
+    lines = [f'{kind} "{relation or "all_pairs"}" {{']
+    lines += [f'  "{node}";' for node in sorted({t for edge in edges for t in edge})]
+    lines += [f'  "{u}" {arrow} "{v}";' for u, v in sorted(edges)]
     lines.append("}")
     return "\n".join(lines) + "\n"

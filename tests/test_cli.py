@@ -732,18 +732,31 @@ class TestAnnotationRows:
         assert built == []
         message = (f"{path} row 7: annotation references unknown pair (T1001, T1099), not among the 15 recurring "
                    f"pairs in {out / 'recurring_pairs.csv'} (this run's min_support = 0.005, phi_min = 0.2, "
-                   "alpha_rules = 0.05)")
+                   f"alpha_rules = 0.05, from {E2E / 'config.cfg'} and the command line)")
         assert caplog.records[-1].getMessage() == message
 
-    def test_annotation_on_a_dropped_pair_names_the_mining_thresholds(self, tmp_path, caplog):
+    def test_annotation_on_a_dropped_pair_names_the_mining_thresholds_and_their_config(self, tmp_path, caplog):
         """phi_min = 1 keeps one of the e2e candidates, so an annotated pair is missing."""
-        out = tmp_path / "out"
-        assert run_cli("all", "--config", E2E / "config.cfg", "--phi-min", "1", "--output-dir", out) == 1
-        assert (
-            f"{E2E / 'annotations.csv'} row 2: annotation references unknown pair (T1001.001, T1005), "
+        import shutil
+
+        inputs, out = tmp_path / "e2e", tmp_path / "out"
+        shutil.copytree(E2E, inputs)
+        config = inputs / "config.cfg"
+        config.write_text(config.read_text(encoding="utf-8").replace("phi_min = 0.2", "phi_min = 1"), encoding="utf-8")
+        assert run_cli("all", "--config", config, "--output-dir", out) == 1
+        assert caplog.records[-1].getMessage() == (
+            f"{inputs / 'annotations.csv'} row 2: annotation references unknown pair (T1001.001, T1005), "
             f"not among the 1 recurring pairs in {out / 'recurring_pairs.csv'} "
-            "(this run's min_support = 0.005, phi_min = 1.0, alpha_rules = 0.05)"
-        ) in caplog.text
+            f"(this run's min_support = 0.005, phi_min = 1.0, alpha_rules = 0.05, from {config} and the command line)"
+        )
+
+    def test_a_library_run_names_no_config_file(self, tmp_path):
+        from ttpminer.cli import run
+        from ttpminer.errors import AnnotationError
+
+        config = validate_config(E2E / "config.cfg")._replace(phi_min=1.0, output_dir=tmp_path)
+        with pytest.raises(AnnotationError, match=re.escape("alpha_rules = 0.05)")):
+            run("all", config)
 
 
 class TestRowsAndRoles:
@@ -964,6 +977,28 @@ class TestUpstreamArtifactBoundary:
         assert run_cli("eval", *common) == 1
         assert f"{path}: {needle}" in caplog.text
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("command", ["prevalence", "mine", "eval"])
+    @pytest.mark.parametrize("corruption", ["repeated-attack-id", "citation-in-two-sets"])
+    def test_corpus_the_corpus_stage_never_writes_names_the_id_or_citation(
+        self, tmp_path, caplog, command, corruption
+    ):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path)
+        assert run_cli("all", *common) == 0
+        path = tmp_path / "corpus.json"
+        sets = json.loads(path.read_text(encoding="utf-8"))
+        if corruption == "repeated-attack-id":
+            sets[1]["attack_id"] = sets[0]["attack_id"]
+            problem = f"attack_id {sets[0]['attack_id']!r} names two technique-sets"
+        else:
+            citation = sets[4]["member_citations"][0]
+            sets[3]["member_citations"].append(citation)
+            problem = (f"citation {citation!r} is listed under technique-sets "
+                       f"{sets[3]['attack_id']!r} and {sets[4]['attack_id']!r}")
+        path.write_text(json.dumps(sets), encoding="utf-8")
+        caplog.clear()
+        assert run_cli(command, *common) == 1
+        assert caplog.records[-1].getMessage() == f"{path}: malformed ({problem}); re-run `ttpminer corpus`"
 
 
 class TestStaleUpstream:

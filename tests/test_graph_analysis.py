@@ -4,12 +4,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttpminer.errors import AnnotationError
 from ttpminer.graph_analysis import (
     RELATION_TYPES,
     RelationAnnotation,
-    TechniqueGraph,
     build_graph,
     degree_centrality,
     directed_centrality,
@@ -39,6 +40,10 @@ def pair(a, b, labels=()):
     )
 
 
+def nodes_of(edges):
+    return {t for edge in edges for t in edge}
+
+
 @pytest.fixture
 def worked_example_pairs():
     """Four techniques, five pairs: the centrality worked example."""
@@ -62,40 +67,36 @@ def worked_example_follow(worked_example_pairs):
 
 class TestBuildGraph:
     def test_all_pairs_graph_is_undirected(self, worked_example_pairs):
-        graph = build_graph(worked_example_pairs)
-        assert not graph.directed
-        assert graph.nodes == frozenset({"T1", "T2", "T3", "T4"})
-        assert len(graph.edges) == 5
+        edges = build_graph(worked_example_pairs)
+        assert edges == frozenset(p.key for p in worked_example_pairs)
+        assert all(u < v for u, v in edges)  # undirected edges are stored (min, max)
 
     def test_multi_label_pairs_collapse_in_all_pairs_graph(self):
         pairs = [pair("A", "B", labels=["follow", "same_asset"])]
-        graph = build_graph(pairs)
-        assert graph.edges == frozenset({("A", "B")})
+        assert build_graph(pairs) == frozenset({("A", "B")})
 
     def test_relation_filter_keeps_only_labeled_edges(self, worked_example_pairs):
         annotations = [
             RelationAnnotation("T1", "T2", "same_asset", "none"),
             RelationAnnotation("T1", "T3", "follow", "ab"),
         ]
-        graph = build_graph(worked_example_pairs, annotations, relation="same_asset")
-        assert not graph.directed
-        assert graph.edges == frozenset({("T1", "T2")})
-        assert graph.nodes == frozenset({"T1", "T2"})
+        assert build_graph(worked_example_pairs, annotations, relation="same_asset") == frozenset({("T1", "T2")})
 
-    def test_follow_relation_builds_directed_graph(self, worked_example_follow):
-        assert worked_example_follow.directed
-        assert ("T1", "T2") in worked_example_follow.edges
+    def test_undirected_relation_stores_min_max(self):
+        annotations = [RelationAnnotation("B", "A", "alternative", "none")]
+        assert build_graph([pair("A", "B")], annotations, relation="alternative") == frozenset({("A", "B")})
+
+    def test_follow_relation_keeps_the_annotated_orientation(self, worked_example_follow):
+        assert ("T1", "T2") in worked_example_follow
+        assert ("T2", "T1") not in worked_example_follow
 
     def test_ba_direction_reverses_edge(self):
         pairs = [pair("A", "B")]
         annotations = [RelationAnnotation("A", "B", "require", "ba")]
-        graph = build_graph(pairs, annotations, relation="require")
-        assert graph.edges == frozenset({("B", "A")})
+        assert build_graph(pairs, annotations, relation="require") == frozenset({("B", "A")})
 
     def test_empty_annotations_with_relation_filter(self, worked_example_pairs):
-        graph = build_graph(worked_example_pairs, [], relation="follow")
-        assert graph.edges == frozenset()
-        assert graph.nodes == frozenset()
+        assert build_graph(worked_example_pairs, [], relation="follow") == frozenset()
 
     def test_relation_edges_subset_of_all_pairs(self, worked_example_pairs):
         annotations = [
@@ -104,13 +105,12 @@ class TestBuildGraph:
         ]
         all_pairs = build_graph(worked_example_pairs)
         filtered = build_graph(worked_example_pairs, annotations, relation="same_asset")
-        assert filtered.edges <= all_pairs.edges
+        assert filtered <= all_pairs
 
 
 class TestCentrality:
     def test_worked_example_degree_centrality(self, worked_example_pairs):
-        graph = build_graph(worked_example_pairs)
-        delta = degree_centrality(graph)
+        delta = degree_centrality(build_graph(worked_example_pairs))
         assert delta["T1"] == 0.75
         assert delta["T2"] == 0.5
 
@@ -119,49 +119,36 @@ class TestCentrality:
         assert scores["T3"][0] == 0.5  # in-degree: from T1 and T2
         assert scores["T1"][1] == 0.75  # out-degree: three outgoing edges
 
-    def test_isolated_node_scores_zero(self):
-        graph = TechniqueGraph(
-            nodes=frozenset({"A", "B", "C"}), edges=frozenset({("A", "B")}), directed=False
-        )
-        assert degree_centrality(graph)["C"] == 0.0
-
     def test_complete_graph_on_four_nodes(self):
         nodes = ["A", "B", "C", "D"]
         edges = frozenset(
             (min(u, v), max(u, v)) for i, u in enumerate(nodes) for v in nodes[i + 1 :]
         )
-        graph = TechniqueGraph(nodes=frozenset(nodes), edges=edges, directed=False)
-        assert all(value == 0.75 for value in degree_centrality(graph).values())
+        assert all(value == 0.75 for value in degree_centrality(edges).values())
 
     def test_sink_node(self):
-        graph = TechniqueGraph(
-            nodes=frozenset({"A", "B", "C", "D"}),
-            edges=frozenset({("A", "D"), ("B", "D")}),
-            directed=True,
-        )
-        scores = directed_centrality(graph)
-        assert scores["D"] == (0.5, 0.0)
-        assert scores["C"] == (0.0, 0.0)
+        scores = directed_centrality(frozenset({("A", "D"), ("B", "D")}))
+        assert scores["D"] == (2 / 3, 0.0)  # three nodes: A, B and D
 
     def test_conventional_normalization(self, worked_example_pairs):
-        graph = build_graph(worked_example_pairs)
-        delta = degree_centrality(graph, conventional=True)
+        delta = degree_centrality(build_graph(worked_example_pairs), conventional=True)
         assert delta["T1"] == 1.0
 
     def test_empty_graph_gives_empty_map(self):
-        empty = TechniqueGraph(nodes=frozenset(), edges=frozenset(), directed=False)
-        assert degree_centrality(empty) == {}
+        assert degree_centrality(frozenset()) == {}
+        assert directed_centrality(frozenset()) == {}
+        assert partner_count(frozenset()) == {}
 
     def test_degree_sum_invariants(self, worked_example_pairs, worked_example_follow):
         undirected = build_graph(worked_example_pairs)
-        n = len(undirected.nodes)
+        n = len(nodes_of(undirected))
         degree_sum = sum(degree_centrality(undirected).values()) * n
-        assert degree_sum == 2 * len(undirected.edges)
+        assert degree_sum == 2 * len(undirected)
         directed = worked_example_follow
-        n = len(directed.nodes)
+        n = len(nodes_of(directed))
         totals = directed_centrality(directed).values()
-        assert sum(v[0] for v in totals) * n == pytest.approx(len(directed.edges))
-        assert sum(v[1] for v in totals) * n == pytest.approx(len(directed.edges))
+        assert sum(v[0] for v in totals) * n == pytest.approx(len(directed))
+        assert sum(v[1] for v in totals) * n == pytest.approx(len(directed))
 
     def test_scores_bounded_by_normalization(self):
         rng = random.Random(14)
@@ -170,43 +157,78 @@ class TestCentrality:
             edges = frozenset(
                 tuple(sorted(rng.sample(nodes, 2))) for _ in range(rng.randint(1, 12))
             )
-            used = frozenset(t for e in edges for t in e)
-            graph = TechniqueGraph(nodes=used, edges=edges, directed=False)
+            used = nodes_of(edges)
             bound = (len(used) - 1) / len(used)
-            assert all(0.0 <= d <= bound for d in degree_centrality(graph).values())
+            assert all(0.0 <= d <= bound for d in degree_centrality(edges).values())
 
     def test_relabeling_permutes_scores(self, worked_example_pairs):
         rng = random.Random(4)
-        graph = build_graph(worked_example_pairs)
-        baseline = sorted(degree_centrality(graph).values())
-        names = sorted(graph.nodes)
+        edges = build_graph(worked_example_pairs)
+        baseline = sorted(degree_centrality(edges).values())
+        names = sorted(nodes_of(edges))
         for _ in range(5):
             permuted = rng.sample(names, len(names))
             mapping = dict(zip(names, permuted))
-            renamed = TechniqueGraph(
-                nodes=frozenset(mapping[n] for n in graph.nodes),
-                edges=frozenset(
-                    (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-                    for u, v in graph.edges
-                ),
-                directed=False,
+            renamed = frozenset(
+                (min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in edges
             )
             assert sorted(degree_centrality(renamed).values()) == baseline
 
 
 class TestPartnerCount:
     def test_distinct_partners(self, worked_example_pairs):
-        graph = build_graph(worked_example_pairs)
-        eta = partner_count(graph)
+        eta = partner_count(build_graph(worked_example_pairs))
         assert eta["T1"] == 3
         assert eta["T2"] == 2
 
     def test_repeated_pair_under_different_relations_counts_once(self):
         pairs = [pair("A", "B", labels=["follow"]), pair("A", "C")]
-        graph = build_graph(pairs)
-        assert partner_count(graph)["A"] == 2
+        assert partner_count(build_graph(pairs))["A"] == 2
         relabeled = build_graph([pair("A", "B", labels=["follow", "same_asset"])])
         assert partner_count(relabeled)["A"] == 1
+
+
+NAMES = ["T1", "T2", "T3", "T4", "T5", "T6"]
+ARCS = st.frozensets(
+    st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)).filter(lambda arc: arc[0] != arc[1]), max_size=15
+)
+
+
+class TestCentralityOracle:
+    """Each score equals a double loop over the techniques the edges join."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(arcs=ARCS, conventional=st.booleans())
+    def test_degree_centrality_of_undirected_edges(self, arcs, conventional):
+        edges = frozenset((min(u, v), max(u, v)) for u, v in arcs)
+        nodes = sorted(nodes_of(edges))
+        denominator = len(nodes) - 1 if conventional else len(nodes)
+        expected = {
+            u: sum((min(u, v), max(u, v)) in edges for v in nodes) / denominator for u in nodes
+        }
+        assert degree_centrality(edges, conventional=conventional) == expected
+        assert list(degree_centrality(edges, conventional=conventional)) == nodes
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(arcs=ARCS, conventional=st.booleans())
+    def test_directed_centrality_of_directed_edges(self, arcs, conventional):
+        nodes = sorted(nodes_of(arcs))
+        denominator = len(nodes) - 1 if conventional else len(nodes)
+        expected = {
+            u: (sum((v, u) in arcs for v in nodes) / denominator, sum((u, v) in arcs for v in nodes) / denominator)
+            for u in nodes
+        }
+        assert directed_centrality(arcs, conventional=conventional) == expected
+        assert list(directed_centrality(arcs, conventional=conventional)) == nodes
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(arcs=ARCS, undirected=st.booleans())
+    def test_partner_count_counts_distinct_partners(self, arcs, undirected):
+        edges = frozenset((min(u, v), max(u, v)) for u, v in arcs) if undirected else arcs
+        nodes = sorted(nodes_of(edges))
+        expected = {u: sum((u, v) in edges or (v, u) in edges for v in nodes) for u in nodes}
+        assert partner_count(edges) == expected
+        assert list(partner_count(edges)) == nodes
 
 
 class TestTopK:
@@ -271,9 +293,9 @@ def test_relation_taxonomy_directedness():
 
 
 def test_to_dot_renders_both_kinds(worked_example_pairs, worked_example_follow):
-    undirected = to_dot(build_graph(worked_example_pairs))
+    undirected = to_dot(build_graph(worked_example_pairs), None)
     assert undirected.startswith('graph "all_pairs"')
     assert '"T1" -- "T2";' in undirected
-    directed = to_dot(worked_example_follow)
+    directed = to_dot(worked_example_follow, "follow")
     assert directed.startswith('digraph "follow"')
     assert '"T1" -> "T2";' in directed
