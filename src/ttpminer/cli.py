@@ -163,8 +163,10 @@ def _artifact(config: PipelineConfig, stem: str, suffix: str | None = None) -> P
 
 def _read_corpus(path: Path) -> list:
     """The corpus artifact. The corpus stage never writes an empty one, a
-    technique-set of fewer than two techniques, one attack_id twice, nor a
-    citation under two technique-sets, so each is corrupt."""
+    technique-set of fewer than two techniques, one attack_id twice, an
+    attack_id other than its set's least member citation, a representative
+    date after the latest, nor a citation under two technique-sets, so each
+    is corrupt."""
     corpus = _module("corpus_builder").corpus_from_json(path.read_text("utf-8"))
     if not corpus:
         raise ValueError("no technique-sets")
@@ -176,6 +178,11 @@ def _read_corpus(path: Path) -> list:
         if ts.attack_id in attack_ids:
             raise ValueError(f"attack_id {ts.attack_id!r} names two technique-sets")
         attack_ids.add(ts.attack_id)
+        if ts.attack_id != min(ts.member_citations, default=None):
+            raise ValueError(f"attack_id {ts.attack_id!r} is not the least of its member citations")
+        if ts.representative_date > ts.latest_date:
+            raise ValueError(f"technique-set {ts.attack_id!r} has representative_date {ts.representative_date} "
+                             f"after its latest_date {ts.latest_date}")
         for citation in ts.member_citations:
             if owners.setdefault(citation, ts.attack_id) != ts.attack_id:
                 raise ValueError(f"citation {citation!r} is listed under technique-sets "
@@ -257,8 +264,9 @@ def stage_ingest(config: PipelineConfig, options: StageOptions, state: RunState)
     bundle_path = state.input("bundle", config.bundle_path, "STIX bundle")
     try:
         catalog = stix_ingest.parse_bundle(bundle_path.read_bytes())
-    except TTPMinerError as exc:  # the bundle is not UTF-8 JSON, or has no objects
-        raise type(exc)(f"{bundle_path}: {exc}") from None
+    except TTPMinerError as exc:  # the bundle is not UTF-8 JSON, or not a usable bundle
+        exc.args = (f"{bundle_path}: {exc}",)  # named, keeping a parse error's offset
+        raise
     logger.info(
         "parsed %d tactics, %d techniques (%d sub-techniques), %d citations",
         len(catalog.tactics),
@@ -274,7 +282,7 @@ def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState)
     from . import corpus_builder
     manifest_path = state.input("manifest", config.manifest_path, "report manifest")
     catalog = state.upstream("ingest")
-    records = corpus_builder.load_manifest(manifest_path, catalog)
+    records = corpus_builder.load_manifest(manifest_path, catalog, _artifact(config, "catalog", ".json"))
     included = corpus_builder.included_records(records)
     if not included:
         raise ManifestError(f"{manifest_path}: no included record, so the corpus would be empty")

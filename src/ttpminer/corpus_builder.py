@@ -89,12 +89,15 @@ class TechniqueSet(NamedTuple):
     latest_date: date
 
 
-def load_manifest(path: Path | str, catalog: AttackCatalog | None = None) -> list[ReportRecord]:
+def load_manifest(
+    path: Path | str, catalog: AttackCatalog | None = None, catalog_name: Path | str = "the catalog"
+) -> list[ReportRecord]:
     """Load and validate a report-metadata manifest (JSON array of records).
 
     Enforces the record invariants: an included record has a publication date
     and at least two techniques, and carries an exclusion reason iff it is
-    excluded. With a catalog, every technique id must resolve in it.
+    excluded. With a catalog, every technique id must resolve in it, and an
+    error names the catalog as ``catalog_name``.
     """
     path = Path(path)
     known = catalog.technique_ids() if catalog is not None else None
@@ -116,7 +119,7 @@ def load_manifest(path: Path | str, catalog: AttackCatalog | None = None) -> lis
         elif include and record.published is None:
             problem = "included record must carry a publication date"
         elif known is not None and not technique_ids <= known:
-            problem = f"unknown technique id(s) {sorted(technique_ids - known)}"
+            problem = f"unknown technique id(s) {sorted(technique_ids - known)}, not in {catalog_name}"
         elif record.citation_key in seen_keys:
             problem = "duplicate citation_key"
         else:

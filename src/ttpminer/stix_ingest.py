@@ -116,15 +116,17 @@ def _phase_names(obj: dict) -> list[str]:
 def parse_bundle(raw: bytes | str) -> AttackCatalog:
     """Parse a STIX 2.x bundle into an :class:`AttackCatalog`.
 
-    Techniques are deduplicated by ATT&CK id (non-revoked entries win),
-    sub-technique parents are linked by id prefix, and revoked/deprecated
+    Tactics are read first, so each technique record is built as its object
+    is read. Techniques are deduplicated by ATT&CK id (non-revoked entries
+    win), sub-technique parents are linked by id prefix, and revoked/deprecated
     objects are flagged rather than dropped. Unknown object types are
     skipped. Raises :class:`BundleParseError` unless it is UTF-8 JSON nested
-    no deeper than the decoder allows, and :class:`BundleSchemaError` when
-    the ``objects`` array is missing, the ``spec_version`` (the bundle's,
-    else the first object's in (type, id) order) is not a string, or a field
-    the parser reads is mistyped: an object's type or id, a name, a flag, a
-    reference, a kill-chain phase or a tactic shortname.
+    no deeper than the decoder allows (its ``offset`` counts bytes), and
+    :class:`BundleSchemaError` when the ``objects`` array is missing, the
+    ``spec_version`` (the bundle's, else the first object's in (type, id)
+    order) is not a string, a field the parser reads is mistyped (an
+    object's type or id, a name, a flag, a reference, a kill-chain phase or
+    a tactic shortname), or a cited url does not parse.
     """
     try:
         if isinstance(raw, bytes):
@@ -133,7 +135,8 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     except UnicodeDecodeError as exc:
         raise BundleParseError(f"not UTF-8 at byte offset {exc.start}", exc.start) from exc
     except json.JSONDecodeError as exc:
-        raise BundleParseError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}", exc.pos) from exc
+        offset = len(raw[:exc.pos].encode("utf-8", "surrogatepass"))  # exc.pos counts characters
+        raise BundleParseError(f"malformed JSON at byte offset {offset}: {exc.msg}", offset) from exc
     except RecursionError as exc:
         raise BundleParseError(f"JSON nested too deeply ({exc})") from exc
     if not isinstance(bundle, dict) or not isinstance(bundle.get("objects"), list):
@@ -148,8 +151,7 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
 
     tactic_by_shortname: dict[str, str] = {}
     tactics: dict[str, TacticRecord] = {}
-    # technique id -> (name, phases, flagged, explicit subtechnique flag)
-    technique_raw: dict[str, dict] = {}
+    techniques: dict[str, TechniqueRecord] = {}
     stix_to_technique: dict[str, str] = {}
     stix_to_attributor: dict[str, str] = {}
     # Citation identity is the normalized URL; each distinct raw URL is normalized once.
@@ -176,7 +178,11 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
                 continue
             key = keys.get(url)
             if key is None:
-                key = keys[url] = normalize_citation_url(url)
+                try:
+                    key = keys[url] = normalize_citation_url(url)
+                except ValueError as exc:  # urlsplit rejects the host, as in 'http://[broken/report'
+                    raise BundleSchemaError(f"{obj.get('id')} external_references[{index}]: "
+                                            f"url {url!r} is not a URL ({exc})") from None
             candidate = (source_name, url, description or "")
             prior = citation_entries.get(key)
             if prior is None:
@@ -190,12 +196,12 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
             if attributor is not None:
                 attribution[key].add(attributor)
 
-    # The order of the other objects decides which duplicate technique wins and
-    # which attributor an id maps to, so they run sorted. Citations only add to
-    # sets and minima, so they are counted as each object is read.
-    for obj in sorted((o for o in objects if o.get("type") != "relationship"), key=_object_order):
-        otype = obj.get("type")
-        if otype == "x-mitre-tactic":
+    # The order of the other objects decides which duplicate tactic and technique
+    # wins and which attributor an id maps to, so they run sorted. Techniques name
+    # their tactics by shortname, so the tactics are read first.
+    ordered = sorted((o for o in objects if o.get("type") != "relationship"), key=_object_order)
+    for obj in ordered:
+        if obj.get("type") == "x-mitre-tactic":
             tid = _mitre_external_id(obj)
             if not tid or not TACTIC_ID_RE.match(tid):
                 continue
@@ -205,7 +211,10 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
             tactics.setdefault(tid, TacticRecord(id=tid, name=name))
             if shortname:
                 tactic_by_shortname[shortname] = tid
-        elif otype == "attack-pattern":
+    # Citations only add to sets and minima, so they are counted as each object is read.
+    for obj in ordered:
+        otype = obj.get("type")
+        if otype == "attack-pattern":
             tid = _mitre_external_id(obj)
             if not tid or not TECHNIQUE_ID_RE.match(tid):
                 continue
@@ -215,15 +224,14 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
                 _reject_mistyped(str(obj.get("id")), name=(str, name), revoked=(bool | None, revoked),
                                  x_mitre_deprecated=(bool | None, deprecated),
                                  x_mitre_is_subtechnique=(bool | None, is_sub))
-            entry = {
-                "name": name,
-                "phases": _phase_names(obj),
-                "flagged": bool(revoked or deprecated),
-                "is_sub": bool(is_sub) or "." in tid,
-            }
-            prior = technique_raw.get(tid)
-            if prior is None or (prior["flagged"] and not entry["flagged"]):
-                technique_raw[tid] = entry
+            tactic_ids = frozenset(tactic_by_shortname[p] for p in _phase_names(obj) if p in tactic_by_shortname)
+            is_sub = bool(is_sub) or "." in tid
+            record = TechniqueRecord(id=tid, name=name, tactic_ids=tactic_ids, is_subtechnique=is_sub,
+                                     parent_id=tid.split(".", 1)[0] if is_sub else None,
+                                     revoked_or_deprecated=bool(revoked or deprecated))
+            prior = techniques.get(tid)
+            if prior is None or (prior.revoked_or_deprecated and not record.revoked_or_deprecated):
+                techniques[tid] = record
             stix_to_technique[obj.get("id", "")] = tid
             cite(obj, tid, None)
         elif otype in ATTRIBUTION_TYPES:
@@ -246,7 +254,12 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
                 if target in stix_to_technique:
                     cite(obj, stix_to_technique[target], stix_to_attributor.get(source))
 
-    techniques = _assemble_techniques(technique_raw, tactic_by_shortname)
+    # A sub-technique without kill-chain phases of its own inherits its parent's tactics.
+    inherited = [
+        t._replace(tactic_ids=techniques[t.parent_id].tactic_ids)
+        if t.is_subtechnique and not t.tactic_ids and t.parent_id in techniques else t
+        for _, t in sorted(techniques.items())
+    ]
     citations = [
         CitationEntry(key=key, source_name=sn, url=url, date_text=dt or None)
         for key, (sn, url, dt) in sorted(citation_entries.items())
@@ -254,7 +267,7 @@ def parse_bundle(raw: bytes | str) -> AttackCatalog:
     return AttackCatalog(
         spec_version=spec_version,
         tactics=sorted(tactics.values(), key=lambda t: t.id),
-        techniques=techniques,
+        techniques=inherited,
         citations=citations,
         attribution={k: frozenset(v) for k, v in sorted(attribution.items())},
         technique_citations={k: frozenset(v) for k, v in sorted(technique_citations.items())},
@@ -281,37 +294,6 @@ def _sniff_spec_version(objects: list[dict]) -> object:
     """The spec_version of the first object in (type, id) order that has one, else "2.0"."""
     first = min((o for o in objects if o.get("spec_version") not in (None, "")), key=_object_order, default=None)
     return "2.0" if first is None else first["spec_version"]
-
-
-def _assemble_techniques(
-    technique_raw: dict[str, dict], tactic_by_shortname: dict[str, str]
-) -> list[TechniqueRecord]:
-    def tactic_ids_of(entry: dict) -> frozenset[str]:
-        return frozenset(
-            tactic_by_shortname[p] for p in entry["phases"] if p in tactic_by_shortname
-        )
-
-    records = []
-    for tid in sorted(technique_raw):
-        entry = technique_raw[tid]
-        tactic_ids = tactic_ids_of(entry)
-        parent_id = tid.split(".", 1)[0] if entry["is_sub"] else None
-        if entry["is_sub"] and not tactic_ids:
-            # Sub-techniques without their own kill-chain phases inherit the parent's.
-            parent = technique_raw.get(parent_id)
-            if parent is not None:
-                tactic_ids = tactic_ids_of(parent)
-        records.append(
-            TechniqueRecord(
-                id=tid,
-                name=entry["name"],
-                tactic_ids=tactic_ids,
-                is_subtechnique=entry["is_sub"],
-                parent_id=parent_id,
-                revoked_or_deprecated=entry["flagged"],
-            )
-        )
-    return records
 
 
 def catalog_to_json(catalog: AttackCatalog) -> str:

@@ -979,7 +979,8 @@ class TestUpstreamArtifactBoundary:
         assert "Traceback" not in caplog.text
 
     @pytest.mark.parametrize("command", ["prevalence", "mine", "eval"])
-    @pytest.mark.parametrize("corruption", ["repeated-attack-id", "citation-in-two-sets"])
+    @pytest.mark.parametrize("corruption", ["repeated-attack-id", "citation-in-two-sets", "attack-id-not-least",
+                                            "representative-after-latest"])
     def test_corpus_the_corpus_stage_never_writes_names_the_id_or_citation(
         self, tmp_path, caplog, command, corruption
     ):
@@ -990,11 +991,18 @@ class TestUpstreamArtifactBoundary:
         if corruption == "repeated-attack-id":
             sets[1]["attack_id"] = sets[0]["attack_id"]
             problem = f"attack_id {sets[0]['attack_id']!r} names two technique-sets"
-        else:
+        elif corruption == "citation-in-two-sets":
             citation = sets[4]["member_citations"][0]
             sets[3]["member_citations"].append(citation)
             problem = (f"citation {citation!r} is listed under technique-sets "
                        f"{sets[3]['attack_id']!r} and {sets[4]['attack_id']!r}")
+        elif corruption == "attack-id-not-least":
+            sets[2]["attack_id"] = "zzz-not-a-member"
+            problem = "attack_id 'zzz-not-a-member' is not the least of its member citations"
+        else:
+            sets[0]["representative_date"], sets[0]["latest_date"] = "2024-12-31", "2001-01-01"
+            problem = (f"technique-set {sets[0]['attack_id']!r} has representative_date 2024-12-31 "
+                       "after its latest_date 2001-01-01")
         path.write_text(json.dumps(sets), encoding="utf-8")
         caplog.clear()
         assert run_cli(command, *common) == 1
@@ -1017,6 +1025,17 @@ class TestStaleUpstream:
         assert caplog.records[-1].getMessage() == (
             f"{tmp_path / 'corpus.json'}: technique T1009 is not in {path}; re-run `ttpminer corpus`"
         )
+
+    def test_a_catalog_missing_a_manifest_technique_is_named_by_the_corpus_stage(self, tmp_path, caplog):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path)
+        assert run_cli("all", *common) == 0
+        path = tmp_path / "catalog.json"
+        catalog = json.loads(path.read_text(encoding="utf-8"))
+        catalog["techniques"] = [t for t in catalog["techniques"] if t["id"] != "T1009"]
+        path.write_text(json.dumps(catalog), encoding="utf-8")
+        caplog.clear()
+        assert run_cli("corpus", *common) == 1
+        assert caplog.records[-1].getMessage().endswith(f": unknown technique id(s) ['T1009'], not in {path}")
 
     def test_the_corpus_universe_needs_the_catalog_too(self, tmp_path, caplog):
         common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path)
@@ -1253,6 +1272,31 @@ def _e2e_bundle_with(tmp_path, field, value):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(bundle), encoding="utf-8")
     return path, technique["id"]
+
+
+def test_unparsable_citation_url_exits_1_naming_the_bundle(tmp_path, caplog):
+    url = "http://[broken/report"
+    bundle = json.loads((E2E / "bundle.json").read_bytes())
+    group = next(obj for obj in bundle["objects"] if obj["type"] == "intrusion-set")
+    group["external_references"].append({"source_name": "V", "url": url})
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    where = f"{group['id']} external_references[{len(group['external_references']) - 1}]"
+    assert run_cli("ingest", "--bundle", path, "--output-dir", tmp_path / "out") == 1
+    assert f"{path}: {where}: url {url!r} is not a URL (Invalid IPv6 URL)" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_a_run_keeps_the_byte_offset_of_a_malformed_bundle(tmp_path):
+    from ttpminer.cli import run
+    from ttpminer.errors import BundleParseError
+
+    path = tmp_path / "bundle.json"
+    path.write_text('{"objects": [{"name": "Ünïcödé ☃☃"}, ]}', encoding="utf-8")
+    with pytest.raises(BundleParseError) as raised:
+        run("ingest", PipelineConfig(bundle_path=path, output_dir=tmp_path / "out"))
+    assert raised.value.offset == 45
+    assert str(raised.value).startswith(f"{path}: malformed JSON at byte offset 45: ")
 
 
 def test_mistyped_bundle_shape_exits_1_naming_object_and_field(tmp_path, caplog):

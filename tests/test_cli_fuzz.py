@@ -55,7 +55,8 @@ JSON_VALUES = st.recursive(
     | st.booleans()
     | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=12),
+    | st.text(max_size=12)
+    | st.sampled_from(["http://[x", "https://example.com/r", "HTTPS://Example.COM/r/#a", "//", "mailto:x"]),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=4), children, max_size=4),
     max_leaves=8,

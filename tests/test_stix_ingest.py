@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from ttpminer.errors import BundleParseError, BundleSchemaError
 from ttpminer.stix_ingest import (
+    TacticRecord,
+    TechniqueRecord,
     catalog_from_json,
     catalog_to_json,
     normalize_citation_url,
@@ -52,10 +54,18 @@ def test_empty_bundle_parses_to_empty_catalog():
     assert catalog.citations == []
 
 
-def test_malformed_json_reports_byte_offset():
-    with pytest.raises(BundleParseError) as excinfo:
-        parse_bundle(b'{"type":"bundle","objects":[}')
-    assert excinfo.value.offset == 28
+@pytest.mark.parametrize(
+    "raw, offset",
+    [
+        ('{"type":"bundle","objects":[}', 28),
+        ('{"objects": [{"name": "Ünïcödé ☃☃"}, ]}', 45),  # 37 characters, 45 bytes, before the fault
+    ],
+)
+@pytest.mark.parametrize("as_bytes", [True, False])
+def test_malformed_json_reports_byte_offset(raw, offset, as_bytes):
+    with pytest.raises(BundleParseError, match=f"at byte offset {offset}: ") as excinfo:
+        parse_bundle(raw.encode("utf-8") if as_bytes else raw)
+    assert excinfo.value.offset == offset
 
 
 def test_missing_objects_array_is_schema_error():
@@ -134,6 +144,35 @@ def test_revoked_techniques_flagged_not_dropped():
     catalog = parse_bundle(bundle_bytes(objects))
     flags = {t.id: t.revoked_or_deprecated for t in catalog.techniques}
     assert flags == {"T1000": True, "T1001": True}
+
+
+def test_tactics_resolve_whatever_the_stix_ids_sort_order():
+    """A tactic whose STIX id sorts after every other object, two tactics sharing
+    a shortname (the later id wins it), and a sub-technique whose live parent
+    object sorts after it; the expected catalog is the one a parser gives that
+    resolves phases only after reading every object."""
+    late = {**stix_tactic("TA0003", "Persistence", "persistence"), "id": "x-mitre-tactic--zz"}
+    first_execution = {**stix_tactic("TA0002", "Execution", "execution"), "id": "x-mitre-tactic--a"}
+    second_execution = {**stix_tactic("TA0002", "Execution, again", "execution-again"), "id": "x-mitre-tactic--b"}
+    objects = [
+        late,
+        stix_tactic("TA0005", "Shared D", "shared"),
+        second_execution,
+        stix_tactic("TA0004", "Shared C", "shared"),
+        first_execution,
+        stix_technique("T1000", "Late and shared", ["persistence", "shared"]),
+        stix_technique("T1001.001", "Sub", None, stix_id="attack-pattern--a-sub"),
+        stix_technique("T1001", "Parent, revoked", ["persistence"], revoked=True, stix_id="attack-pattern--0-parent"),
+        stix_technique("T1001", "Parent", ["execution-again"], stix_id="attack-pattern--z-parent"),
+    ]
+    catalog = parse_bundle(bundle_bytes(objects))
+    assert catalog.tactics == [TacticRecord("TA0002", "Execution"), TacticRecord("TA0003", "Persistence"),
+                               TacticRecord("TA0004", "Shared C"), TacticRecord("TA0005", "Shared D")]
+    assert catalog.techniques == [
+        TechniqueRecord("T1000", "Late and shared", frozenset({"TA0003", "TA0005"}), False, None, False),
+        TechniqueRecord("T1001", "Parent", frozenset({"TA0002"}), False, None, False),
+        TechniqueRecord("T1001.001", "Sub", frozenset({"TA0002"}), True, "T1001", False),
+    ]
 
 
 def test_duplicate_technique_ids_prefer_live_object():
@@ -268,6 +307,7 @@ def test_same_citation_with_and_without_description():
         ("source_name", None, "source_name must be a string, got None"),
         ("url", 5, "url must be a string, got 5"),
         ("description", 5, "description must be a string or null, got 5"),
+        ("url", "http://[broken/report", "url 'http://[broken/report' is not a URL (Invalid IPv6 URL)"),
     ],
 )
 def test_mistyped_cited_reference_is_schema_error(field, value, message):
@@ -329,6 +369,13 @@ def test_mistyped_catalog_field_is_schema_error(obj, path, field, value, message
     holder[field] = value
     with pytest.raises(BundleSchemaError, match=re.escape(f"{obj['id']}{message}")):
         parse_bundle(bundle_bytes([obj]))
+
+
+def test_a_mistyped_tactic_is_reported_before_a_mistyped_technique():
+    tactic, technique = stix_tactic("TA0002", "Execution", "execution"), stix_technique("T1000", "P")
+    tactic["name"] = technique["name"] = 5
+    with pytest.raises(BundleSchemaError, match=re.escape(f"{tactic['id']}: name must be a string, got 5")):
+        parse_bundle(bundle_bytes([technique, tactic]))
 
 
 @pytest.mark.parametrize("field, value", [("target_ref", ["attack-pattern--t1000"]), ("source_ref", {"id": "x"}),
