@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""Write the golden outputs of the end-to-end fixture.
+
+Runs ``python -m ttpminer`` on tests/fixtures/e2e/ and keeps each run's output
+directory under tests/fixtures/e2e/golden/<run>/:
+
+- ``all``: every stage, CSV tables;
+- ``all_json``: every stage, ``--format json``;
+- ``sample_pairs``: ``ingest``, then ``corpus --sample-pairs``.
+
+Each command runs from the repository root with the config path relative to
+it, so the input paths that run_manifest.json records are the same on every
+checkout. A change meant to alter an output regenerates these files and shows
+the diff in review:
+
+    python3 scripts/make_e2e_golden.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT_DIR = ROOT / "tests" / "fixtures" / "e2e" / "golden"
+CONFIG = "tests/fixtures/e2e/config.cfg"
+SAMPLE = "sample_pairs.csv"  # the labeling template, written into the run's output directory
+
+RUNS = {
+    "all": [["all"]],
+    "all_json": [["all", "--format", "json"]],
+    "sample_pairs": [["ingest"], ["corpus", "--sample-pairs", SAMPLE]],
+}
+
+
+def main() -> None:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for run, commands in RUNS.items():
+        out = OUT_DIR / run
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir(parents=True)
+        for command, *flags in commands:
+            flags = [str(out / flag) if flag == SAMPLE else flag for flag in flags]
+            subprocess.run([sys.executable, "-m", "ttpminer", command, "--config", CONFIG, *flags,
+                            "--output-dir", str(out)], cwd=ROOT, env=env, check=True, capture_output=True)
+
+
+if __name__ == "__main__":
+    main()

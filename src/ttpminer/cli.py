@@ -297,14 +297,11 @@ def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState)
             raise ManifestError(f"{labels_path}: {exc}") from None
         logger.info("estimated tau=%d month(s) from %d labeled buckets", tau, len(fractions))
 
-    # A pair merges only within tau months, and lands in a sampled month
-    # bucket <= n only within n months, so no wider gap is searched.
-    months = tau if options.sample_pairs is None else max(tau, options.n_buckets)
-    pairs = corpus_builder.find_candidate_pairs(
-        included, max_gap_days=months * corpus_builder.DAYS_PER_MONTH
-    )
-
     if options.sample_pairs is not None:
+        # A pair lands in a sampled month bucket <= n only within n months.
+        pairs = corpus_builder.find_candidate_pairs(
+            included, max_gap_days=options.n_buckets * corpus_builder.DAYS_PER_MONTH
+        )
         samples = corpus_builder.sample_buckets(
             pairs, n=options.n_buckets, s=options.sample_size, seed=config.seed
         )
@@ -319,7 +316,7 @@ def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState)
         text = render_csv(corpus_builder.SAMPLE_COLUMNS, rows)
         state.write(options.sample_pairs, atomic_write_text, text)
 
-    sets = corpus_builder.merge_duplicates(included, pairs, tau)
+    sets = corpus_builder.merge_duplicates(included, corpus_builder.date_neighbour_links(included, tau), tau)
     logger.info(
         "corpus: %d included citations -> %d technique-sets (%d merged), "
         "%d mentions, %d distinct techniques",

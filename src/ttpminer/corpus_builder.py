@@ -1,11 +1,13 @@
 """Build a deduplicated corpus of technique-sets from report metadata.
 
 The pipeline here: load a report manifest (one record per citation, with
-inclusion flags resolved by a human pass), pair up reports that attribute a
-common group or malware, estimate the publication-gap threshold from
-hand-labeled duplicate fractions (elbow rule), then merge duplicates via
-connected components. Each component becomes one technique-set: the union of
-its member reports' techniques, standing for one unique cyberattack.
+inclusion flags resolved by a human pass), estimate the publication-gap
+threshold tau from hand-labeled duplicate fractions (elbow rule), link each
+report to its date neighbour among the reports attributing a common group or
+malware, then merge duplicates via connected components. Each component
+becomes one technique-set: the union of its member reports' techniques,
+standing for one unique cyberattack. Candidate pairs are listed only for the
+labeling sample, within its ``n_buckets`` months.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import math
 import random
 from bisect import bisect_right
 from datetime import date
+from functools import lru_cache
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
@@ -166,6 +170,25 @@ def find_candidate_pairs(
     return [DuplicateCandidatePair(a, b, gap) for (a, b), gap in gaps.items()]
 
 
+def date_neighbour_links(records: list[ReportRecord], tau: int) -> list[DuplicateCandidatePair]:
+    """Each included report linked to the one before it in (date, key) order within each of its
+    attributions, when at most ``tau`` months earlier. A candidate pair within tau months is joined
+    through every report dated between them, so merging these links gives the same components."""
+    by_attribution: dict[str, list[tuple[int, str]]] = {}  # attribution -> (day, citation_key)
+    for record in records:
+        if record.include:
+            day = record.published.toordinal()
+            for attributed in record.attribution:
+                by_attribution.setdefault(attributed, []).append((day, record.citation_key))
+    max_gap, links = tau * DAYS_PER_MONTH, []
+    for group in by_attribution.values():
+        group.sort()
+        for (before, a), (after, b) in zip(group, group[1:]):
+            if after - before <= max_gap:
+                links.append(DuplicateCandidatePair(a, b, after - before))
+    return links
+
+
 def month_bucket(date_gap_days: int) -> int:
     """Bucket i holds gaps in (i-1, i] months; a zero-day gap lands in bucket 1."""
     return max(1, math.ceil(date_gap_days / DAYS_PER_MONTH))
@@ -252,24 +275,25 @@ def merge_duplicates(
                 parent[b] = b = parent[parent[b]]
             parent[b] = a
 
-    components: dict[str, list[ReportRecord]] = {}
+    components: dict[str, list[str]] = {}
     for key, root in parent.items():
         while root != parent[root]:
             root = parent[root]
-        components.setdefault(root, []).append(by_key[key])
+        components.setdefault(root, []).append(key)
 
-    # A citation no edge touches is a technique-set of its own.
+    # A citation no edge touches is a technique-set of its own; tuple.__new__ skips TechniqueSet.__new__.
+    new = tuple.__new__
     sets = [
-        TechniqueSet(key, frozenset((key,)), r.technique_ids, r.published, r.published)
+        new(TechniqueSet, (key, frozenset((key,)), r.technique_ids, r.published, r.published))
         for key, r in by_key.items()
         if key not in parent
     ]
-    for members in components.values():
-        keys = frozenset(r.citation_key for r in members)
+    for keys in components.values():
+        members = [by_key[key] for key in keys]
         dates = [r.published for r in members]
-        techniques = frozenset().union(*(r.technique_ids for r in members))
-        sets.append(TechniqueSet(min(keys), keys, techniques, min(dates), max(dates)))
-    return sorted(sets, key=lambda ts: ts.attack_id)
+        techniques = frozenset().union(*[r.technique_ids for r in members])
+        sets.append(new(TechniqueSet, (min(keys), frozenset(keys), techniques, min(dates), max(dates))))
+    return sorted(sets, key=itemgetter(0))
 
 
 def median(values: Iterable) -> float:
@@ -287,14 +311,19 @@ def corpus_to_json(sets: list[TechniqueSet]) -> str:
         items = ",\n      ".join(map(encode_basestring, sorted(values)))
         return f"[\n      {items}\n    ]" if items else "[]"
 
-    records = ",\n".join([
-        f'  {{\n    "attack_id": {encode_basestring(ts.attack_id)},\n'
-        f'    "latest_date": "{ts.latest_date.isoformat()}",\n'
-        f'    "member_citations": {strings(ts.member_citations)},\n'
-        f'    "representative_date": "{ts.representative_date.isoformat()}",\n'
-        f'    "techniques": {strings(ts.techniques)}\n  }}'
-        for ts in sets
-    ])
+    iso = lru_cache(maxsize=None)(date.isoformat)  # each distinct date rendered once
+    records = []
+    for attack_id, members, techniques, representative, latest in sets:
+        encoded = encode_basestring(attack_id)  # a set of one citation lists its attack_id
+        listed = f"[\n      {encoded}\n    ]" if len(members) == 1 and attack_id in members else strings(members)
+        records.append(
+            f'  {{\n    "attack_id": {encoded},\n'
+            f'    "latest_date": "{iso(latest)}",\n'
+            f'    "member_citations": {listed},\n'
+            f'    "representative_date": "{iso(representative)}",\n'
+            f'    "techniques": {strings(techniques)}\n  }}'
+        )
+    records = ",\n".join(records)
     return f"[\n{records}\n]\n" if sets else "[]\n"
 
 

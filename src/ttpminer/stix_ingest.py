@@ -35,6 +35,13 @@ _CATALOG_SOURCES = frozenset({"mitre-attack", "mitre-mobile-attack", "mitre-ics-
 def normalize_citation_url(url: str) -> str:
     """Citation identity: lowercased scheme/host, no fragment, no trailing /."""
     parts = urlsplit(url.strip())
+    if "[" in parts.netloc:  # check a bracketed host as urlsplit does from CPython 3.11 on, so 3.10 agrees
+        import ipaddress
+        host = parts.netloc.partition("[")[2].partition("]")[0]
+        if host.startswith("v") and not re.fullmatch(r"v[a-fA-F0-9]+\..+", host):
+            raise ValueError("IPvFuture address is invalid")
+        if not host.startswith("v") and isinstance(ipaddress.ip_address(host), ipaddress.IPv4Address):
+            raise ValueError("An IPv4 address cannot be in brackets")
     path = parts.path.rstrip("/")
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), path, parts.query, ""))
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import signal
 from datetime import date
 from pathlib import Path
 
@@ -11,6 +12,30 @@ import pytest
 from ttpminer.corpus_builder import TechniqueSet
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# The slowest test takes about 6 s; a fault that loops forever fails its test
+# at this limit instead of hanging the run.
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, so hypothesis does not catch it and replay the hanging example."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Arms SIGALRM (POSIX, main thread) around each test and its function-scoped fixtures."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # --- STIX object builders -------------------------------------------------
@@ -110,18 +135,21 @@ def bundle_bytes(objects: list[dict], spec_version: str = "2.1") -> bytes:
 
 def edit_pair_rows(path: Path, edit: str) -> tuple[str, str]:
     """Rewrite the recurring pairs table ``path`` (CSV or JSON) as no ``mine`` writes it:
-    ``"reverse"`` swaps tech_a and tech_b in row 0, ``"repeat"`` inserts a copy of row 1
-    as row 2. Returns the edited pair's (tech_a, tech_b) as ``mine`` wrote it."""
+    ``"reverse"`` swaps tech_a and tech_b in row 0, ``"self"`` sets row 0's tech_b to its
+    tech_a, ``"repeat"`` inserts a copy of row 1 as row 2. Returns the edited pair's
+    (tech_a, tech_b) as ``mine`` wrote it."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
         rows, a, b = json.loads(text), "tech_a", "tech_b"
     else:
         header, *rows = csv.reader(io.StringIO(text))
         a, b = header.index("tech_a"), header.index("tech_b")
-    row = rows[0] if edit == "reverse" else rows[1]
+    row = rows[1] if edit == "repeat" else rows[0]
     key = row[a], row[b]
     if edit == "reverse":
         row[a], row[b] = row[b], row[a]
+    elif edit == "self":
+        row[b] = row[a]
     else:
         rows.insert(2, row)
     if path.suffix == ".json":

@@ -55,13 +55,16 @@ def test_read_pairs_missing_columns(tmp_path):
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
-@pytest.mark.parametrize("edit", ["reverse", "repeat"])
-def test_read_pairs_rejects_a_reversed_or_repeated_row(tmp_path, sample_pairs, suffix, edit):
+@pytest.mark.parametrize("edit", ["reverse", "self", "repeat"])
+def test_read_pairs_rejects_a_reversed_self_or_repeated_row(tmp_path, sample_pairs, suffix, edit):
     path = tmp_path / f"pairs{suffix}"
     write_pairs(path, sample_pairs)
     a, b = edit_pair_rows(path, edit)
-    problem = f"row 0: tech_a {b!r} must sort before tech_b {a!r}" if edit == "reverse" else \
-        f"row 2: repeats the pair ({a}, {b})"
+    problem = {
+        "reverse": f"row 0: tech_a {b!r} must sort before tech_b {a!r}",
+        "self": f"row 0: tech_a {a!r} must sort before tech_b {a!r}",  # a self-pair (T1, T1)
+        "repeat": f"row 2: repeats the pair ({a}, {b})",
+    }[edit]
     with pytest.raises(ArtifactError, match=f"^{re.escape(f'{path} {problem}')}$"):
         read_pairs(path)
 

@@ -506,8 +506,8 @@ class TestManifestBoundary:
 
 
 class TestWindowedDuplicateSearch:
-    """corpus searches only the gaps that can merge or be sampled; its sample
-    template and corpus equal those of the unbounded search."""
+    """corpus searches only the gaps that can be sampled, the first n-buckets
+    months; its sample template and corpus equal those of the unbounded search."""
 
     @staticmethod
     def spread_manifest(path):
@@ -546,7 +546,7 @@ class TestWindowedDuplicateSearch:
             (("--n-buckets", "2"), 60),
             (("--n-buckets", "5"), 150),
             (("--elbow-labels", E2E / "elbow_labels.csv"), 150),  # tau 2, five buckets
-            (("--elbow-labels", E2E / "elbow_labels.csv", "--n-buckets", "1"), 60),
+            (("--elbow-labels", E2E / "elbow_labels.csv", "--n-buckets", "1"), 30),  # tau 2 merges wider
         ],
     )
     def test_outputs_equal_the_unbounded_search(self, tmp_path, monkeypatch, manifest, flags, window):
@@ -660,6 +660,10 @@ class TestBoundary:
         assert str(raised.value) == needle
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [("--tau", "1"), ("--trend-years", "2")])
+    def test_least_value_in_range_runs(self, tmp_path, flag, value):
+        assert run_cli("all", "--config", E2E / "config.cfg", flag, value, "--output-dir", tmp_path) == 0
+
     def test_one_year_corpus_names_the_years_trend_years_and_its_source(self, tmp_path, caplog):
         """Every included date in 2020: ``all`` names the manifest, ``prevalence`` alone corpus.json."""
         records = json.loads((E2E / "manifest.json").read_text(encoding="utf-8"))
@@ -677,6 +681,18 @@ class TestBoundary:
         caplog.clear()
         assert run_cli("prevalence", *common) == 1
         assert f"{out / 'corpus.json'}: {problem}" in caplog.text
+
+    def test_two_year_corpus_passes_the_prevalence_stage(self, tmp_path):
+        """Every included date in 2016 or 2020: the trend window holds two years, which is enough."""
+        records = json.loads((E2E / "manifest.json").read_text(encoding="utf-8"))
+        for record in records:
+            if record.get("published"):
+                record["published"] = ("2016" if record["published"] < "2021" else "2020") + record["published"][4:]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(records), encoding="utf-8")
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path / "out")
+        assert run_cli("all", *common, "--manifest", manifest) == 0
+        assert run_cli("prevalence", *common) == 0
 
 
     def test_short_trend_window_is_reported_once(self, tmp_path, caplog):
@@ -854,6 +870,10 @@ class TestUpstreamArtifactBoundary:
                                           ("eval", "prevalent_techniques.json"),
                                           ("eval", "recurring_pairs.json")]
             ),
+            *(
+                pytest.param("eval", table, top, "malformed (must be an array of objects)", id=f"{table}-{top}")
+                for table in ("recurring_pairs.json", "prevalent_techniques.json") for top in ("7", "null")
+            ),
             ("mine", "corpus.json",
              '[{"attack_id": "x", "member_citations": ["a"], "techniques": "T1059", '
              '"representative_date": "2020-01-01", "latest_date": "2020-01-01"}]',
@@ -902,6 +922,17 @@ class TestUpstreamArtifactBoundary:
         assert caplog.text.count(str(path)) == 1
         assert f"; re-run `ttpminer {WRITER[path.stem]}`" in caplog.text
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("command", ["prevalence", "mine"])
+    def test_corpus_with_a_two_technique_set_is_read(self, tmp_path, command):
+        common = ("--config", E2E / "config.cfg", "--output-dir", tmp_path)
+        assert run_cli("all", *common) == 0
+        path = tmp_path / "corpus.json"
+        corpus = json.loads(path.read_text(encoding="utf-8"))
+        corpus.append({"attack_id": "zz", "member_citations": ["zz"], "techniques": ["T1001", "T1005"],
+                       "representative_date": "2022-06-01", "latest_date": "2022-06-01"})
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        assert run_cli(command, *common) == 0
 
     @pytest.mark.parametrize(
         "command, artifact, field, value, needle",

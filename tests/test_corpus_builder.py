@@ -19,6 +19,7 @@ from ttpminer.corpus_builder import (
     TechniqueSet,
     corpus_from_json,
     corpus_to_json,
+    date_neighbour_links,
     estimate_tau,
     find_candidate_pairs,
     included_records,
@@ -621,6 +622,63 @@ def test_merge_equals_components_by_search(reports, edges, tau):
     assert merge_duplicates(records, pairs, tau) == expected
 
 
+class TestDateNeighbourLinks:
+    def test_each_report_links_to_its_predecessor_within_tau(self):
+        records = [
+            record("c", "2020-03-02", ["T1", "T2"], attribution=["G1"]),  # 31 days after b
+            record("a", "2020-01-01", ["T1", "T2"], attribution=["G1"]),
+            record("b", "2020-01-31", ["T1", "T2"], attribution=["G1", "S1"]),
+            record("d", "2020-01-31", ["T1", "T2"], attribution=["S1"]),  # same day: by key, after b
+        ]
+        assert sorted(date_neighbour_links(records, 1)) == [
+            DuplicateCandidatePair("a", "b", 30), DuplicateCandidatePair("b", "d", 0)
+        ]
+        assert {p.key for p in date_neighbour_links(records, 2)} == {"a||b", "b||c", "b||d"}
+
+    def test_an_excluded_report_does_not_bridge(self):
+        records = [
+            record("a", "2020-01-01", ["T1", "T2"], attribution=["G1"]),
+            record("x", "2020-02-15", [], attribution=["G1"], include=False, reason="inaccessible"),
+            record("b", "2020-03-30", ["T1", "T2"], attribution=["G1"]),  # 89 days after a
+        ]
+        assert date_neighbour_links(records, 2) == []
+        assert len(merge_duplicates(records, date_neighbour_links(records, 3), 3)) == 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    reports=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=200),  # day offsets: equal dates are common
+            st.sets(st.sampled_from(["G1", "G2", "S1", "S2"]), max_size=3),
+            st.booleans(),  # included
+        ),
+        max_size=25,
+    ),
+    tau=st.integers(min_value=1, max_value=5),
+    order=st.randoms(use_true_random=False),
+)
+def test_neighbour_links_merge_as_every_candidate_pair(reports, tau, order):
+    start = date(2020, 1, 1)
+    records = [
+        record(f"r{i:02d}", (start + timedelta(days=day)).isoformat(), ["T1", f"T{i % 6 + 2}"],
+               attribution=attributed, include=included, reason=None if included else "inaccessible")
+        for i, (day, attributed, included) in enumerate(reports)
+    ]
+    order.shuffle(records)
+    merged = merge_duplicates(records, date_neighbour_links(records, tau), tau)
+    assert merged == merge_duplicates(records, find_candidate_pairs(records), tau)
+    by_key = {r.citation_key: r for r in records if r.include}
+    duplicates = [
+        (x.citation_key, y.citation_key)
+        for x in by_key.values()
+        for y in by_key.values()
+        if x.attribution & y.attribution and abs((x.published - y.published).days) <= tau * 30
+    ]
+    components = oracles.components_by_search(by_key, duplicates)
+    assert sorted(map(sorted, (ts.member_citations for ts in merged))) == sorted(map(sorted, components))
+
+
 class TestStats:
     """The corpus stage logs the technique-sets' total and distinct technique mentions."""
 
@@ -694,6 +752,12 @@ TECHNIQUE_SETS = st.builds(
             date(1, 1, 1),
             date(9999, 12, 31),
         )
+    ]
+)
+@example(  # a set of one citation, its attack_id or another, and a date shared across sets
+    [
+        TechniqueSet('r"1', frozenset({'r"1'}), frozenset({"T1"}), date(2020, 1, 1), date(2020, 1, 1)),
+        TechniqueSet("r2", frozenset({"r3"}), frozenset({"T1"}), date(2020, 1, 1), date(2021, 1, 1)),
     ]
 )
 def test_corpus_writer_matches_the_general_encoder(sets):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, bundle_bytes, stix_tactic, stix_technique
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
@@ -54,17 +54,44 @@ def _artifacts(executable: str, out: Path, output_format: str) -> dict[str, byte
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-def test_artifacts_are_the_same_bytes_on_every_python(tmp_path):
+def _ran() -> dict[str, str]:
+    """The interpreter found for each version that has one; skips the test if none has."""
     pyenv_root = _pyenv_root()
     found = {version: _interpreter(version, pyenv_root) for version in VERSIONS}
-    ran = [version for version, executable in found.items() if executable is not None]
-    print(f"ran: {', '.join(f'{v} ({found[v]})' for v in ran) or 'none'}; "
-          f"skipped: {', '.join(sorted(found.keys() - ran)) or 'none'}")
+    ran = {version: executable for version, executable in found.items() if executable is not None}
+    print(f"ran: {', '.join(f'{v} ({e})' for v, e in ran.items()) or 'none'}; "
+          f"skipped: {', '.join(sorted(found.keys() - ran.keys())) or 'none'}")
     if not ran:
         pytest.skip("no python3.10 ... python3.13 on PATH starts")
+    return ran
+
+
+def test_artifacts_are_the_same_bytes_on_every_python(tmp_path):
+    ran = _ran()
     for output_format in ("csv", "json"):
         expected = _artifacts(sys.executable, tmp_path / f"self-{output_format}", output_format)
         assert "recurring_pairs." + output_format in expected
-        for version in ran:
-            actual = _artifacts(found[version], tmp_path / f"{version}-{output_format}", output_format)
+        for version, executable in ran.items():
+            actual = _artifacts(executable, tmp_path / f"{version}-{output_format}", output_format)
             assert actual == expected, f"python{version} --format {output_format}"
+
+
+# urlsplit checks a bracketed host from CPython 3.11 on; 3.10 took any text there, so
+# ttpminer checks it the same way on every version.
+@pytest.mark.parametrize("url, problem", [
+    ("http://[abc]/x", "'abc' does not appear to be an IPv4 or IPv6 address"),
+    ("http://[1.2.3.4]/x", "An IPv4 address cannot be in brackets"),
+    ("http://[vz.1]/x", "IPvFuture address is invalid"),
+])
+def test_a_bad_bracketed_host_exits_1_on_every_python(tmp_path, url, problem):
+    ran = _ran()
+    technique = stix_technique("T1001", "Payload Execution", ["execution"], citations=[("Vendor", url)])
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(bundle_bytes([stix_tactic("TA0002", "Execution", "execution"), technique]))
+    message = f"{bundle}: {technique['id']} external_references[1]: url {url!r} is not a URL ({problem})"
+    for version, executable in {"self": sys.executable, **ran}.items():
+        done = subprocess.run(
+            [executable, "-S", "-m", "ttpminer", "ingest", "--bundle", str(bundle), "--output-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr.strip()) == (1, f"ERROR ttpminer.cli: {message}"), f"python{version}"
