@@ -35,9 +35,5 @@ class ParameterError(TTPMinerError):
     """An unknown command, or elbow labels with no detectable elbow; ``cli.run`` checks every other setting."""
 
 
-class UndefinedMeasureError(TTPMinerError):
-    """A statistic is undefined for the given table (degenerate marginal)."""
-
-
 class ConfigError(TTPMinerError):
     """Pipeline configuration file is malformed or out of range."""

@@ -3,8 +3,9 @@
 Rules here are single-antecedent/single-consequent, so mining reduces to
 scoring unordered technique pairs: support and both directional confidences,
 then the phi correlation coefficient and a chi-square significance test on
-the pair's 2x2 contingency table. Pairs passing the phi and significance
-thresholds are the recurring pairs.
+the pair's 2x2 contingency table. Every measure is computed from the pair's
+four counts: co-occurrences, each technique's count and the number of sets.
+Pairs passing the phi and significance thresholds are the recurring pairs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from typing import AbstractSet, Mapping, NamedTuple, Sequence
-
-from .errors import UndefinedMeasureError
 
 # phi thresholds for the correlation-strength buckets; weak starts at the
 # mining threshold itself.
@@ -99,38 +98,29 @@ def mine_pairs(corpus: Itemsets, min_support: float) -> list[CandidatePair]:
     return pairs
 
 
-def _marginals(n11: int, n10: int, n01: int, n00: int) -> tuple[int, int, int, int]:
-    """(row A present, row A absent, col B present, col B absent) of a 2x2 table
-    with these cells; a zero one leaves phi and chi-square undefined."""
-    marginals = (n11 + n10, n01 + n00, n11 + n01, n10 + n00)
-    if 0 in marginals:
-        raise UndefinedMeasureError(f"degenerate marginal in table ({n11},{n10},{n01},{n00})")
-    return marginals
+def phi(co: int, count_a: int, count_b: int, n: int) -> float:
+    """Phi correlation coefficient of a pair seen together in ``co`` of ``n`` sets,
+    its techniques in ``count_a`` and ``count_b`` of them.
 
-
-def phi(n11: int, n10: int, n01: int, n00: int) -> float:
-    """Phi correlation coefficient of the 2x2 table with these cells.
-
-    The numerator n11*n00 - n10*n01 is computed in integer arithmetic, so
-    exact independence yields exactly 0.0.
+    The numerator co*n - count_a*count_b (n11*n00 - n10*n01 of the pair's 2x2
+    table) is computed in integer arithmetic, so exact independence yields
+    exactly 0.0. A technique in every set or in none divides by zero.
     """
-    a_present, a_absent, b_present, b_absent = _marginals(n11, n10, n01, n00)
-    return (n11 * n00 - n10 * n01) / math.sqrt(a_present * a_absent * b_present * b_absent)
+    return (co * n - count_a * count_b) / math.sqrt(count_a * (n - count_a) * count_b * (n - count_b))
 
 
-def chi_square(n11: int, n10: int, n01: int, n00: int, yates: bool = False) -> tuple[float, float]:
-    """Pearson chi-square statistic (1 dof) and its upper-tail p-value.
+def chi_square(co: int, count_a: int, count_b: int, n: int, yates: bool = False) -> tuple[float, float]:
+    """Pearson chi-square statistic (1 dof) and its upper-tail p-value for the
+    same counts as ``phi``, with the same zero division.
 
     Without the Yates continuity correction the statistic equals n * phi**2.
     """
-    a_present, a_absent, b_present, b_absent = _marginals(n11, n10, n01, n00)
-    n = n11 + n10 + n01 + n00
-    observed = (n11, n10, n01, n00)
+    observed = (co, count_a - co, count_b - co, n - count_a - count_b + co)
     expected = (
-        a_present * b_present / n,
-        a_present * b_absent / n,
-        a_absent * b_present / n,
-        a_absent * b_absent / n,
+        count_a * count_b / n,
+        count_a * (n - count_b) / n,
+        (n - count_a) * count_b / n,
+        (n - count_a) * (n - count_b) / n,
     )
     correction = 0.5 if yates else 0.0
     statistic = 0.0
@@ -158,19 +148,18 @@ def filter_pairs(
     with its ``labels`` (relation names keyed by (tech_a, tech_b)).
 
     A pair with a degenerate marginal (a technique present in every set or in
-    none) has no phi and is dropped. The canonical direction is the orientation
-    with the higher confidence, ties broken by technique id order.
+    none) has no phi and is dropped before it is scored. The canonical direction
+    is the orientation with the higher confidence, ties broken by technique id order.
     """
     kept = []
     for candidate in candidates:
         co, count_a, count_b, n = candidate.cooccurrences, candidate.count_a, candidate.count_b, candidate.n
-        if count_a in (0, n) or count_b in (0, n):  # a zero marginal: phi(*cells) would raise
+        if count_a in (0, n) or count_b in (0, n):  # a zero marginal: phi would divide by zero
             continue
-        cells = (co, count_a - co, count_b - co, n - count_a - count_b + co)  # the pair's 2x2 table
-        phi_value = phi(*cells)
+        phi_value = phi(co, count_a, count_b, n)
         if phi_value < phi_min:  # most candidates stop here, before the chi-square test
             continue
-        statistic, p_value = chi_square(*cells, yates=yates)
+        statistic, p_value = chi_square(co, count_a, count_b, n, yates=yates)
         if p_value >= alpha:
             continue
         conf_ab, conf_ba = candidate.confidence_ab, candidate.confidence_ba

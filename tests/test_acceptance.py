@@ -126,7 +126,7 @@ def test_criterion_4_phi_property_suite():
         n11 = a * b // n
         if any(m <= 0 for m in (a, n - a, b, n - b)):  # the table's marginals
             continue
-        assert phi(n11, a - n11, b - n11, n - a - b + n11) == 0.0
+        assert phi(n11, a, b, n) == 0.0
         checked += 1
 
     for _ in range(250):  # Property 2: monotone in n11 at fixed marginals
@@ -135,7 +135,7 @@ def test_criterion_4_phi_property_suite():
         values = []
         for n11 in range(max(0, a + b - n), min(a, b) + 1):
             if not any(m == 0 for m in (a, n - a, b, n - b)):
-                values.append(phi(n11, a - n11, b - n11, n - a - b + n11))
+                values.append(phi(n11, a, b, n))
         for earlier, later in zip(values, values[1:]):
             assert later > earlier
 
@@ -146,14 +146,15 @@ def test_criterion_4_phi_property_suite():
         values = []
         for b in range(n11, n - a + n11 + 1):
             if not any(m == 0 for m in (a, n - a, b, n - b)):
-                values.append(phi(n11, a - n11, b - n11, n - a - b + n11))
+                values.append(phi(n11, a, b, n))
         for earlier, later in zip(values, values[1:]):
             assert later < earlier
 
     for _ in range(1000):  # chi-square identity on random feasible tables
-        table = [rng.randint(1, 50) for _ in range(4)]
-        statistic, _ = chi_square(*table)
-        assert close(statistic, sum(table) * phi(*table) ** 2)
+        n11, n10, n01, n00 = (rng.randint(1, 50) for _ in range(4))
+        counts = (n11, n11 + n10, n11 + n01, n11 + n10 + n01 + n00)
+        statistic, _ = chi_square(*counts)
+        assert close(statistic, counts[3] * phi(*counts) ** 2)
     report(4, "Properties 1-3 plus chi2 = n*phi^2 (<=1e-9 rel) on randomized tables")
 
 

@@ -301,6 +301,21 @@ class TestPipeline:
             "1 (2 pairs), 2 (2 pairs), 3 (0 pairs), 4 (0 pairs), 5 (0 pairs)"
         ]
 
+    def test_sample_bucket_holding_sample_size_pairs_is_not_listed(self, tmp_path, caplog):
+        """Buckets 1 and 2 hold exactly --sample-size 2 pairs, so only the empty ones are short."""
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--bundle", E2E / "bundle.json", "--output-dir", out) == 0
+        caplog.clear()
+        code = run_cli(
+            "corpus", "--manifest", E2E / "manifest.json", "--sample-pairs", tmp_path / "t.csv",
+            "--sample-size", "2", "--output-dir", out,
+        )
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "month buckets holding fewer than --sample-size 2 pairs, emitted whole: "
+            "3 (0 pairs), 4 (0 pairs), 5 (0 pairs)"
+        ]
+
     def test_io_error_exits_2(self, tmp_path, caplog):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied", encoding="utf-8")
@@ -706,6 +721,14 @@ class TestBoundary:
         ]
         with open(out / "prevalence_matrix.csv", newline="") as handle:
             assert {row["trend"] for row in csv.DictReader(handle) if int(row["count"])} == {"no_trend"}
+
+    def test_four_year_trend_window_is_not_reported(self, tmp_path, caplog):
+        """A four-year window holds as many points as a trend call needs: no warning."""
+        with caplog.at_level("WARNING"):
+            code = run_cli("all", "--config", E2E / "config.cfg", "--output-dir", tmp_path / "out",
+                           "--trend-years", "4")
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
 
 
 class TestAnnotationRows:

@@ -682,13 +682,14 @@ def test_neighbour_links_merge_as_every_candidate_pair(reports, tau, order):
 class TestStats:
     """The corpus stage logs the technique-sets' total and distinct technique mentions."""
 
-    def corpus_line(self, tmp_path, caplog, technique_ids) -> str:
+    def corpus_line(self, tmp_path, caplog, technique_ids, attributions=None) -> str:
         from ttpminer.cli import main
 
         from .conftest import FIXTURES
 
-        manifest = write_manifest(tmp_path, [manifest_entry(f"r{i}", "2020-01-01", ids)
-                                             for i, ids in enumerate(technique_ids)])
+        attributions = attributions or [()] * len(technique_ids)
+        manifest = write_manifest(tmp_path, [manifest_entry(f"r{i}", "2020-01-01", ids, attribution)
+                                             for i, (ids, attribution) in enumerate(zip(technique_ids, attributions))])
         out = str(tmp_path / "out")
         with caplog.at_level("INFO"):
             assert main(["ingest", "--bundle", str(FIXTURES / "e2e" / "bundle.json"), "--output-dir", out]) == 0
@@ -702,6 +703,12 @@ class TestStats:
     def test_single_set(self, tmp_path, caplog):
         line = self.corpus_line(tmp_path, caplog, [["T1001", "T1002", "T1003"]])
         assert line == "corpus: 1 included citations -> 1 technique-sets (0 merged), 3 mentions, 3 distinct techniques"
+
+    def test_two_reports_merged_into_one_set(self, tmp_path, caplog):
+        """Two reports of one group on one day are one set of two members; the third stays alone."""
+        line = self.corpus_line(tmp_path, caplog, [["T1001", "T1002"], ["T1002", "T1003"], ["T1001", "T1003"]],
+                                attributions=[["G1"], ["G1"], []])
+        assert line == "corpus: 3 included citations -> 2 technique-sets (1 merged), 5 mentions, 3 distinct techniques"
 
 
 @settings(derandomize=True, max_examples=300)

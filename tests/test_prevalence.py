@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttpminer.prevalence import (
+    DECREASING,
     HIGH,
     INCREASING,
     LOW,
@@ -135,11 +136,22 @@ class TestMannKendall:
         assert result.classification == NO_TREND
 
     def test_short_series_reports_no_trend_without_logging(self, caplog):
-        """The prevalence stage reports a short window once per run; the kernel stays silent."""
+        """The prevalence stage reports a short window once per run; the kernel stays silent.
+        Three points make no trend call, though their p ~ 0.296 is below alpha = 0.5."""
         with caplog.at_level("DEBUG"):
-            result = mann_kendall(series([0.1, 0.2, 0.3]))
+            result = mann_kendall(series([0.1, 0.2, 0.3]), alpha=0.5)
+        assert result.p_value < 0.5
         assert result.classification == NO_TREND
         assert caplog.records == []
+
+    @pytest.mark.parametrize(
+        "values, expected", [([0.1, 0.2, 0.3, 0.4], INCREASING), ([0.4, 0.3, 0.2, 0.1], DECREASING)]
+    )
+    def test_four_points_are_enough_for_a_trend_call(self, values, expected):
+        """A strictly monotone series of MIN_TREND_POINTS = 4 years: S = +-6, p ~ 0.089."""
+        result = mann_kendall(series(values), alpha=0.1)
+        assert result.p_value == pytest.approx(0.0894, abs=1e-4)
+        assert result.classification == expected
 
     def test_s_matches_bruteforce_enumeration(self):
         for values in product((0, 1, 2), repeat=5):

@@ -2,13 +2,11 @@ from __future__ import annotations
 
 import math
 import random
-import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ttpminer.errors import UndefinedMeasureError
 from ttpminer.rule_miner import (
     CandidatePair,
     chi_square,
@@ -101,67 +99,64 @@ def test_kernel_matches_pair_enumeration(case):
     assert mined == oracles.enumerate_pair_counts(corpus, min_support)
 
 
+def counts(n11, n10, n01, n00):
+    """(co, count_a, count_b, n) of the 2x2 table with these cells."""
+    return n11, n11 + n10, n11 + n01, n11 + n10 + n01 + n00
+
+
 class TestPhi:
     def test_independent_table_is_exactly_zero(self):
-        assert phi(25, 25, 25, 25) == 0.0
+        assert phi(25, 50, 50, 100) == 0.0
 
     def test_perfect_association(self):
-        assert phi(50, 0, 0, 50) == 1.0
+        assert phi(50, 50, 50, 100) == 1.0
 
     def test_worked_example_value(self):
-        assert phi(2, 1, 0, 1) == pytest.approx(2 / math.sqrt(12))
+        assert phi(2, 3, 2, 4) == pytest.approx(2 / math.sqrt(12))
 
-    @pytest.mark.parametrize(
-        "table",
-        [
-            (0, 0, 5, 5),
-            (5, 5, 0, 0),
-            (0, 5, 0, 5),
-            (5, 0, 5, 0),
-        ],
-    )
+    # A in none, A in every set, B in none, B in every set: filter_pairs drops these first
+    @pytest.mark.parametrize("table", [counts(0, 0, 5, 5), counts(5, 5, 0, 0), counts(0, 5, 0, 5), counts(5, 0, 5, 0)])
     def test_zero_marginal_is_undefined(self, table):
-        message = re.escape("degenerate marginal in table ({},{},{},{})".format(*table))
-        with pytest.raises(UndefinedMeasureError, match=message):
+        with pytest.raises(ZeroDivisionError):
             phi(*table)
-        with pytest.raises(UndefinedMeasureError, match=message):
-            chi_square(*table)
+        for yates in (False, True):
+            with pytest.raises(ZeroDivisionError):
+                chi_square(*table, yates=yates)
 
     def test_symmetry_under_transpose(self):
         rng = random.Random(2)
         for _ in range(50):
-            n11, n10, n01, n00 = (rng.randint(1, 20) for _ in range(4))
-            transposed = (n11, n01, n10, n00)
-            assert phi(n11, n10, n01, n00) == pytest.approx(phi(*transposed), rel=1e-12)
-            assert chi_square(n11, n10, n01, n00)[0] == pytest.approx(chi_square(*transposed)[0], rel=1e-12)
+            co, a, b, n = counts(*(rng.randint(1, 20) for _ in range(4)))
+            assert phi(co, a, b, n) == pytest.approx(phi(co, b, a, n), rel=1e-12)
+            assert chi_square(co, a, b, n)[0] == pytest.approx(chi_square(co, b, a, n)[0], rel=1e-12)
 
 
 class TestChiSquare:
     def test_independent_table(self):
-        statistic, p = chi_square(25, 25, 25, 25)
+        statistic, p = chi_square(25, 50, 50, 100)
         assert statistic == 0.0
         assert p == 1.0
 
     def test_worked_example_statistic(self):
-        statistic, _ = chi_square(2, 1, 0, 1)
+        statistic, _ = chi_square(2, 3, 2, 4)
         assert statistic == pytest.approx(4 * (2 / math.sqrt(12)) ** 2, rel=1e-9)
 
     def test_perfect_table(self):
-        statistic, p = chi_square(50, 0, 0, 50)
+        statistic, p = chi_square(50, 50, 50, 100)
         assert statistic == pytest.approx(100.0, rel=1e-12)
         assert p < 1e-20
 
     def test_identity_n_phi_squared(self):
         rng = random.Random(5)
         for _ in range(200):
-            table = tuple(rng.randint(1, 40) for _ in range(4))
-            statistic, p = chi_square(*table)
-            assert statistic == pytest.approx(sum(table) * phi(*table) ** 2, rel=1e-9)
+            co, a, b, n = counts(*(rng.randint(1, 40) for _ in range(4)))
+            statistic, p = chi_square(co, a, b, n)
+            assert statistic == pytest.approx(n * phi(co, a, b, n) ** 2, rel=1e-9)
             assert p == pytest.approx(oracles.chi2_sf_1dof(statistic), rel=1e-9)
 
     def test_yates_correction_shrinks_statistic(self):
-        plain, _ = chi_square(12, 3, 4, 11)
-        corrected, _ = chi_square(12, 3, 4, 11, yates=True)
+        plain, _ = chi_square(12, 15, 16, 30)
+        corrected, _ = chi_square(12, 15, 16, 30, yates=True)
         assert corrected < plain
 
     def test_matches_scipy_contingency(self):
@@ -172,10 +167,32 @@ class TestChiSquare:
             n11, n10, n01, n00 = (rng.randint(1, 30) for _ in range(4))
             observed = [[n11, n10], [n01, n00]]
             for yates in (False, True):
-                statistic, p = chi_square(n11, n10, n01, n00, yates=yates)
+                statistic, p = chi_square(*counts(n11, n10, n01, n00), yates=yates)
                 reference = chi2_contingency(observed, correction=yates)
                 assert statistic == pytest.approx(reference.statistic, rel=1e-9)
                 assert p == pytest.approx(reference.pvalue, rel=1e-9)
+
+
+@st.composite
+def pair_counts(draw):
+    """(co, count_a, count_b, n) of a non-degenerate table: each technique in some sets
+    but not all, co any count their overlap allows."""
+    n = draw(st.integers(2, 10**5))
+    count_a, count_b = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    return draw(st.integers(max(0, count_a + count_b - n), min(count_a, count_b))), count_a, count_b, n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pair_counts(), st.booleans())
+@example((25, 50, 50, 100), False)  # exact independence
+@example((50, 50, 50, 100), True)  # perfect association
+@example((1, 1, 1, 2), True)  # every |O - E| is 0.5: Yates cuts the statistic to 0
+def test_measures_from_counts_equal_the_cell_oracles(table, yates):
+    co, count_a, count_b, n = table
+    cells = (co, count_a - co, count_b - co, n - count_a - count_b + co)
+    statistic = oracles.pearson_chi2(*cells, yates=yates)
+    assert phi(co, count_a, count_b, n) == oracles.phi_from_cells(*cells)
+    assert chi_square(co, count_a, count_b, n, yates=yates) == (statistic, oracles.chi2_sf_1dof(statistic))
 
 
 class TestStrength:
@@ -197,14 +214,7 @@ class TestStrength:
 
 
 def candidate(n11, n10, n01, n00, a="A", b="B"):
-    return CandidatePair(
-        tech_a=a,
-        tech_b=b,
-        cooccurrences=n11,
-        count_a=n11 + n10,
-        count_b=n11 + n01,
-        n=n11 + n10 + n01 + n00,
-    )
+    return CandidatePair(a, b, *counts(n11, n10, n01, n00))
 
 
 class TestFilterPairs:
@@ -228,8 +238,6 @@ class TestFilterPairs:
     # A in every set, A in none, B in every set, B in none: each has no phi
     @pytest.mark.parametrize("table", [(5, 5, 0, 0), (0, 0, 5, 5), (5, 0, 5, 0), (0, 5, 0, 5)])
     def test_degenerate_marginal_dropped(self, table):
-        with pytest.raises(UndefinedMeasureError):
-            phi(*table)
         assert filter_pairs([candidate(*table)], phi_min=0.0, alpha=0.999) == []
 
     def test_direction_is_higher_confidence_orientation(self):
@@ -310,10 +318,7 @@ class TestPiatetskyProperties:
             if (a * b) % n != 0:
                 continue
             n11 = a * b // n
-            table = (n11, a - n11, b - n11, n - a - b + n11)
-            if any(m <= 0 for m in marginals(*table)):
-                continue
-            assert phi(*table) == 0.0
+            assert phi(n11, a, b, n) == 0.0
             found += 1
 
     def test_property_2_increasing_in_joint_count(self):
@@ -324,12 +329,7 @@ class TestPiatetskyProperties:
             b = rng.randint(1, n - 1)
             lo = max(0, a + b - n)
             hi = min(a, b)
-            values = []
-            for n11 in range(lo, hi + 1):
-                table = (n11, a - n11, b - n11, n - a - b + n11)
-                if any(m == 0 for m in marginals(*table)):
-                    continue
-                values.append(phi(*table))
+            values = [phi(n11, a, b, n) for n11 in range(lo, hi + 1)]
             for earlier, later in zip(values, values[1:]):
                 assert later > earlier
 
@@ -339,12 +339,7 @@ class TestPiatetskyProperties:
             n = rng.randint(8, 60)
             n11 = rng.randint(1, n // 2)
             a = rng.randint(n11, n - 1)
-            values = []
-            for b in range(n11, n - a + n11 + 1):
-                table = (n11, a - n11, b - n11, n - a - b + n11)
-                if any(m == 0 for m in marginals(*table)):
-                    continue
-                values.append(phi(*table))
+            values = [phi(n11, a, b, n) for b in range(n11, n - a + n11 + 1) if b < n]  # B in every set: no phi
             for earlier, later in zip(values, values[1:]):
                 assert later < earlier
 
