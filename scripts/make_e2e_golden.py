@@ -14,18 +14,30 @@ directory under tests/fixtures/e2e/golden/<run>/:
 
 Each command runs from the repository root with the config path relative to
 it, so the input paths that run_manifest.json records are the same on every
-checkout. A change meant to alter an output regenerates these files and shows
-the diff in review:
+checkout.
+
+``bench_tiny.json`` holds the SHA-256 of each artifact of ``all`` on the three
+benchmark workloads, generated by ``bench/gen.py`` at the small scales of
+``bench/test_bench.py`` (``TINY``) with seed 3. The ``paper_scale`` catalog
+comes from an ATT&CK-shaped bundle of 870 KB, which the e2e fixture does not
+reach. Each run starts in its workload's directory with relative paths, so
+its run_manifest.json is the same on every checkout and is pinned too.
+
+A change meant to alter an output regenerates these files and shows the diff
+in review:
 
     python3 scripts/make_e2e_golden.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +55,27 @@ RUNS = {
     "graph": [["all"], ["graph", "--relation", "follow", "--dot", DOT, "--top-k", "3"]],
 }
 
+DIGESTS = "bench_tiny.json"
+TINY = {"paper_scale": 0.1, "dedup_heavy": 0.01, "pair_dense_stagewise": 0.01}  # bench/test_bench.py's
+TINY_SEED = 3
+
+
+def tiny_digests(env: dict) -> dict[str, dict[str, str]]:
+    """{workload: {artifact: SHA-256}} of ``all`` on each benchmark workload at its ``TINY`` scale."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import gen
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, scale in TINY.items():
+            work = Path(tmp) / workload
+            gen.generate(workload, TINY_SEED, work / "inputs", scale)
+            subprocess.run([sys.executable, "-m", "ttpminer", "all", "--config", "inputs/config.cfg",
+                            "--output-dir", "art"], cwd=work, env=env, check=True, capture_output=True)
+            digests[workload] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                                 for path in sorted((work / "art").iterdir())}
+    return digests
+
 
 def main() -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -58,6 +91,8 @@ def main() -> None:
                                      capture_output=True).stdout
         if stdout:
             (out / STDOUT).write_bytes(stdout)
+    digests = json.dumps(tiny_digests(env), indent=2, sort_keys=True)
+    (OUT_DIR / DIGESTS).write_text(digests + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

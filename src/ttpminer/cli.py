@@ -21,7 +21,7 @@ import sys
 from functools import cached_property
 from importlib import import_module
 from pathlib import Path
-from typing import NamedTuple, get_args, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 from . import __version__
 from .errors import AnnotationError, ArtifactError, ConfigError, ManifestError, ParameterError, TTPMinerError
@@ -84,6 +84,22 @@ def _value_types() -> dict[str, type]:
     }
 
 
+def _plain(kind: type) -> Callable[[str], int | float]:
+    """``kind`` read only from an ASCII literal without ``_``: ``int`` and ``float``
+    also take digit-group underscores and any Unicode digit (``1_2``, ``٣``)."""
+
+    def read(text: str) -> int | float:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    read.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names it
+    return read
+
+
+NUMBERS = {int: _plain(int), float: _plain(float)}  # a config value or flag of each number kind
+
+
 def validate_config(path: Path | str) -> PipelineConfig:
     """Parse a ``key = value`` config file; unknown keys and bad types are errors.
 
@@ -106,7 +122,8 @@ def validate_config(path: Path | str) -> PipelineConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}{suggestion}")
         kind = value_types[key]
         try:
-            values[key] = path.parent / value if kind is Path else kind(value)  # an absolute path replaces the parent
+            # an absolute path replaces the parent
+            values[key] = path.parent / value if kind is Path else NUMBERS.get(kind, kind)(value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: {key} must be {TYPE_NOUNS[kind]}, got {value!r}") from None
     config = PipelineConfig(**values)  # the last value of each key
@@ -521,28 +538,28 @@ _OPTIONS = (
      ("eval", "all")),
     (("--annotations",), dict(dest="annotation_path", type=Path, help="relation annotation CSV"),
      ("mine", "graph", "all")),
-    (("--tau",), dict(type=int, help="duplicate merge threshold in 30-day months"), ("corpus", "all")),
+    (("--tau",), dict(type=NUMBERS[int], help="duplicate merge threshold in 30-day months"), ("corpus", "all")),
     (("--elbow-labels",), dict(type=Path, help="bucket,pair_key,is_duplicate CSV; estimates tau"),
      ("corpus", "all")),
     (("--sample-pairs",), dict(type=Path, help="write a pair sample here for duplicate labeling"),
      ("corpus",)),
-    (("--n-buckets",), dict(type=int, help="elbow buckets to sample (default: 5)"), ("corpus",)),
-    (("--sample-size",), dict(type=int, help="pairs per bucket (default: 20)"), ("corpus",)),
-    (("--alpha",), dict(dest="alpha_trend", type=float, help="trend significance level"),
+    (("--n-buckets",), dict(type=NUMBERS[int], help="elbow buckets to sample (default: 5)"), ("corpus",)),
+    (("--sample-size",), dict(type=NUMBERS[int], help="pairs per bucket (default: 20)"), ("corpus",)),
+    (("--alpha",), dict(dest="alpha_trend", type=NUMBERS[float], help="trend significance level"),
      ("prevalence",)),
-    (("--alpha-trend",), dict(type=float, help="trend significance level"), ("all",)),
-    (("--trend-years",), dict(type=int, help="trailing trend window in years"), ("prevalence", "all")),
+    (("--alpha-trend",), dict(type=NUMBERS[float], help="trend significance level"), ("all",)),
+    (("--trend-years",), dict(type=NUMBERS[int], help="trailing trend window in years"), ("prevalence", "all")),
     (("--universe",), dict(help="techniques to bin: catalog (every cataloged one, with zeros) or "
                            "corpus (the mentioned ones only; default: catalog)"), ("prevalence", "all")),
-    (("--min-support",), dict(type=float, help="minimum pair support"), ("mine", "all")),
-    (("--phi-min",), dict(type=float, help="minimum phi correlation"), ("mine", "all")),
-    (("--alpha",), dict(dest="alpha_rules", type=float, help="chi-square significance level"),
+    (("--min-support",), dict(type=NUMBERS[float], help="minimum pair support"), ("mine", "all")),
+    (("--phi-min",), dict(type=NUMBERS[float], help="minimum phi correlation"), ("mine", "all")),
+    (("--alpha",), dict(dest="alpha_rules", type=NUMBERS[float], help="chi-square significance level"),
      ("mine",)),
-    (("--alpha-rules",), dict(type=float, help="chi-square significance level"), ("all",)),
+    (("--alpha-rules",), dict(type=NUMBERS[float], help="chi-square significance level"), ("all",)),
     (("--yates",), dict(action="store_true", help="apply the Yates continuity correction"),
      ("mine", "all")),
     (("--relation",), dict(help="restrict to one relation type"), ("graph",)),
-    (("--top-k",), dict(type=int, help="print the top-k techniques per graph to stdout"), ("graph",)),
+    (("--top-k",), dict(type=NUMBERS[int], help="print the top-k techniques per graph to stdout"), ("graph",)),
     (("--conventional-normalization",), dict(action="store_true",
                                              help="normalize centrality by node count - 1"),
      ("graph", "all")),
@@ -553,7 +570,7 @@ _OPTIONS = (
     (("--output-dir",), dict(type=Path, help="artifact directory (default: out)"), COMMANDS),
     (("--format",), dict(dest="output_format", help="tabular artifact format: csv or json (default: csv)"),
      COMMANDS),
-    (("--seed",), dict(type=int, help="seed for all randomized steps"), COMMANDS),
+    (("--seed",), dict(type=NUMBERS[int], help="seed for all randomized steps"), COMMANDS),
     (("-v", "--verbose"), dict(action="store_true", help="debug logging"), COMMANDS),
 )
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .errors import ManifestError, ParameterError
-from .io_utils import csv_rows, read_text, reader
+from .io_utils import csv_rows, read_text, reader, string_array
 
 if TYPE_CHECKING:
     from .stix_ingest import AttackCatalog
@@ -306,22 +306,18 @@ def median(values: Iterable) -> float:
 def corpus_to_json(sets: list[TechniqueSet]) -> str:
     """``canonical_json`` of the corpus records, byte for byte, through its own C
     string encoder but without the slow pure-Python indenting encoder around it."""
-
-    def strings(values: frozenset[str]) -> str:
-        items = ",\n      ".join(map(encode_basestring, sorted(values)))
-        return f"[\n      {items}\n    ]" if items else "[]"
-
     iso = lru_cache(maxsize=None)(date.isoformat)  # each distinct date rendered once
     records = []
     for attack_id, members, techniques, representative, latest in sets:
         encoded = encode_basestring(attack_id)  # a set of one citation lists its attack_id
-        listed = f"[\n      {encoded}\n    ]" if len(members) == 1 and attack_id in members else strings(members)
+        single = len(members) == 1 and attack_id in members
+        listed = f"[\n      {encoded}\n    ]" if single else string_array(members, 4)
         records.append(
             f'  {{\n    "attack_id": {encoded},\n'
             f'    "latest_date": "{iso(latest)}",\n'
             f'    "member_citations": {listed},\n'
             f'    "representative_date": "{iso(representative)}",\n'
-            f'    "techniques": {strings(techniques)}\n  }}'
+            f'    "techniques": {string_array(techniques, 4)}\n  }}'
         )
     records = ",\n".join(records)
     return f"[\n{records}\n]\n" if sets else "[]\n"

@@ -3,7 +3,8 @@
 Every artifact writer here is byte-deterministic for a given input: keys
 sorted, LF line endings, floats rendered with ``repr`` (shortest round-trip
 form), and a trailing newline. Stage outputs are written to a temp file in
-the target directory and renamed into place.
+the target directory and renamed into place. ``catalog.json`` and
+``corpus.json`` have layout writers, tested against ``canonical_json``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,27 @@ import os
 import tempfile
 from datetime import date
 from functools import cache, lru_cache
+from json.encoder import encode_basestring
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 
 def canonical_json(obj: Any) -> str:
-    """Render ``obj`` as canonical JSON: sorted keys, 2-space indent, LF."""
+    """Render ``obj`` as canonical JSON: sorted keys, 2-space indent, LF. It writes
+    ``evaluation.json``, ``run_manifest.json`` and the JSON tables; ``json`` indents in
+    pure Python, so ``catalog.json`` and ``corpus.json`` have layout writers tested against it."""
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_ARRAY_LAYOUTS = {n: (f"[\n  {' ' * n}", f",\n  {' ' * n}", f"\n{' ' * n}]") for n in range(0, 10, 2)}
+
+
+def string_array(values: Collection[str], indent: int) -> str:
+    """``canonical_json`` of ``sorted(values)``, its closing bracket ``indent`` spaces in
+    (0, 2, 4, 6 or 8), each string through the encoder's own C function."""
+    opening, separator, closing = _ARRAY_LAYOUTS[indent]
+    return f"{opening}{separator.join(map(encode_basestring, sorted(values)))}{closing}" if values else "[]"
 
 
 TYPE_NOUNS = {str: "a string", bool: "a boolean", int: "an integer", float: "a number", type(None): "null"}

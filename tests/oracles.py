@@ -146,6 +146,23 @@ def corpus_json(sets) -> str:
     return json.dumps(records, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def catalog_json(catalog) -> str:
+    """``catalog.json`` as the general JSON encoder writes it: every field of the
+    catalog and of its records (``_asdict()``), each string set as a sorted array,
+    in canonical JSON as :func:`corpus_json`."""
+
+    def plain(value):
+        if hasattr(value, "_asdict"):
+            value = value._asdict()
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [plain(item) for item in value]
+        return sorted(value) if isinstance(value, frozenset) else value
+
+    return json.dumps(plain(catalog), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 def nearest_rank(values, pct: float):
     ordered = sorted(values)
     rank = max(1, math.ceil(pct / 100.0 * len(ordered)))

@@ -83,6 +83,25 @@ class TestConfig:
             validate_config(path)
         assert str(raised.value) == f"{path}:1: tau must be an integer, got {value!r}"
 
+    @pytest.mark.parametrize("key, value, noun", [
+        ("tau", "1_2", "an integer"),  # int() would read 12
+        ("tau", "\u0663", "an integer"),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        ("min_support", "5_0e-4", "a number"),
+        ("phi_min", "\uff10.\uff13", "a number"),  # fullwidth digits, which float() reads as 0.3
+    ])
+    def test_a_number_is_read_only_from_an_ascii_literal_without_underscores(self, tmp_path, caplog, key, value,
+                                                                              noun):
+        path = tmp_path / "number.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert run_cli("ingest", "--config", path, "--output-dir", tmp_path / "out") == 1
+        assert f"{path}:1: {key} must be {noun}, got {value!r}" in caplog.text
+
+    def test_a_signed_or_exponent_number_reads(self, tmp_path):
+        path = tmp_path / "number.cfg"
+        path.write_text("tau = +2\nmin_support = 5e-3\nseed = -0\n", encoding="utf-8")
+        config = validate_config(path)
+        assert (config.tau, config.min_support, config.seed) == (2, 0.005, 0)
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         path = tmp_path / "paths.cfg"
         path.write_text("bundle_path = data/bundle.json\n", encoding="utf-8")
@@ -1423,6 +1442,10 @@ class TestCommandLineSurface:
         _, config, _ = self.settings("all", "--alpha-trend", "0.03", "--alpha-rules", "0.04")
         assert (config.alpha_trend, config.alpha_rules) == (0.03, 0.04)
 
+    def test_a_signed_or_exponent_flag_reads(self):
+        _, config, _ = self.settings("all", "--tau", "+2", "--min-support", "5e-3")
+        assert (config.tau, config.min_support) == (2, 0.005)
+
     def test_flags_override_the_config_file(self):
         _, config, options = self.settings(
             "all", "--config", str(E2E / "config.cfg"), "--tau", "3", "--yates", "--seed", "11"
@@ -1436,7 +1459,9 @@ class TestCommandLineSurface:
         with pytest.raises(SystemExit):
             self.settings("all", flag, "1")
 
-    @pytest.mark.parametrize("argv", [("corpus", "--tau", "x"), ("corpus", "--no-such-flag"), ()])
+    @pytest.mark.parametrize("argv", [("corpus", "--tau", "x"), ("corpus", "--no-such-flag"), (),
+                                      ("corpus", "--tau", "1_2"), ("ingest", "--seed", "\u0663"),
+                                      ("mine", "--phi-min", "\uff10.\uff13"), ("mine", "--min-support", "5_0e-4")])
     def test_a_command_line_argparse_rejects_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as raised:
             run_cli(*argv)

@@ -4,12 +4,14 @@
 ``expected.json`` records, so a fixture that drifted from its script would
 leave the acceptance tests checking against values nothing recomputes.
 ``make_e2e_golden.py`` runs the pipeline on that fixture, so its case pins
-every artifact's bytes: an output change fails it, naming the first file and
-line that differ, until the goldens are regenerated and the diff reviewed.
+every artifact's bytes, and on the three benchmark workloads at a small scale,
+whose artifacts' SHA-256 it pins: an output change fails it, naming the first
+file and line that differ, until the goldens are regenerated and the diff reviewed.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -17,7 +19,8 @@ import pytest
 
 from .conftest import FIXTURES
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name: str):
@@ -64,3 +67,10 @@ def test_generator_reproduces_committed_fixture(tmp_path, monkeypatch, script, t
     module.main()
     assert out.exists()
     assert first_difference(out, committed, ignored) is None
+
+
+def test_the_tiny_digests_use_the_benchmark_tests_scales():
+    tree = ast.parse((ROOT / "bench" / "test_bench.py").read_text(encoding="utf-8"))
+    (tiny,) = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TINY"]]
+    assert load_script("make_e2e_golden").TINY == tiny

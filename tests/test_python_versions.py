@@ -76,6 +76,30 @@ def test_artifacts_are_the_same_bytes_on_every_python(tmp_path):
             assert actual == expected, f"python{version} --format {output_format}"
 
 
+def test_catalog_escapes_are_the_same_bytes_on_every_python(tmp_path):
+    """The e2e catalog is plain ASCII with no empty array; this one escapes a quote,
+    a backslash and a control character, keeps non-ASCII text and U+2028 raw, and
+    lists a technique with no tactics."""
+    ran = _ran()
+    technique = stix_technique("T1001", 'Exécution "quoted" \\ 中\u2028', ["execution"],
+                               citations=[("Vendor é", "https://reports.example/é")])
+    technique["external_references"][1]["description"] = 'Analyst "A" \\ bell\x07 tab\t line\u2028 ß, 2021'
+    objects = [stix_tactic("TA0002", "Exécution", "execution"), technique, stix_technique("T1002", "Ohne Taktik")]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(bundle_bytes(objects))
+    catalogs = {}
+    for version, executable in {"self": sys.executable, **ran}.items():
+        subprocess.run([executable, "-S", "-m", "ttpminer", "ingest", "--bundle", str(bundle),
+                        "--output-dir", str(tmp_path / version)],
+                       env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, check=True)
+        catalogs[version] = (tmp_path / version / "catalog.json").read_bytes()
+    expected = catalogs.pop("self")
+    for escaped in (b'\\"quoted\\"', b"\\\\", b"\\u0007", b"\\t", "\u2028".encode(), "中".encode(), b'"tactic_ids": []'):
+        assert escaped in expected
+    for version, catalog in catalogs.items():
+        assert catalog == expected, f"python{version}"
+
+
 # urlsplit checks a bracketed host from CPython 3.11 on; 3.10 took any text there, so
 # ttpminer checks it the same way on every version.
 @pytest.mark.parametrize("url, problem", [

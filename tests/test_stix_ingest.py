@@ -5,11 +5,13 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttpminer.errors import BundleParseError, BundleSchemaError
 from ttpminer.stix_ingest import (
+    AttackCatalog,
+    CitationEntry,
     TacticRecord,
     TechniqueRecord,
     catalog_from_json,
@@ -198,6 +200,15 @@ def test_duplicate_technique_ids_prefer_live_object():
 def test_url_normalization_merges_citation_variants(variant):
     canonical = normalize_citation_url("https://example.com/reports/alpha")
     assert normalize_citation_url(variant) == canonical
+
+
+@pytest.mark.parametrize("url, normalized", [
+    ("http://[::1]/x", "http://[::1]/x"),
+    ("HTTPS://[2001:DB8::1]:8443/r/", "https://[2001:db8::1]:8443/r"),
+    ("http://[v1.fe]/x", "http://[v1.fe]/x"),  # an IPvFuture host
+])
+def test_a_valid_bracketed_host_normalizes(url, normalized):
+    assert normalize_citation_url(url) == normalized
 
 
 def test_parse_is_order_independent(small_bundle_objects):
@@ -544,3 +555,30 @@ def test_parse_bundle_equals_the_brute_force_catalog(bundles):
     text = catalog_to_json(parse_bundle(json.dumps(bundle)))
     assert json.loads(text) == oracles.catalog_document(bundle)
     assert catalog_to_json(parse_bundle(json.dumps(shuffled))) == text
+
+
+# Text of the characters canonical JSON escapes or keeps as they are: a quote, a
+# backslash, control characters, U+2028 and U+2029, which the ensure_ascii=False
+# encoder leaves raw, non-ASCII letters and an astral character; or any text.
+TEXT = st.text(st.sampled_from('aZ0 /"\\\x00\x1f\x7f\u2028\u2029é中😀'), max_size=6) | st.text(max_size=6)
+STRING_SETS = st.frozensets(TEXT, max_size=3)
+CATALOGS = st.builds(
+    AttackCatalog,
+    spec_version=TEXT,
+    tactics=st.lists(st.builds(TacticRecord, TEXT, TEXT), max_size=3),
+    techniques=st.lists(st.builds(TechniqueRecord, TEXT, TEXT, STRING_SETS, st.booleans(), st.none() | TEXT,
+                                  st.booleans()), max_size=3),
+    citations=st.lists(st.builds(CitationEntry, TEXT, TEXT, TEXT, st.none() | TEXT), max_size=3),
+    attribution=st.dictionaries(TEXT, STRING_SETS, max_size=3),  # drawn in any key order
+    technique_citations=st.dictionaries(TEXT, STRING_SETS, max_size=3),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(CATALOGS)
+@example(AttackCatalog("", [], [], [], {}, {}))
+def test_catalog_json_is_the_general_encoders_bytes(catalog):
+    text = catalog_to_json(catalog)
+    assert text == oracles.catalog_json(catalog)
+    assert catalog_from_json(text) == catalog
+
