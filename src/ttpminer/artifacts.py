@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, get_type_hints
 
 from .errors import ArtifactError
-from .io_utils import atomic_write_text, canonical_json, csv_rows, decode, reader, render_csv
+from .io_utils import NUMBERS, atomic_write_text, canonical_json, csv_rows, decode, reader, render_csv
 
 if TYPE_CHECKING:
     from .prevalence import PrevalenceMatrix
@@ -47,7 +47,7 @@ def _write_records(path: Path, record_type: type, records: Iterable) -> None:
 
 def _number(cell: str, name: str) -> float:
     try:
-        value = float(cell)
+        value = NUMBERS[float](cell)
         if math.isfinite(value):  # float() also reads "nan" and "inf"
             return value
     except ValueError:

@@ -21,11 +21,11 @@ import sys
 from functools import cached_property
 from importlib import import_module
 from pathlib import Path
-from typing import Callable, NamedTuple, get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from . import __version__
-from .errors import AnnotationError, ArtifactError, ConfigError, ManifestError, ParameterError, TTPMinerError
-from .io_utils import TYPE_NOUNS, atomic_write_text, canonical_json, read_text, render_csv, sha256_file
+from .errors import AnnotationError, ArtifactError, ConfigError, ManifestError, TTPMinerError
+from .io_utils import NUMBERS, TYPE_NOUNS, atomic_write_text, canonical_json, read_text, render_csv, sha256_file
 
 logger = logging.getLogger(__name__)
 
@@ -82,22 +82,6 @@ def _value_types() -> dict[str, type]:
         name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
         for name, hint in get_type_hints(PipelineConfig).items()
     }
-
-
-def _plain(kind: type) -> Callable[[str], int | float]:
-    """``kind`` read only from an ASCII literal without ``_``: ``int`` and ``float``
-    also take digit-group underscores and any Unicode digit (``1_2``, ``٣``)."""
-
-    def read(text: str) -> int | float:
-        if not text.isascii() or "_" in text:
-            raise ValueError(text)
-        return kind(text)
-
-    read.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names it
-    return read
-
-
-NUMBERS = {int: _plain(int), float: _plain(float)}  # a config value or flag of each number kind
 
 
 def validate_config(path: Path | str) -> PipelineConfig:
@@ -300,7 +284,7 @@ def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState)
     manifest_path = state.input("manifest", config.manifest_path, "report manifest")
     catalog = state.upstream("ingest")
     records = corpus_builder.load_manifest(manifest_path, catalog, _artifact(config, "catalog", ".json"))
-    included = corpus_builder.included_records(records)
+    included = [record for record in records if record.include]
     if not included:
         raise ManifestError(f"{manifest_path}: no included record, so the corpus would be empty")
 
@@ -310,7 +294,7 @@ def stage_corpus(config: PipelineConfig, options: StageOptions, state: RunState)
         fractions = corpus_builder.read_elbow_labels(labels_path)
         try:
             tau = corpus_builder.estimate_tau(fractions)
-        except ParameterError as exc:  # fewer than two buckets, or no drop between them
+        except ValueError as exc:  # fewer than two buckets, or no drop between them
             raise ManifestError(f"{labels_path}: {exc}") from None
         logger.info("estimated tau=%d month(s) from %d labeled buckets", tau, len(fractions))
 
@@ -510,7 +494,7 @@ def run(
     ``config_path`` is the config file ``config`` was read from, if any.
     """
     if command not in COMMANDS:
-        raise ParameterError(f"unknown command {command!r}")
+        raise ConfigError(f"unknown command {command!r}")
     config.validate()
     options = options if options is not None else StageOptions()
     options.validate()

@@ -3,11 +3,11 @@
 The pipeline here: load a report manifest (one record per citation, with
 inclusion flags resolved by a human pass), estimate the publication-gap
 threshold tau from hand-labeled duplicate fractions (elbow rule), link each
-report to its date neighbour among the reports attributing a common group or
-malware, then merge duplicates via connected components. Each component
+included report to its date neighbour among those attributing a common group
+or malware, then merge duplicates via connected components. Each component
 becomes one technique-set: the union of its member reports' techniques,
-standing for one unique cyberattack. Candidate pairs are listed only for the
-labeling sample, within its ``n_buckets`` months.
+standing for one unique cyberattack. The same sorted sweep of each
+attribution's reports lists the candidate pairs of the labeling sample.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from .errors import ManifestError, ParameterError
-from .io_utils import csv_rows, read_text, reader, string_array
+from .errors import ManifestError
+from .io_utils import NUMBERS, csv_rows, read_text, reader, string_array
 
 if TYPE_CHECKING:
     from .stix_ingest import AttackCatalog
@@ -133,60 +133,44 @@ def load_manifest(
     return records
 
 
-def included_records(records: list[ReportRecord]) -> list[ReportRecord]:
-    return [r for r in records if r.include]
-
-
-def find_candidate_pairs(
-    records: list[ReportRecord], max_gap_days: int | None = None
-) -> list[DuplicateCandidatePair]:
-    """Unordered pairs of the included, dated ``records`` attributing at least one common group/malware.
-
-    With ``max_gap_days``, only the pairs published at most that many days
-    apart: each attribution group is sorted by date and swept forward from
-    each record up to the first one past the gap (a sorted neighbourhood),
-    so the work grows with the pairs listed rather than with the group size
-    squared. Pairs come in the sweep's deterministic order (groups of two or more
-    by name, then by date); a pair sharing several attributions is listed once, in its first.
-    """
-    by_attribution: dict[str, list[ReportRecord]] = {}
+def _attribution_groups(records: list[ReportRecord]) -> list[list[tuple[int, str]]]:
+    """The ``(day, citation_key)`` of the dated ``records`` per attribution that two or more of them
+    share, each group sorted, and the groups in the order of their contents, whatever the record order."""
+    by_attribution: dict[str, list[tuple[int, str]]] = {}
     for record in records:
+        day = record.published.toordinal()
         for attributed in record.attribution:
-            by_attribution.setdefault(attributed, []).append(record)
+            by_attribution.setdefault(attributed, []).append((day, record.citation_key))
+    return sorted(sorted(group) for group in by_attribution.values() if len(group) > 1)
 
+
+def find_candidate_pairs(records: list[ReportRecord], max_gap_days: float = math.inf) -> list[DuplicateCandidatePair]:
+    """Unordered pairs of ``records`` attributing a common group/malware, at most ``max_gap_days`` apart.
+
+    Each attribution's reports are swept forward in date order from each one up to the first past
+    the gap (a sorted neighbourhood), so the work grows with the pairs listed rather than with the
+    group size squared. Pairs come in the sweep's deterministic order (the groups by their contents,
+    then by date and key); a pair sharing several attributions is listed once, in its first.
+    """
     gaps: dict[tuple[str, str], int] = {}  # (a, b) with a < b -> days between them
-    for group in map(by_attribution.get, sorted(name for name, g in by_attribution.items() if len(g) > 1)):
-        group.sort(key=lambda r: r.published)
-        days = [r.published.toordinal() for r in group]
-        keys = [r.citation_key for r in group]
-        for i, a in enumerate(keys):
-            if max_gap_days is None:
-                end = len(group)
-            else:
-                end = bisect_right(days, days[i] + max_gap_days, i + 1)
-            for j in range(i + 1, end):
-                b = keys[j]
-                gaps[(a, b) if a < b else (b, a)] = days[j] - days[i]
+    for group in _attribution_groups(records):
+        for i, (day, a) in enumerate(group):
+            for after, b in group[i + 1 : bisect_right(group, day + max_gap_days, i + 1, key=itemgetter(0))]:
+                gaps[(a, b) if a < b else (b, a)] = after - day
     return [DuplicateCandidatePair(a, b, gap) for (a, b), gap in gaps.items()]
 
 
 def date_neighbour_links(records: list[ReportRecord], tau: int) -> list[DuplicateCandidatePair]:
-    """Each included report linked to the one before it in (date, key) order within each of its
-    attributions, when at most ``tau`` months earlier. A candidate pair within tau months is joined
+    """Each of the dated ``records`` linked to the one before it in (date, key) order within each of
+    its attributions, when at most ``tau`` months earlier. A candidate pair within tau months is joined
     through every report dated between them, so merging these links gives the same components."""
-    by_attribution: dict[str, list[tuple[int, str]]] = {}  # attribution -> (day, citation_key)
-    for record in records:
-        if record.include:
-            day = record.published.toordinal()
-            for attributed in record.attribution:
-                by_attribution.setdefault(attributed, []).append((day, record.citation_key))
-    max_gap, links = tau * DAYS_PER_MONTH, []
-    for group in by_attribution.values():
-        group.sort()
-        for (before, a), (after, b) in zip(group, group[1:]):
-            if after - before <= max_gap:
-                links.append(DuplicateCandidatePair(a, b, after - before))
-    return links
+    max_gap = tau * DAYS_PER_MONTH
+    return [
+        DuplicateCandidatePair(a, b, after - before)
+        for group in _attribution_groups(records)
+        for (before, a), (after, b) in zip(group, group[1:])
+        if after - before <= max_gap
+    ]
 
 
 def month_bucket(date_gap_days: int) -> int:
@@ -224,7 +208,7 @@ def read_elbow_labels(path: Path | str) -> list[float]:
     tallies: dict[int, list[bool]] = {}
     for i, row in enumerate(csv_rows(path, set(SAMPLE_COLUMNS), ManifestError)):
         try:
-            bucket = int(row["bucket"])
+            bucket = NUMBERS[int](row["bucket"])
         except ValueError as exc:
             raise ManifestError(f"{path} row {i}: bad bucket {row['bucket']!r}") from exc
         flag = row["is_duplicate"].strip().lower()
@@ -241,15 +225,15 @@ def read_elbow_labels(path: Path | str) -> list[float]:
 def estimate_tau(fractions: list[float]) -> int:
     """Elbow rule: the month gap after which the duplicate fraction drops most.
 
-    Returns the largest index i (1-based) maximizing r_i - r_{i+1}. Raises if
-    no consecutive decrease exists.
+    Returns the largest index i (1-based) maximizing r_i - r_{i+1}. Raises
+    ValueError if no consecutive decrease exists.
     """
     if len(fractions) < 2:
-        raise ParameterError("need at least two duplicate fractions")
+        raise ValueError("need at least two duplicate fractions")
     drops = [fractions[i] - fractions[i + 1] for i in range(len(fractions) - 1)]
     best = max(drops)
     if best <= 0.0:
-        raise ParameterError("no elbow detectable: duplicate fractions never decrease")
+        raise ValueError("no elbow detectable: duplicate fractions never decrease")
     # Largest index wins on ties; indices are 1-based month buckets.
     return max(i + 1 for i, drop in enumerate(drops) if drop == best)
 

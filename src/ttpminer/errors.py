@@ -31,9 +31,5 @@ class ArtifactError(TTPMinerError):
     """An upstream artifact read back from the output directory is corrupt or stale."""
 
 
-class ParameterError(TTPMinerError):
-    """An unknown command, or elbow labels with no detectable elbow; ``cli.run`` checks every other setting."""
-
-
 class ConfigError(TTPMinerError):
-    """Pipeline configuration file is malformed or out of range."""
+    """Pipeline configuration (a config file, a flag or the command) is malformed or out of range."""

@@ -43,6 +43,22 @@ def string_array(values: Collection[str], indent: int) -> str:
 TYPE_NOUNS = {str: "a string", bool: "a boolean", int: "an integer", float: "a number", type(None): "null"}
 
 
+def _plain(kind: type) -> Callable[[str], int | float]:
+    """``kind`` read only from an ASCII literal without ``_``: ``int`` and ``float``
+    also take digit-group underscores and any Unicode digit (``1_2``, ``٣``)."""
+
+    def read(text: str) -> int | float:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    read.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names it
+    return read
+
+
+NUMBERS = {int: _plain(int), float: _plain(float)}  # a number of each kind in a config value, flag or CSV cell
+
+
 def _string_set(value: Any, name: str) -> frozenset[str]:
     if type(value) is list:
         try:

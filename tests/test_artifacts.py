@@ -69,6 +69,14 @@ def test_read_pairs_rejects_a_reversed_self_or_repeated_row(tmp_path, sample_pai
         read_pairs(path)
 
 
+@pytest.mark.parametrize("cell", ["6.192836923871984e-11", "1", "+2.5E-3", "-0.0"])
+def test_a_csv_number_cell_reads_as_its_ascii_literal(tmp_path, cell):
+    path = tmp_path / "recurring_pairs.csv"
+    path.write_text(f"{EMPTY_PAIRS['.csv']}T1,T2,ab,{cell},0.5,0.5,0.3,9.0,0.01,1.2,moderate,\n", encoding="utf-8")
+    (pair,) = read_pairs(path)
+    assert repr(pair.support) == repr(float(cell))  # a repr float reads back exactly
+
+
 PREVALENT_ROW = {"id": "T1059", "name": "Command", "tactic": "TA0002", "pct_reports": 12.5, "cell": "high/rising"}
 
 

@@ -614,6 +614,34 @@ class TestWindowedDuplicateSearch:
         assert "--n-buckets must be >= 1, got 0" in caplog.text
 
 
+@pytest.mark.parametrize("tau, members", [(2, [["a"], ["b"]]), (3, [["a", "b"]])])
+def test_an_excluded_report_does_not_bridge(tmp_path, tau, members):
+    """An excluded, dated report of the same group between two included ones 89 days apart
+    joins nothing: they merge only when tau months reach across the gap."""
+    records = [
+        {"citation_key": "a", "published": "2020-01-01", "technique_ids": ["T1001", "T1005"],
+         "attribution": ["G1"], "include": True},
+        {"citation_key": "x", "published": "2020-02-15", "technique_ids": ["T1001", "T1005"],
+         "attribution": ["G1"], "include": False, "exclusion_reason": "inaccessible"},
+        {"citation_key": "b", "published": "2020-03-30", "technique_ids": ["T1001", "T1005"],
+         "attribution": ["G1"], "include": True},
+    ]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(records), encoding="utf-8")
+    assert run_cli("ingest", "--bundle", E2E / "bundle.json", "--output-dir", tmp_path) == 0
+    assert run_cli("corpus", "--manifest", manifest, "--tau", tau, "--output-dir", tmp_path) == 0
+    corpus = json.loads((tmp_path / "corpus.json").read_text(encoding="utf-8"))
+    assert sorted(ts["member_citations"] for ts in corpus) == members
+
+
+def test_an_unknown_command_is_a_config_error(tmp_path):
+    from ttpminer.cli import run
+
+    with pytest.raises(ConfigError, match="^unknown command 'bogus'$"):
+        run("bogus", PipelineConfig(output_dir=tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 class TestEmptyInputs:
     """An input that leaves a stage nothing to work on exits 1 naming its file."""
 
@@ -822,6 +850,7 @@ class TestRowsAndRoles:
 
     @pytest.mark.parametrize("row, problem", [
         ("x,a||b,1", "bad bucket 'x'"),
+        ("\u0662,a||b,1", "bad bucket '\u0662'"),  # ARABIC-INDIC DIGIT TWO, which int() reads as 2
         ("1,a||b,maybe", "bad is_duplicate 'maybe'"),
     ])
     def test_elbow_label_error_names_file_and_row(self, tmp_path, caplog, row, problem):
@@ -900,6 +929,16 @@ class TestUpstreamArtifactBoundary:
              "malformed (phi must be a number, got 'inf')"),
             ("eval", "prevalent_techniques.csv", "id,name,tactic,pct_reports,cell\nT1001,x,TA0001,-Infinity,x\n",
              "malformed (pct_reports must be a number, got '-Infinity')"),
+            ("graph", "recurring_pairs.csv",
+             "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
+             "strength,relation_labels\nT1001,T1005,ab,\u0660.\u0660\u0665,0.5,0.5,0.3,9,0.01,1.2,moderate,\n",
+             "malformed (support must be a number, got '\u0660.\u0660\u0665')"),
+            ("graph", "recurring_pairs.csv",
+             "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
+             "strength,relation_labels\nT1001,T1005,ab,0.05,1_0.5,0.5,0.3,9,0.01,1.2,moderate,\n",
+             "malformed (confidence_ab must be a number, got '1_0.5')"),
+            ("eval", "prevalent_techniques.csv", "id,name,tactic,pct_reports,cell\nT1001,x,TA0001,\uff11\uff12,x\n",
+             "malformed (pct_reports must be a number, got '\uff11\uff12')"),
             pytest.param(
                 "eval", "recurring_pairs.csv",
                 "tech_a,tech_b,direction,support,confidence_ab,confidence_ba,phi,chi2,p_value,lift,"
