@@ -23,6 +23,9 @@ are left out of the score.
 
     python3 scripts/mutants.py rule_miner [prevalence ...]
 
+SIGTERM or Ctrl-C kills the running pytest session, with every process it
+started, and removes the temporary copy.
+
 A pass over every module takes about 35 minutes on 2 CPUs, so tier-1 does not run it.
 """
 
@@ -89,14 +92,17 @@ def run_tests(workdir: Path, tests: str) -> str:
     """'passed', 'failed' or 'timeout' for one pytest run in ``workdir``."""
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", tests]
-    # A session of its own, so a timeout also stops the ttpminer processes the tests start.
+    # A session of its own, so a timeout, or this script being stopped, also
+    # stops the ttpminer processes the tests start.
     with subprocess.Popen(command, cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                           start_new_session=True) as process:
         try:
             return "passed" if process.wait(TIMEOUT) == 0 else "failed"
         except subprocess.TimeoutExpired:
-            os.killpg(process.pid, signal.SIGKILL)
             return "timeout"
+        finally:
+            if process.returncode is None:
+                os.killpg(process.pid, signal.SIGKILL)
 
 
 def mutate_module(workdir: Path, module: str, equivalent: set[str]) -> None:
@@ -126,7 +132,13 @@ def mutate_module(workdir: Path, module: str, equivalent: set[str]) -> None:
           f"{outcomes['passed']} survived, {equivalents} equivalent", flush=True)
 
 
+def stop(signum: int, frame: object) -> None:
+    """SIGTERM unwinds like an error: the running pytest session is killed, the temporary tree removed."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> None:
+    signal.signal(signal.SIGTERM, stop)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="module names under src/ttpminer, e.g. rule_miner")
     modules = parser.parse_args().modules

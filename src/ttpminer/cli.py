@@ -18,7 +18,7 @@ import argparse
 import gc
 import logging
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import import_module
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
@@ -76,11 +76,12 @@ class PipelineConfig(NamedTuple):
             raise ConfigError(f"output_format must be csv or json, got {self.output_format!r}")
 
 
-def _value_types() -> dict[str, type]:
-    """Each PipelineConfig field's value type: int, float, str or Path."""
+@cache
+def _value_types(record: type) -> dict[str, type]:
+    """Each field of ``record``'s value type, ``None`` aside: int, float, bool, str or Path."""
     return {
         name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
-        for name, hint in get_type_hints(PipelineConfig).items()
+        for name, hint in get_type_hints(record).items()
     }
 
 
@@ -90,7 +91,7 @@ def validate_config(path: Path | str) -> PipelineConfig:
     Relative paths are resolved against the config file's directory.
     """
     path = _require_file(Path(path), "config")
-    value_types = _value_types()
+    value_types = _value_types(PipelineConfig)
     values = {}
     for lineno, raw_line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         line = raw_line.strip()
@@ -467,16 +468,13 @@ _STAGES = {
 
 def _write_run_manifest(command: str, config: PipelineConfig, options: StageOptions, state: RunState) -> None:
     # No timestamps and no output locations: the manifest itself is part of
-    # the byte-determinism contract. Of the options, only JSON scalars (no paths).
+    # the byte-determinism contract, so its settings leave the paths out.
     manifest = {
         "tool": "ttpminer",
         "tool_version": __version__,
         "command": command,
-        "config": {
-            name: getattr(config, name) for name, kind in _value_types().items() if kind is not Path
-        },
-        "options": {name: getattr(options, name) for name, hint in get_type_hints(StageOptions).items()
-                    if set(get_args(hint) or (hint,)) <= TYPE_NOUNS.keys()},
+        **{block: {name: getattr(record, name) for name, kind in _value_types(type(record)).items()
+                   if kind is not Path} for block, record in (("config", config), ("options", options))},
         "inputs": {
             role: {"path": path.as_posix(), "sha256": sha256_file(path)}
             for role, path in sorted(state.inputs.items())
@@ -510,51 +508,39 @@ def run(
 
 
 # One row per flag: option strings, argparse keywords, commands that accept
-# it. Each dest names a PipelineConfig or StageOptions field (apart from
-# --config and --verbose). A flag left out sets nothing, so the records
-# hold the only defaults.
+# it. Apart from --config and --verbose, its dest is a PipelineConfig or
+# StageOptions field, which gives it the type its config key has (a bool is a
+# switch) and the default --help shows. A flag left out sets nothing, so the
+# records hold the only defaults.
 _OPTIONS = (
-    (("--bundle",), dict(dest="bundle_path", type=Path, help="ATT&CK STIX bundle JSON path"),
-     ("ingest", "all")),
-    (("--manifest",), dict(dest="manifest_path", type=Path, help="report manifest JSON path"),
-     ("corpus", "all")),
-    (("--unseen",), dict(dest="unseen_manifest_path", type=Path, help="unseen manifest JSON path"),
-     ("eval", "all")),
-    (("--annotations",), dict(dest="annotation_path", type=Path, help="relation annotation CSV"),
-     ("mine", "graph", "all")),
-    (("--tau",), dict(type=NUMBERS[int], help="duplicate merge threshold in 30-day months"), ("corpus", "all")),
-    (("--elbow-labels",), dict(type=Path, help="bucket,pair_key,is_duplicate CSV; estimates tau"),
-     ("corpus", "all")),
-    (("--sample-pairs",), dict(type=Path, help="write a pair sample here for duplicate labeling"),
-     ("corpus",)),
-    (("--n-buckets",), dict(type=NUMBERS[int], help="elbow buckets to sample (default: 5)"), ("corpus",)),
-    (("--sample-size",), dict(type=NUMBERS[int], help="pairs per bucket (default: 20)"), ("corpus",)),
-    (("--alpha",), dict(dest="alpha_trend", type=NUMBERS[float], help="trend significance level"),
-     ("prevalence",)),
-    (("--alpha-trend",), dict(type=NUMBERS[float], help="trend significance level"), ("all",)),
-    (("--trend-years",), dict(type=NUMBERS[int], help="trailing trend window in years"), ("prevalence", "all")),
-    (("--universe",), dict(help="techniques to bin: catalog (every cataloged one, with zeros) or "
-                           "corpus (the mentioned ones only; default: catalog)"), ("prevalence", "all")),
-    (("--min-support",), dict(type=NUMBERS[float], help="minimum pair support"), ("mine", "all")),
-    (("--phi-min",), dict(type=NUMBERS[float], help="minimum phi correlation"), ("mine", "all")),
-    (("--alpha",), dict(dest="alpha_rules", type=NUMBERS[float], help="chi-square significance level"),
-     ("mine",)),
-    (("--alpha-rules",), dict(type=NUMBERS[float], help="chi-square significance level"), ("all",)),
-    (("--yates",), dict(action="store_true", help="apply the Yates continuity correction"),
-     ("mine", "all")),
+    (("--bundle",), dict(dest="bundle_path", help="ATT&CK STIX bundle JSON path"), ("ingest", "all")),
+    (("--manifest",), dict(dest="manifest_path", help="report manifest JSON path"), ("corpus", "all")),
+    (("--unseen",), dict(dest="unseen_manifest_path", help="unseen manifest JSON path"), ("eval", "all")),
+    (("--annotations",), dict(dest="annotation_path", help="relation annotation CSV"), ("mine", "graph", "all")),
+    (("--tau",), dict(help="duplicate merge threshold in 30-day months"), ("corpus", "all")),
+    (("--elbow-labels",), dict(help="bucket,pair_key,is_duplicate CSV; estimates tau"), ("corpus", "all")),
+    (("--sample-pairs",), dict(help="write a pair sample here for duplicate labeling"), ("corpus",)),
+    (("--n-buckets",), dict(help="elbow buckets to sample"), ("corpus",)),
+    (("--sample-size",), dict(help="pairs per bucket"), ("corpus",)),
+    (("--alpha",), dict(dest="alpha_trend", help="trend significance level"), ("prevalence",)),
+    (("--alpha-trend",), dict(help="trend significance level"), ("all",)),
+    (("--trend-years",), dict(help="trailing trend window in years"), ("prevalence", "all")),
+    (("--universe",), dict(help="techniques to bin: catalog, every cataloged one with zeros; "
+                           "corpus, only the mentioned ones"), ("prevalence", "all")),
+    (("--min-support",), dict(help="minimum pair support"), ("mine", "all")),
+    (("--phi-min",), dict(help="minimum phi correlation"), ("mine", "all")),
+    (("--alpha",), dict(dest="alpha_rules", help="chi-square significance level"), ("mine",)),
+    (("--alpha-rules",), dict(help="chi-square significance level"), ("all",)),
+    (("--yates",), dict(help="apply the Yates continuity correction"), ("mine", "all")),
     (("--relation",), dict(help="restrict to one relation type"), ("graph",)),
-    (("--top-k",), dict(type=NUMBERS[int], help="print the top-k techniques per graph to stdout"), ("graph",)),
-    (("--conventional-normalization",), dict(action="store_true",
-                                             help="normalize centrality by node count - 1"),
-     ("graph", "all")),
-    (("--dot",), dict(dest="dot_path", type=Path, help="also write a DOT export here"), ("graph",)),
-    (("--parent-match",), dict(action="store_true", help="match sub-techniques to their base id"),
-     ("eval", "all")),
+    (("--top-k",), dict(help="print the top-k techniques per graph to stdout"), ("graph",)),
+    (("--conventional-normalization",), dict(help="normalize centrality by node count - 1"), ("graph", "all")),
+    (("--dot",), dict(dest="dot_path", help="also write a DOT export here"), ("graph",)),
+    (("--parent-match",), dict(help="match sub-techniques to their base id"), ("eval", "all")),
     (("--config",), dict(type=Path, help="pipeline config file (key = value lines)"), COMMANDS),
-    (("--output-dir",), dict(type=Path, help="artifact directory (default: out)"), COMMANDS),
-    (("--format",), dict(dest="output_format", help="tabular artifact format: csv or json (default: csv)"),
-     COMMANDS),
-    (("--seed",), dict(type=NUMBERS[int], help="seed for all randomized steps"), COMMANDS),
+    (("--output-dir",), dict(help="artifact directory"), COMMANDS),
+    (("--format",), dict(dest="output_format", help="tabular artifact format: csv or json"), COMMANDS),
+    (("--seed",), dict(help="seed for all randomized steps"), COMMANDS),
     (("-v", "--verbose"), dict(action="store_true", help="debug logging"), COMMANDS),
 )
 
@@ -571,7 +557,16 @@ def _build_parser() -> argparse.ArgumentParser:
         name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         for name, text in _COMMAND_HELP.items()
     }
+    kinds = _value_types(PipelineConfig) | _value_types(StageOptions)
+    defaults = PipelineConfig._field_defaults | StageOptions._field_defaults
     for flags, keywords, accepted_by in _OPTIONS:
+        field = keywords.get("dest", flags[-1][2:].replace("-", "_"))
+        if field in kinds:
+            kind, default = kinds[field], defaults[field]
+            reading = {"action": "store_true"} if kind is bool else {"type": NUMBERS.get(kind, kind)}
+            keywords = {**keywords, **reading}
+            if default is not None and type(default) is not bool:  # 0 == False, so not by value
+                keywords["help"] += f" (default: {default})"
         for name in accepted_by:
             commands[name].add_argument(*flags, **keywords)
     return parser

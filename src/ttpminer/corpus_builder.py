@@ -217,9 +217,9 @@ def read_elbow_labels(path: Path | str) -> list[float]:
         tallies.setdefault(bucket, []).append(flag in {"1", "true"})
     if not tallies:
         raise ManifestError(f"{path}: no label rows")
-    if sorted(tallies) != list(range(1, max(tallies) + 1)):
+    if sorted(tallies) != list(range(1, len(tallies) + 1)):  # len, not max: a bucket may be 10**20
         raise ManifestError(f"{path}: buckets must be contiguous from 1 (got {sorted(tallies)})")
-    return [sum(tallies[i]) / len(tallies[i]) for i in range(1, max(tallies) + 1)]
+    return [sum(tallies[i]) / len(tallies[i]) for i in range(1, len(tallies) + 1)]
 
 
 def estimate_tau(fractions: list[float]) -> int:

@@ -63,7 +63,7 @@ def parent_technique_id(technique_id: str) -> str:
     return technique_id.split(".", 1)[0]
 
 
-def top_mentioned(unseen: Sequence[UnseenReport], k: int = 20) -> list[str]:
+def top_mentioned(unseen: Sequence[UnseenReport], k: int) -> list[str]:
     """The k most-reported technique ids, ties broken by ascending id."""
     counts = Counter(chain.from_iterable(report.technique_ids for report in unseen))
     return sorted(counts, key=lambda tid: (-counts[tid], tid))[:k]

@@ -98,6 +98,14 @@ def test_read_prevalent_reads_the_whole_json_row(tmp_path, row, error, needle):
         read_prevalent(path)
 
 
+@pytest.mark.parametrize("document", ["7", "null", '"T1059"', "[7]", "[[]]"])
+def test_a_json_table_must_be_an_array_of_objects(tmp_path, document):
+    path = tmp_path / "prevalent_techniques.json"
+    path.write_text(document, encoding="utf-8")
+    with pytest.raises(ValueError, match="^must be an array of objects$"):
+        read_prevalent(path)
+
+
 def test_read_prevalent_csv(tmp_path):
     path = tmp_path / "prevalent_techniques.csv"
     path.write_text("id,name,tactic,pct_reports,cell\nT1059,Command,TA0002,12.5,high/rising\n", encoding="utf-8")

@@ -861,6 +861,16 @@ class TestRowsAndRoles:
         assert run_cli(*argv) == 1
         assert caplog.records[-1].getMessage() == f"{path} row {rows.count(chr(10)) - 1}: {problem}"
 
+    def test_a_bucket_past_sys_maxsize_exits_1_naming_the_labels_file(self, tmp_path, caplog):
+        path = tmp_path / "elbow_labels.csv"
+        path.write_text("bucket,pair_key,is_duplicate\n1,a||b,1\n100000000000000000000,c||d,0\n", encoding="utf-8")
+        argv = ("--config", E2E / "config.cfg", "--output-dir", tmp_path / "out")
+        assert run_cli("ingest", *argv) == 0
+        assert run_cli("corpus", *argv, "--elbow-labels", path) == 1
+        assert caplog.records[-1].getMessage() == \
+            f"{path}: buckets must be contiguous from 1 (got [1, 100000000000000000000])"
+        assert "Traceback" not in caplog.text
+
     @pytest.mark.parametrize("command", ["graph", "eval"])
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     @pytest.mark.parametrize("edit", ["reverse", "repeat"])
@@ -1498,14 +1508,43 @@ class TestCommandLineSurface:
         with pytest.raises(SystemExit):
             self.settings("all", flag, "1")
 
+    # Every flag that takes a number: its command and the type argparse names.
+    NUMERIC = {("corpus", "--tau"): "int", ("corpus", "--n-buckets"): "int", ("corpus", "--sample-size"): "int",
+               ("prevalence", "--alpha"): "float", ("prevalence", "--trend-years"): "int",
+               ("mine", "--alpha"): "float", ("mine", "--min-support"): "float", ("mine", "--phi-min"): "float",
+               ("all", "--alpha-trend"): "float", ("all", "--alpha-rules"): "float", ("graph", "--top-k"): "int",
+               ("ingest", "--seed"): "int"}
+
     @pytest.mark.parametrize("argv", [("corpus", "--tau", "x"), ("corpus", "--no-such-flag"), (),
                                       ("corpus", "--tau", "1_2"), ("ingest", "--seed", "\u0663"),
-                                      ("mine", "--phi-min", "\uff10.\uff13"), ("mine", "--min-support", "5_0e-4")])
+                                      ("mine", "--phi-min", "\uff10.\uff13"), ("mine", "--min-support", "5_0e-4"),
+                                      *((command, flag, value) for command, flag in NUMERIC
+                                        for value in ("1_0", "\u0663"))])  # int() reads 10 and 3
     def test_a_command_line_argparse_rejects_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as raised:
             run_cli(*argv)
         assert raised.value.code == 2
-        assert capsys.readouterr().err.startswith("usage: ttpminer")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ttpminer")
+        if tuple(argv[:2]) in self.NUMERIC:
+            assert f"argument {argv[1]}: invalid {self.NUMERIC[argv[:2]]} value: {argv[2]!r}" in err
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_shows_each_record_default(self, command, capsys):
+        """Each flag whose field default is neither None nor a bool; 0 == False, yet --seed shows its 0."""
+        with pytest.raises(SystemExit) as raised:
+            run_cli(command, "--help")
+        assert raised.value.code == 0
+        entries = [" ".join(entry.split()) for entry in re.split(r"\n  (?=-)", capsys.readouterr().out)]
+        shown = {entry.split()[0]: default[0] for entry in entries
+                 if (default := re.findall(r"\(default: ([^)]*)\)$", entry))}
+        defaults = {"--tau": 2, "--n-buckets": 5, "--sample-size": 20, "--alpha-trend": 0.05,
+                    "--trend-years": 5, "--universe": "catalog", "--min-support": 0.005, "--phi-min": 0.2,
+                    "--alpha-rules": 0.05, "--output-dir": "out", "--format": "csv", "--seed": 0,
+                    "--alpha": 0.05}
+        expected = {flag: str(defaults[flag]) for flag in self.FLAGS[command] + self.COMMON if flag in defaults}
+        assert shown == expected
+        assert "--seed SEED seed for all randomized steps (default: 0)" in entries
 
     @pytest.mark.parametrize(
         "command, flag, value, needle",

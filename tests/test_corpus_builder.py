@@ -478,10 +478,19 @@ class TestElbow:
         )
         assert read_elbow_labels(path) == [2 / 3, 0.5]
 
-    def test_read_elbow_labels_requires_contiguous_buckets(self, tmp_path):
+    @pytest.mark.parametrize("buckets", [
+        pytest.param(["2"], id="no-first"),
+        # past sys.maxsize: a list of range(1, max + 1) overflows
+        pytest.param(["1", "100000000000000000000"], id="past-maxsize"),
+        # a list of range(1, max + 1) would hold ten billion items
+        pytest.param(["1", "10000000000"], id="ten-billion"),
+    ])
+    def test_read_elbow_labels_requires_contiguous_buckets(self, tmp_path, buckets):
         path = tmp_path / "labels.csv"
-        path.write_text("bucket,pair_key,is_duplicate\n2,a||b,1\n", encoding="utf-8")
-        with pytest.raises(ManifestError, match="contiguous"):
+        rows = "".join(f"{bucket},k{i},1\n" for i, bucket in enumerate(buckets))
+        path.write_text(f"bucket,pair_key,is_duplicate\n{rows}", encoding="utf-8")
+        message = f"{path}: buckets must be contiguous from 1 (got [{', '.join(buckets)}])"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             read_elbow_labels(path)
 
     @pytest.mark.parametrize("row, problem", [

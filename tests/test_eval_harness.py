@@ -199,6 +199,12 @@ class TestEvB:
         assert result["mean_valid_pairs_per_report"] == pytest.approx(1 / 3)
         assert result["mean_valid_pairs_per_matching_report"] == pytest.approx(1.0)
 
+    def test_the_matching_report_mean_divides_by_the_matching_reports(self):
+        unseen = [report("u1", ["A", "B", "C"]), report("u2", ["A", "B"]), report("u3", ["D"])]
+        result = ev_b([pair("A", "B"), pair("A", "C"), pair("B", "C")], unseen)
+        assert (result["reports_with_pair"], result["mean_valid_pairs_per_matching_report"]) == (2, 2.0)
+        assert result["mean_valid_pairs_per_report"] == pytest.approx(4 / 3)
+
     def test_pair_with_unmentioned_technique_not_valid(self):
         result = ev_b([pair("A", "Z")], [report("u1", ["A", "B"])])
         assert result["valid_pair_count"] == 0

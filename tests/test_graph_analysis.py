@@ -278,6 +278,15 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("row, column", [(",T2,follow,ab", "tech_a"), ("T1,,follow,ab", "tech_b"),
+                                             (" , ,same_asset,none", "tech_a")])
+    def test_a_blank_technique_names_its_column_and_row(self, tmp_path, row, column):
+        path = tmp_path / "annotations.csv"
+        path.write_text(f"tech_a,tech_b,relation,direction\nT1,T2,same_asset,none\n{row}\n", encoding="utf-8")
+        message = f"{path} row 1: {column} must name a technique"
+        with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
+            load_annotations(path)
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "annotations.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
